@@ -44,6 +44,12 @@ def _word(text: str) -> tuple[int, ...]:
     return letters
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _print_expansion(mu, expansion: SchurExpansion, fmt: str, out) -> None:
     if fmt == "json":
         payload = {"mu": list(mu), "expansion": expansion.to_json()}
@@ -128,6 +134,9 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         jobs=args.jobs,
     )
+    if not report:
+        print("error: no checks ran (max-n must be at least 1)", file=sys.stderr)
+        return 1
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -177,7 +186,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the verification battery")
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--oracle-degree", type=int, default=6)
-    p.add_argument("--points", type=int, default=3)
+    p.add_argument("--points", type=_positive_int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")

@@ -9,7 +9,6 @@ and cells are addressed by 1-based (row, column) pairs.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
 from typing import Iterable, Optional
 
 Partition = tuple[int, ...]
@@ -122,20 +121,7 @@ def horizontal_strips(lam: Partition, k: int) -> tuple[Partition, ...]:
 @cache
 def vertical_strips(lam: Partition, k: int) -> tuple[Partition, ...]:
     """All mu with mu/lam a vertical strip of size k, lexicographic order."""
-    if k < 0:
-        return ()
-    if k == 0:
-        return (lam,)
-    rows = len(lam) + k
-    found = []
-    for picks in combinations(range(rows), k):
-        grown = [part(lam, i + 1) + (1 if i in picks else 0) for i in range(rows)]
-        while grown and grown[-1] == 0:
-            grown.pop()
-        cand = tuple(grown)
-        if is_partition(cand):
-            found.append(cand)
-    return tuple(sorted(found))
+    return tuple(sorted(conjugate(mu) for mu in horizontal_strips(conjugate(lam), k)))
 
 
 @cache
@@ -163,27 +149,7 @@ def horizontal_strips_inside(mu: Partition, k: int) -> tuple[Partition, ...]:
 @cache
 def vertical_strips_inside(mu: Partition, k: int) -> tuple[Partition, ...]:
     """All lam with mu/lam a vertical strip of size k, lexicographic order."""
-    if k < 0:
-        return ()
-    if k == 0:
-        return (mu,)
-    found = []
-    for picks in combinations(range(len(mu)), k):
-        shrunk = [mu[i] - (1 if i in picks else 0) for i in range(len(mu))]
-        while shrunk and shrunk[-1] == 0:
-            shrunk.pop()
-        cand = tuple(shrunk)
-        if is_partition(cand):
-            found.append(cand)
-    return tuple(sorted(found))
-
-
-def strip_extensions(lam: Partition, k: int, kind: str = "horizontal") -> tuple[Partition, ...]:
-    if kind == "horizontal":
-        return horizontal_strips(lam, k)
-    if kind == "vertical":
-        return vertical_strips(lam, k)
-    raise ValueError(f"unknown strip kind {kind!r}")
+    return tuple(sorted(conjugate(lam) for lam in horizontal_strips_inside(conjugate(mu), k)))
 
 
 def border_walk(mu: Partition) -> list[Cell]:
@@ -198,10 +164,6 @@ def border_walk(mu: Partition) -> list[Cell]:
         for c in range(mu[r - 1], low - 1, -1):
             cells.append((r, c))
     return cells
-
-
-def border_size(mu: Partition) -> int:
-    return mu[0] + len(mu) - 1 if mu else 0
 
 
 def snake_height(mu: Partition, k: int) -> int:

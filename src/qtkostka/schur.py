@@ -4,11 +4,25 @@ A SchurExpansion is a finite linear combination of Schur functions with
 QTPoly coefficients.  The operators below are linear; most require a
 homogeneous argument because their series truncation depends on the
 degree.
+
+Every operator except the snake rule runs through one kernel, `_apply`: it
+looks up the image of each basis function s_lam, multiplies it by the
+coefficient of s_lam, and accumulates in place into raw integer
+dictionaries, building each output QTPoly once at the end.  The Pieri
+operators take their images from the strip enumerators in `partitions`.
+`bernstein`, `hl_vertex` and `hl_vertex_dual` evaluate their series on s_lam
+the first time (lam, m) is seen and cache the result as raw dictionaries,
+which the kernel only reads.  `cache_info()` reports the hits, misses and
+size of these three caches and of the four strip caches, and
+`clear_caches()` empties them.  `hl_vertex_snake` is a separate route that
+shares neither the series nor the caches.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Union
+from functools import cache
+from itertools import repeat
+from typing import Callable, Iterable, Mapping, Union
 
 from .partitions import (
     Partition,
@@ -20,9 +34,12 @@ from .partitions import (
     vertical_strips,
     vertical_strips_inside,
 )
-from .qtpoly import QTPoly
+from .qtpoly import QTPoly, TermKey
 
 Coeff = Union[QTPoly, int]
+_RawPoly = Mapping[TermKey, int]
+_RawExpansion = dict[Partition, dict[TermKey, int]]
+_UNIT: _RawPoly = {(0, 0): 1}
 
 
 def _poly(value: Coeff) -> QTPoly:
@@ -129,52 +146,113 @@ class SchurExpansion:
         return "SchurExpansion(" + " + ".join(bits) + ")"
 
 
-def _apply(f: SchurExpansion, image: Callable[[Partition], SchurExpansion]) -> SchurExpansion:
-    total: dict[Partition, QTPoly] = {}
-    for lam, coeff in f.terms():
-        for mu, piece in image(lam).terms():
-            total[mu] = total.get(mu, QTPoly.zero()) + coeff * piece
-    return SchurExpansion(total)
+def _accumulate(
+    acc: _RawExpansion, pieces: Iterable[tuple[Partition, _RawPoly]], coeff: _RawPoly
+) -> None:
+    """Add coeff times every (mu, piece) into acc, in place; pieces are only read."""
+    for mu, piece in pieces:
+        slot = acc.get(mu)
+        if slot is None:
+            slot = acc[mu] = {}
+        get = slot.get
+        for (bq, bt), bc in piece.items():
+            for (aq, at), ac in coeff.items():
+                key = (aq + bq, at + bt)
+                slot[key] = get(key, 0) + ac * bc
+
+
+def _expansion(acc: _RawExpansion) -> SchurExpansion:
+    out = SchurExpansion()
+    out._terms = {mu: poly for mu, raw in acc.items() if (poly := QTPoly(raw))}
+    return out
+
+
+def _pieces(f: SchurExpansion) -> Iterable[tuple[Partition, _RawPoly]]:
+    return ((mu, c._terms) for mu, c in f._terms.items())
+
+
+def _image(acc: _RawExpansion) -> _RawExpansion:
+    """The cached form of a basis image: raw coefficients with the zeros dropped."""
+    return dict(_pieces(_expansion(acc)))
+
+
+def _apply(f: SchurExpansion, image: Callable[[Partition, int], object], k: int) -> SchurExpansion:
+    """The linear map sending each s_lam to image(lam, k), applied to f.
+
+    image is either a strip enumerator, whose partitions each carry the
+    coefficient 1, or a cached basis image mapping partitions to raw
+    coefficients.
+    """
+    acc: _RawExpansion = {}
+    for lam, coeff in f._terms.items():
+        found = image(lam, k)
+        pieces = found.items() if isinstance(found, dict) else zip(found, repeat(_UNIT))
+        _accumulate(acc, pieces, coeff._terms)
+    return _expansion(acc)
 
 
 def mul_h(k: int, f: SchurExpansion) -> SchurExpansion:
     """Multiplication by the homogeneous symmetric function h_k."""
-    if k < 0:
-        return SchurExpansion()
-    if k == 0:
-        return f
-    return _apply(f, lambda lam: SchurExpansion({mu: 1 for mu in horizontal_strips(lam, k)}))
+    return f if k == 0 else _apply(f, horizontal_strips, k)
 
 
 def mul_e(k: int, f: SchurExpansion) -> SchurExpansion:
     """Multiplication by the elementary symmetric function e_k."""
-    if k < 0:
-        return SchurExpansion()
-    if k == 0:
-        return f
-    return _apply(f, lambda lam: SchurExpansion({mu: 1 for mu in vertical_strips(lam, k)}))
+    return f if k == 0 else _apply(f, vertical_strips, k)
 
 
 def skew_h(k: int, f: SchurExpansion) -> SchurExpansion:
     """The adjoint of mul_h: removes horizontal k-strips."""
-    if k < 0:
-        return SchurExpansion()
-    if k == 0:
-        return f
-    return _apply(
-        f, lambda lam: SchurExpansion({mu: 1 for mu in horizontal_strips_inside(lam, k)})
-    )
+    return f if k == 0 else _apply(f, horizontal_strips_inside, k)
 
 
 def skew_e(k: int, f: SchurExpansion) -> SchurExpansion:
     """The adjoint of mul_e: removes vertical k-strips."""
-    if k < 0:
-        return SchurExpansion()
-    if k == 0:
-        return f
-    return _apply(
-        f, lambda lam: SchurExpansion({mu: 1 for mu in vertical_strips_inside(lam, k)})
-    )
+    return f if k == 0 else _apply(f, vertical_strips_inside, k)
+
+
+# The images of one basis function s_lam under the series operators, keyed
+# by (lam, m) in the order _apply passes them.  Each is computed once from
+# the operator's series definition and is shared by every later call.
+
+
+@cache
+def _bernstein_image(lam: Partition, m: int) -> _RawExpansion:
+    s_lam = SchurExpansion.schur(lam)
+    acc: _RawExpansion = {}
+    for k in range(sum(lam) + 1):
+        reduced = skew_e(k, s_lam)
+        if reduced:
+            _accumulate(acc, _pieces(mul_h(m + k, reduced)), {(0, 0): (-1) ** k})
+    return _image(acc)
+
+
+@cache
+def _hl_vertex_image(lam: Partition, m: int) -> _RawExpansion:
+    s_lam = SchurExpansion.schur(lam)
+    acc: _RawExpansion = {}
+    for k in range(sum(lam) + 1):
+        reduced = skew_h(k, s_lam)
+        if reduced:
+            _accumulate(acc, _pieces(bernstein(m + k, reduced)), {(0, k): 1})
+    return _image(acc)
+
+
+@cache
+def _hl_vertex_dual_image(lam: Partition, m: int) -> _RawExpansion:
+    degree = sum(lam)
+    s_lam = SchurExpansion.schur(lam)
+    acc: _RawExpansion = {}
+    for j in range(degree + 1):
+        stripped = skew_e(j, s_lam)
+        if not stripped:
+            continue
+        for i in range(degree - j + 1):
+            reduced = skew_h(i, stripped)
+            if reduced:
+                piece = mul_e(m + i + j, reduced)
+                _accumulate(acc, _pieces(piece), {(0, degree - j): (-1) ** i})
+    return _image(acc)
 
 
 def bernstein(m: int, f: SchurExpansion) -> SchurExpansion:
@@ -183,31 +261,14 @@ def bernstein(m: int, f: SchurExpansion) -> SchurExpansion:
     On s_mu with m >= mu_1 it yields s_{(m, mu)}; smaller m follows the
     straightening implicit in the alternating series.
     """
-    degree = f.degree()
-    if degree is None:
-        return SchurExpansion()
-    total = SchurExpansion()
-    for k in range(degree + 1):
-        reduced = skew_e(k, f)
-        if not reduced:
-            continue
-        piece = mul_h(m + k, reduced)
-        total = total + (piece if k % 2 == 0 else piece.scaled(-1))
-    return total
+    f.degree()  # rejects an argument that mixes degrees
+    return _apply(f, _bernstein_image, m)
 
 
 def hl_vertex(m: int, f: SchurExpansion) -> SchurExpansion:
     """Jing's Hall-Littlewood vertex operator sum_k t^k S_{m+k} h_k-perp."""
-    degree = f.degree()
-    if degree is None:
-        return SchurExpansion()
-    total = SchurExpansion()
-    for k in range(degree + 1):
-        reduced = skew_h(k, f)
-        if not reduced:
-            continue
-        total = total + bernstein(m + k, reduced).scaled(QTPoly.t(k))
-    return total
+    f.degree()
+    return _apply(f, _hl_vertex_image, m)
 
 
 def hl_vertex_snake(m: int, f: SchurExpansion, k: int | None = None) -> SchurExpansion:
@@ -238,22 +299,8 @@ def hl_vertex_snake(m: int, f: SchurExpansion, k: int | None = None) -> SchurExp
 def hl_vertex_dual(m: int, f: SchurExpansion) -> SchurExpansion:
     """The dual vertex operator sum_{i,j} t^(n-j) (-1)^i e_{m+i+j} h_i-perp e_j-perp,
     where n is the degree of the (homogeneous) argument."""
-    degree = f.degree()
-    if degree is None:
-        return SchurExpansion()
-    total = SchurExpansion()
-    for j in range(degree + 1):
-        stripped = skew_e(j, f)
-        if not stripped:
-            continue
-        for i in range(degree - j + 1):
-            reduced = skew_h(i, stripped)
-            if not reduced:
-                continue
-            sign = 1 if i % 2 == 0 else -1
-            piece = mul_e(m + i + j, reduced).scaled(QTPoly.monomial(0, degree - j, sign))
-            total = total + piece
-    return total
+    f.degree()
+    return _apply(f, _hl_vertex_dual_image, m)
 
 
 def omega(f: SchurExpansion) -> SchurExpansion:
@@ -267,3 +314,29 @@ def t_grade(f: SchurExpansion) -> SchurExpansion:
     if degree is None:
         return SchurExpansion()
     return f.scaled(QTPoly.t(degree)) if degree else f
+
+
+_CACHES = {
+    "bernstein": _bernstein_image,
+    "hl_vertex": _hl_vertex_image,
+    "hl_vertex_dual": _hl_vertex_dual_image,
+    "horizontal_strips": horizontal_strips,
+    "vertical_strips": vertical_strips,
+    "horizontal_strips_inside": horizontal_strips_inside,
+    "vertical_strips_inside": vertical_strips_inside,
+}
+
+
+def cache_info() -> dict[str, dict[str, int]]:
+    """Hits, misses and current size of each basis-image and strip cache."""
+    report = {}
+    for name, fn in _CACHES.items():
+        info = fn.cache_info()
+        report[name] = {"hits": info.hits, "misses": info.misses, "size": info.currsize}
+    return report
+
+
+def clear_caches() -> None:
+    """Empty the basis-image and strip caches; later calls refill them."""
+    for fn in _CACHES.values():
+        fn.cache_clear()

@@ -208,15 +208,6 @@ def component_groups(m: int) -> list[tuple[int, tuple[_T, ...], Operator]]:
     raise ValueError(f"no component table for head size {m}")
 
 
-def component_operator(head: _T) -> tuple[Operator, tuple[_T, ...]]:
-    """The graded component a head tableau belongs to, with all heads sharing it."""
-    m = sum(len(row) for row in head)
-    for _, heads, op in component_groups(m):
-        if head in heads:
-            return op, heads
-    raise ValueError(f"{head} is not a head tableau of size 3 or 4")
-
-
 def reassembled_vertex(m: int, f: SchurExpansion) -> SchurExpansion:
     """Sum of q^gamma times each component group; must equal qt_vertex(m, f)."""
     total = SchurExpansion()
@@ -228,14 +219,22 @@ def reassembled_vertex(m: int, f: SchurExpansion) -> SchurExpansion:
 # --- Macdonald functions ----------------------------------------------------
 
 
-@cache
 def hall_littlewood(nu: Partition) -> SchurExpansion:
     """H_nu[X;t] expanded in Schur functions via charge."""
+    return _hall_littlewood(tuple(nu))
+
+
+@cache
+def _hall_littlewood(nu: Partition) -> SchurExpansion:
     total: dict[Partition, QTPoly] = {}
-    for tab in column_strict_tableaux(tuple(nu)):
+    for tab in column_strict_tableaux(nu):
         sh = shape(tab)
         total[sh] = total.get(sh, QTPoly.zero()) + QTPoly.t(charge(reading_word(tab)))
     return SchurExpansion(total)
+
+
+# The cache stays observable through the public name.
+hall_littlewood.cache_info = _hall_littlewood.cache_info
 
 
 _MACD_CACHE: dict[Partition, SchurExpansion] = {}

@@ -123,6 +123,21 @@ def test_verify_bounds(capsys):
     assert code == 1 and "oracle-degree" in err
 
 
+@pytest.mark.parametrize("max_n", ["-1", "0"])
+def test_verify_with_no_checks_fails(capsys, max_n):
+    code, out, err = run(capsys, "verify", "--max-n", max_n)
+    assert code == 1 and out == ""
+    assert "no checks ran" in err
+
+
+@pytest.mark.parametrize("points", ["0", "-3", "x"])
+def test_verify_rejects_nonpositive_points(capsys, points):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--max-n", "2", "--points", points])
+    assert info.value.code == 1
+    assert "--points: must be a positive integer" in capsys.readouterr().err
+
+
 def test_verify_small_run(capsys):
     code, out, _ = run(
         capsys, "verify", "--max-n", "2", "--oracle-degree", "2", "--points", "1"

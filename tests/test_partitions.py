@@ -11,6 +11,7 @@ from qtkostka.partitions import (
     horizontal_strips,
     horizontal_strips_inside,
     is_partition,
+    is_vertical_strip,
     linear_extension,
     parse_partition,
     partitions_of,
@@ -105,6 +106,16 @@ def test_strips_inside():
     assert set(horizontal_strips_inside((2, 2), 1)) == {(2, 1)}
     assert set(vertical_strips_inside((2, 2), 1)) == {(2, 1)}
     assert set(horizontal_strips_inside((3, 1), 2)) == {(2,), (1, 1)}
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_vertical_strips_match_brute_force(n):
+    for lam in partitions_of(n):
+        for k in range(-1, n + 3):
+            outer = tuple(sorted(mu for mu in partitions_of(n + k) if is_vertical_strip(mu, lam)))
+            inner = tuple(sorted(nu for nu in partitions_of(n - k) if is_vertical_strip(lam, nu)))
+            assert vertical_strips(lam, k) == outer, (lam, k)
+            assert vertical_strips_inside(lam, k) == inner, (lam, k)
 
 
 def test_border_walk_length():

@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qtkostka.partitions import partitions_of
 from qtkostka.qtpoly import QTPoly
 from qtkostka.schur import (
     SchurExpansion,
     bernstein,
+    cache_info,
     hl_vertex,
     hl_vertex_dual,
     hl_vertex_snake,
@@ -111,8 +115,6 @@ def test_hl_vertex_dual_values():
 
 def test_snake_rule_matches_series():
     for n in range(5):
-        from qtkostka.partitions import partitions_of
-
         for lam in partitions_of(n):
             f = s(lam)
             expected = hl_vertex(3, f)
@@ -124,3 +126,107 @@ def test_snake_rule_matches_series():
 def test_vertex_on_zero():
     assert hl_vertex(2, SchurExpansion()) == SchurExpansion()
     assert hl_vertex_dual(2, SchurExpansion()) == SchurExpansion()
+
+
+# The series definitions evaluated term by term in SchurExpansion arithmetic,
+# without the cached basis images: the reference the kernel must reproduce.
+
+
+def series_bernstein(m, f):
+    total = SchurExpansion()
+    for k in range((f.degree() or 0) + 1):
+        piece = mul_h(m + k, skew_e(k, f))
+        total = total + (piece if k % 2 == 0 else -piece)
+    return total
+
+
+def series_hl_vertex(m, f):
+    total = SchurExpansion()
+    for k in range((f.degree() or 0) + 1):
+        total = total + series_bernstein(m + k, skew_h(k, f)).scaled(QTPoly.t(k))
+    return total
+
+
+def series_hl_vertex_dual(m, f):
+    n = f.degree() or 0
+    total = SchurExpansion()
+    for j in range(n + 1):
+        for i in range(n - j + 1):
+            piece = mul_e(m + i + j, skew_h(i, skew_e(j, f)))
+            total = total + piece.scaled(QTPoly.monomial(0, n - j, (-1) ** i))
+    return total
+
+
+SERIES = [
+    (bernstein, series_bernstein),
+    (hl_vertex, series_hl_vertex),
+    (hl_vertex_dual, series_hl_vertex_dual),
+]
+
+
+@pytest.mark.parametrize("op, series", SERIES, ids=lambda x: getattr(x, "__name__", ""))
+def test_cached_images_match_series(op, series):
+    for n in range(8):
+        for lam in partitions_of(n):
+            for m in range(6):
+                assert op(m, s(lam)) == series(m, s(lam)), (op.__name__, lam, m)
+
+
+@pytest.mark.parametrize("op, series", SERIES, ids=lambda x: getattr(x, "__name__", ""))
+def test_repeated_calls_leave_images_unchanged(op, series):
+    f = s((2, 1)).scaled(QTPoly.q(1) - 2 * t) + s((1, 1, 1)).scaled(3)
+    first = op(2, f)
+    assert op(2, f) == first == series(2, f)
+    assert op(2, s((2, 1))) == series(2, s((2, 1)))
+
+
+@pytest.mark.parametrize("op", [bernstein, hl_vertex, hl_vertex_dual])
+def test_series_operators_reject_mixed_degrees(op):
+    with pytest.raises(ValueError):
+        op(2, s((2,)) + s((1,)))
+
+
+OPERATORS = [mul_h, mul_e, skew_h, skew_e, bernstein, hl_vertex, hl_vertex_dual]
+small_poly = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), max_size=3
+).map(QTPoly)
+
+
+@st.composite
+def homogeneous_pair(draw):
+    shapes = partitions_of(draw(st.integers(0, 4)))
+    terms = st.dictionaries(st.sampled_from(shapes), small_poly, max_size=4)
+    return SchurExpansion(draw(terms)), SchurExpansion(draw(terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    op=st.sampled_from(OPERATORS),
+    m=st.integers(-1, 4),
+    pair=homogeneous_pair(),
+    a=small_poly,
+    b=small_poly,
+)
+def test_operators_are_linear(op, m, pair, a, b):
+    f, g = pair
+    assert op(m, f.scaled(a) + g.scaled(b)) == op(m, f).scaled(a) + op(m, g).scaled(b)
+
+
+def test_cache_info_counts_lookups():
+    before = cache_info()["hl_vertex_dual"]
+    hl_vertex_dual(3, s((2, 1)))
+    hl_vertex_dual(3, s((2, 1)))
+    info = cache_info()
+    assert set(info) == {
+        "bernstein",
+        "hl_vertex",
+        "hl_vertex_dual",
+        "horizontal_strips",
+        "vertical_strips",
+        "horizontal_strips_inside",
+        "vertical_strips_inside",
+    }
+    assert all(set(entry) == {"hits", "misses", "size"} for entry in info.values())
+    after = info["hl_vertex_dual"]
+    assert after["hits"] + after["misses"] == before["hits"] + before["misses"] + 2
+    assert after["hits"] >= before["hits"] + 1 and after["size"] >= 1

@@ -2,8 +2,9 @@ import pytest
 
 from qtkostka.partitions import partitions_of
 from qtkostka.qtpoly import QTPoly
-from qtkostka.schur import SchurExpansion, omega
+from qtkostka.schur import SchurExpansion, cache_info, clear_caches, omega
 from qtkostka.vertex import (
+    _macdonald_uncached,
     UnsupportedShapeError,
     classify_shape,
     component_groups,
@@ -223,3 +224,15 @@ def test_identity_suite_passes():
     assert "hl-identity/dual4-base" in names
     with pytest.raises(ValueError):
         hl_identity_suite(10)
+
+
+def test_hall_littlewood_accepts_a_list():
+    assert hall_littlewood([2, 1]) == hall_littlewood((2, 1)) == s((2, 1)) + s((3,)).scaled(t(1))
+
+
+def test_macdonald_unchanged_after_clearing_caches():
+    shapes = [(2, 2, 1), (3, 2, 1), (4, 2), (2, 1, 1, 1, 1)]
+    before = [macdonald(mu) for mu in shapes]
+    clear_caches()
+    assert all(entry["size"] == 0 for entry in cache_info().values())
+    assert [_macdonald_uncached(mu) for mu in shapes] == before
