@@ -31,6 +31,8 @@ class QTPoly:
         for (dq, dt), coeff in (terms or {}).items():
             if dq < 0 or dt < 0:
                 raise ValueError(f"negative exponent in term q^{dq} t^{dt}")
+            if type(coeff) is not int:
+                raise TypeError(f"coefficient {coeff!r} of q^{dq} t^{dt} is not an int")
             if coeff:
                 clean[(dq, dt)] = coeff
         self._terms = clean

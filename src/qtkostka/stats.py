@@ -6,11 +6,16 @@ vertical dominoes plus a head offset.  The machinery here builds and
 unbuilds the block structure behind those statistics: row/column block
 insertion, its inverse, prefix deletion, types, and the sign-reversing
 pair involution used in the cancellation argument.
+
+The chain of domino letters in a type is cached by the tableau left after
+its first domino; `cache_info()` reports the cache's hits, misses and size,
+and `clear_caches()` empties it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from .partitions import (
@@ -29,6 +34,7 @@ from .schur import SchurExpansion
 from .tableaux import (
     Tableau,
     column_insert,
+    column_insert_into,
     format_tableau,
     is_standard,
     parse_tableau,
@@ -37,6 +43,7 @@ from .tableaux import (
     reverse_column_insert,
     reverse_row_insert,
     row_insert,
+    row_insert_into,
     shape,
     tableau_charge,
     all_standard_tableaux,
@@ -103,7 +110,7 @@ def parse_type_sequence(text: str) -> TypeSequence:
 
 
 def _size(tab: Tableau) -> int:
-    return sum(len(row) for row in tab)
+    return sum(map(len, tab))
 
 
 def _lower(tab: Tableau, m: int) -> Tableau:
@@ -146,17 +153,16 @@ def unbuild(m: int, tab: Tableau) -> Tableau:
     if _size(tab) < m:
         raise ValueError(f"tableau has fewer than {m} cells")
     if len(tab[0]) >= m and tab[0][:m] == tuple(range(1, m + 1)):
-        rest = tab[1:]
+        rows = [list(row) for row in tab[1:]]
         for x in reversed(tab[0][m:]):
-            rest = column_insert(rest, x)
-        return _lower(rest, m)
-    if len(tab) >= m and all(tab[i][0] == i + 1 for i in range(m)):
-        extras = tuple(tab[i][0] for i in range(m, len(tab)))
-        rest = tuple(row[1:] for row in tab if len(row) > 1)
-        for x in reversed(extras):
-            rest = row_insert(rest, x)
-        return _lower(rest, m)
-    raise ValueError(f"labels 1..{m} form neither a first-row nor first-column block")
+            column_insert_into(rows, x)
+    elif len(tab) >= m and all(tab[i][0] == i + 1 for i in range(m)):
+        rows = [list(row[1:]) for row in tab if len(row) > 1]
+        for i in range(len(tab) - 1, m - 1, -1):
+            row_insert_into(rows, tab[i][0])
+    else:
+        raise ValueError(f"labels 1..{m} form neither a first-row nor first-column block")
+    return _lower(rows, m)
 
 
 def _strip_cells(outer: Partition, inner: Partition) -> list[tuple[int, int]]:
@@ -268,17 +274,35 @@ def inverse_col_block(m: int, rho: Partition, built: Tableau) -> Tableau:
 
 
 def _two_col_blocks(tab: Tableau, dominoes: int) -> tuple[str, ...]:
-    letters = []
-    for _ in range(dominoes):
-        if len(tab[0]) >= 2 and tab[0][1] == 2:
-            letters.append("H")
-        elif len(tab) >= 2 and tab[1][0] == 2:
-            letters.append("V")
-        else:
-            raise ValueError(f"label 2 is not adjacent to label 1 in {tab}")
-        tab = unbuild(2, tab)
-    letters.extend("S" * _size(tab))
-    return tuple(letters)
+    """One H/V letter per unbuilt domino, then one S per remaining cell."""
+    if not dominoes:
+        return ("S",) * _size(tab)
+    if len(tab[0]) >= 2 and tab[0][1] == 2:
+        letter = "H"
+    elif len(tab) >= 2 and tab[1][0] == 2:
+        letter = "V"
+    else:
+        raise ValueError(f"label 2 is not adjacent to label 1 in {tab}")
+    return (letter,) + _domino_tail(unbuild(2, tab), dominoes - 1)
+
+
+@cache
+def _domino_tail(tab: Tableau, dominoes: int) -> tuple[str, ...]:
+    # The first domino of each tableau is not cached, so the cache holds only
+    # tableaux two or more cells smaller than the ones being typed, and many
+    # tableaux of one size share each entry.
+    return _two_col_blocks(tab, dominoes)
+
+
+def cache_info() -> dict[str, dict[str, int]]:
+    """Hits, misses and current size of the domino-tail cache."""
+    info = _domino_tail.cache_info()
+    return {"domino_tail": {"hits": info.hits, "misses": info.misses, "size": info.currsize}}
+
+
+def clear_caches() -> None:
+    """Empty the domino-tail cache; later calls refill it."""
+    _domino_tail.cache_clear()
 
 
 def type_two_col(tab: Tableau, dominoes: int) -> TypeSequence:
@@ -307,10 +331,29 @@ def full_type(mu: Partition, tab: Tableau) -> TypeSequence:
     m, a, b = _direct_parts(mu)
     if m == 2:
         return type_two_col(tab, a)
+    return _type_of(m, a, tab)
+
+
+def _type_of(m: int, a: int, tab: Tableau) -> TypeSequence:
+    """The type of a standard tableau under the shape (m, 2^a, 1^b)."""
+    if m == 2:
+        return TypeSequence(None, _two_col_blocks(tab, a))
     head = head_tableau(tab, m)
     h, mm = HEAD_TABLE[head][2]
-    reduced = unbuild(mm, delete_prefix(h, tab))
-    return TypeSequence(head, _two_col_blocks(reduced, a))
+    return TypeSequence(head, _two_col_blocks(unbuild(mm, delete_prefix(h, tab)), a))
+
+
+def _stats_of_type(a: int, b: int, ts: TypeSequence, charge: int) -> tuple[int, int]:
+    """(a_mu(T), b_mu(T)) from the type and charge of T, for mu = (m, 2^a, 1^b)."""
+    n = 2 * a + b
+    if ts.head is None:
+        alpha = beta = gamma = 0
+    else:
+        alpha, beta, _, gamma = HEAD_TABLE[ts.head]
+    h_weight = sum(
+        (n + 1) - 2 * i for i, letter in enumerate(ts.blocks[:a], start=1) if letter == "H"
+    )
+    return (charge - alpha - beta * n - h_weight, ts.blocks.count("V") + gamma)
 
 
 def stat_pair(mu: Partition, tab: Tableau) -> tuple[int, int]:
@@ -320,33 +363,23 @@ def stat_pair(mu: Partition, tab: Tableau) -> tuple[int, int]:
         raise ValueError(f"|T| = {_size(tab)} but |mu| = {sum(mu)}")
     m, a, b = _direct_parts(mu)
     c = tableau_charge(tab)
-    if m == 2:
-        blocks = _two_col_blocks(tab, a)
-        alpha, gamma = 0, 0
-        beta_shift = 0
-    else:
-        head = head_tableau(tab, m)
-        alpha, beta, (h, mm), gamma = HEAD_TABLE[head]
-        tab = unbuild(mm, delete_prefix(h, tab))
-        blocks = _two_col_blocks(tab, a)
-        beta_shift = beta * (2 * a + b)
-    n = 2 * a + b
-    h_weight = sum(
-        (n + 1) - 2 * i for i, letter in enumerate(blocks[:a], start=1) if letter == "H"
-    )
-    return (c - alpha - beta_shift - h_weight, blocks.count("V") + gamma)
+    return _stats_of_type(a, b, _type_of(m, a, tab), c)
+
+
+def _expansion(counts: dict[Partition, dict[tuple[int, int], int]]) -> SchurExpansion:
+    return SchurExpansion({sh: QTPoly(terms) for sh, terms in counts.items()})
 
 
 def stat_genfun(mu: Partition) -> SchurExpansion:
     """Sum of q^b_mu(T) t^a_mu(T) s_shape(T) over all standard T of size |mu|."""
     mu = tuple(mu)
     _direct_parts(mu)
-    total: dict[Partition, QTPoly] = {}
+    counts: dict[Partition, dict[tuple[int, int], int]] = {}
     for tab in all_standard_tableaux(sum(mu)):
         a, b = stat_pair(mu, tab)
-        sh = shape(tab)
-        total[sh] = total.get(sh, QTPoly.zero()) + QTPoly.monomial(b, a)
-    return SchurExpansion(total)
+        bucket = counts.setdefault(shape(tab), {})
+        bucket[b, a] = bucket.get((b, a), 0) + 1
+    return _expansion(counts)
 
 
 def head_genfun(mu: Partition, heads: tuple[Tableau, ...]) -> SchurExpansion:
@@ -358,14 +391,14 @@ def head_genfun(mu: Partition, heads: tuple[Tableau, ...]) -> SchurExpansion:
     if len(gammas) != 1:
         raise ValueError("heads must share a single gamma offset")
     gamma = gammas.pop()
-    total: dict[Partition, QTPoly] = {}
+    counts: dict[Partition, dict[tuple[int, int], int]] = {}
     for tab in all_standard_tableaux(sum(mu)):
         if head_tableau(tab, m) not in heads:
             continue
         a, b = stat_pair(mu, tab)
-        sh = shape(tab)
-        total[sh] = total.get(sh, QTPoly.zero()) + QTPoly.monomial(b - gamma, a)
-    return SchurExpansion(total)
+        bucket = counts.setdefault(shape(tab), {})
+        bucket[b - gamma, a] = bucket.get((b - gamma, a), 0) + 1
+    return _expansion(counts)
 
 
 def classify_pair(n: int, m: int, tab: Tableau, rho: Partition) -> str:
@@ -407,13 +440,13 @@ def unimodal_profile(mu: Partition) -> dict[TypeSequence, tuple[int, ...]]:
     """Counts of standard tableaux by full type and a_mu value: for each type
     the sequence (A^0, A^1, ..., A^max)."""
     mu = tuple(mu)
-    _direct_parts(mu)
+    _, a, b = _direct_parts(mu)
     by_type: dict[TypeSequence, dict[int, int]] = {}
     for tab in all_standard_tableaux(sum(mu)):
         ts = full_type(mu, tab)
-        a, _ = stat_pair(mu, tab)
+        stat_a, _ = _stats_of_type(a, b, ts, tableau_charge(tab))
         bucket = by_type.setdefault(ts, {})
-        bucket[a] = bucket.get(a, 0) + 1
+        bucket[stat_a] = bucket.get(stat_a, 0) + 1
     return {
         ts: tuple(counts.get(i, 0) for i in range(max(counts) + 1))
         for ts, counts in by_type.items()

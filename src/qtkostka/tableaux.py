@@ -145,6 +145,9 @@ def charge(word: Iterable[int]) -> int:
     w = tuple(word)
     if not w:
         return 0
+    if sorted(w) == list(range(1, len(w) + 1)):
+        # a permutation is its own single standard subword
+        return _standard_charge(w)
     return sum(_standard_charge(sub) for sub in standard_subwords(w))
 
 
@@ -152,43 +155,49 @@ def tableau_charge(tab: Tableau) -> int:
     return charge(reading_word(tab))
 
 
-def row_insert(tab: Tableau, x: int) -> Tableau:
-    """Schensted row insertion: x bumps the leftmost entry strictly greater."""
-    rows = [list(row) for row in tab]
+def row_insert_into(rows: list[list[int]], x: int) -> None:
+    """Row insertion in place into a list of row lists."""
     current = x
     for row in rows:
         j = bisect_right(row, current)
         if j == len(row):
             row.append(current)
-            current = -1
-            break
+            return
         row[j], current = current, row[j]
-    if current != -1:
-        rows.append([current])
+    rows.append([current])
+
+
+def column_insert_into(rows: list[list[int]], x: int) -> None:
+    """Column insertion in place into a list of row lists."""
+    current = x
+    col = 0
+    while True:
+        for row in rows:
+            if len(row) > col and row[col] >= current:
+                row[col], current = current, row[col]
+                break
+        else:
+            for row in rows:
+                if len(row) == col:
+                    row.append(current)
+                    return
+            rows.append([current])
+            return
+        col += 1
+
+
+def row_insert(tab: Tableau, x: int) -> Tableau:
+    """Schensted row insertion: x bumps the leftmost entry strictly greater."""
+    rows = [list(row) for row in tab]
+    row_insert_into(rows, x)
     return tuple(tuple(row) for row in rows)
 
 
 def column_insert(tab: Tableau, x: int) -> Tableau:
     """Column insertion: x bumps the lowest entry >= x of each column in turn."""
     rows = [list(row) for row in tab]
-    current = x
-    col = 0
-    while True:
-        bumped = False
-        for row in rows:
-            if len(row) > col and row[col] >= current:
-                row[col], current = current, row[col]
-                bumped = True
-                break
-        if not bumped:
-            for row in rows:
-                if len(row) == col:
-                    row.append(current)
-                    break
-            else:
-                rows.append([current])
-            return tuple(tuple(row) for row in rows)
-        col += 1
+    column_insert_into(rows, x)
+    return tuple(tuple(row) for row in rows)
 
 
 def reverse_row_insert(tab: Tableau, cell: tuple[int, int]) -> tuple[Tableau, int]:
@@ -227,10 +236,10 @@ def reverse_column_insert(tab: Tableau, cell: tuple[int, int]) -> tuple[Tableau,
 
 def rectify(word: Iterable[int]) -> Tableau:
     """The unique tableau whose reading word is Knuth equivalent to word."""
-    tab: Tableau = ()
+    rows: list[list[int]] = []
     for letter in word:
-        tab = row_insert(tab, letter)
-    return tab
+        row_insert_into(rows, letter)
+    return tuple(tuple(row) for row in rows)
 
 
 def conjugate_tableau(tab: Tableau) -> Tableau:

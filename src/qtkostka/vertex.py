@@ -273,7 +273,12 @@ def kostka(lam: Partition, mu: Partition) -> QTPoly:
     lam, mu = tuple(lam), tuple(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
-    return macdonald(mu).coefficient(lam)
+    coeff = macdonald(mu).coefficient(lam)
+    # every partition of |mu| has a nonzero coefficient, so only a miss
+    # needs the check
+    if not coeff and not is_partition(lam):
+        raise ValueError(f"lam = {lam} is not a partition")
+    return coeff
 
 
 # --- Hall-Littlewood expansions with closed coefficients --------------------

@@ -26,6 +26,16 @@ def test_negative_exponents_rejected():
         QTPoly.monomial(0, -2, 5)
 
 
+def test_non_integer_coefficients_rejected():
+    for coeff in (1.5, 2.0, Fraction(1, 2), Fraction(2), True):
+        with pytest.raises(TypeError):
+            QTPoly({(0, 0): coeff})
+    with pytest.raises(TypeError):
+        QTPoly.monomial(1, 1, 0.0)
+    assert QTPoly({(1, 0): 3}).coefficient(1, 0) == 3
+    assert QTPoly.from_terms([(0, 0, "7")]) == QTPoly({(0, 0): 7})
+
+
 def test_zero_coefficients_dropped():
     assert QTPoly({(1, 1): 0}) == QTPoly.zero()
     assert (QTPoly.q(1) - QTPoly.q(1)) == QTPoly.zero()

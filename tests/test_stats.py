@@ -1,5 +1,6 @@
 import pytest
 
+from qtkostka import stats
 from qtkostka.partitions import horizontal_strips, partitions_of
 from qtkostka.stats import (
     HEAD_TABLE,
@@ -21,8 +22,14 @@ from qtkostka.stats import (
     unbuild,
     unimodal_profile,
 )
-from qtkostka.tableaux import parse_tableau, standard_tableaux
-from qtkostka.vertex import macdonald
+from qtkostka.tableaux import (
+    all_standard_tableaux,
+    column_insert,
+    parse_tableau,
+    row_insert,
+    standard_tableaux,
+)
+from qtkostka.vertex import UnsupportedShapeError, classify_shape, macdonald
 
 T = parse_tableau
 
@@ -162,6 +169,84 @@ def test_unimodal_profile_printed_rows():
     assert profile[TypeSequence(T("1,2,3"), ("S", "S", "S"))] == (1, 2, 3, 4, 2, 1, 1)
     assert profile[TypeSequence(T("1/2/3"), ("S", "S", "S"))] == (1, 1, 2, 4, 3, 2, 1)
     total = sum(sum(seq) for seq in profile.values())
-    from qtkostka.tableaux import all_standard_tableaux
-
     assert total == len(all_standard_tableaux(6))
+
+
+def _seed_unbuild(m, tab):
+    # the tuple-based unbuild the list loops replaced, as a reference
+    if m < 2:
+        raise ValueError("block size must be at least 2")
+    if sum(len(row) for row in tab) < m:
+        raise ValueError(f"tableau has fewer than {m} cells")
+    if len(tab[0]) >= m and tab[0][:m] == tuple(range(1, m + 1)):
+        rest = tab[1:]
+        for x in reversed(tab[0][m:]):
+            rest = column_insert(rest, x)
+    elif len(tab) >= m and all(tab[i][0] == i + 1 for i in range(m)):
+        extras = tuple(tab[i][0] for i in range(m, len(tab)))
+        rest = tuple(row[1:] for row in tab if len(row) > 1)
+        for x in reversed(extras):
+            rest = row_insert(rest, x)
+    else:
+        raise ValueError(f"labels 1..{m} form neither a first-row nor first-column block")
+    if any(x <= m for row in rest for x in row):
+        raise ValueError(f"cannot lower labels by {m}: some label too small")
+    return tuple(tuple(x - m for x in row) for row in rest)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _direct_shapes(n):
+    out = []
+    for mu in partitions_of(n):
+        try:
+            if classify_shape(mu)[0] == "direct":
+                out.append(mu)
+        except UnsupportedShapeError:
+            pass
+    return out
+
+
+def test_unbuild_matches_the_tuple_reference():
+    tabs = [tab for n in range(10) for tab in all_standard_tableaux(n)]
+    # not standard: labels left at or below m, and no block at all
+    tabs += [((1, 2, 2),), ((1, 2), (2,)), ((1, 2, 3), (3,)), ((1,), (2,), (2,)), ((2, 3), (4,))]
+    for tab in tabs:
+        for m in (2, 3, 4):
+            assert _outcome(unbuild, m, tab) == _outcome(_seed_unbuild, m, tab)
+    assert _outcome(unbuild, 2, ((1, 2, 2),)).startswith("ValueError: cannot lower labels by 2")
+
+
+def test_unimodal_profile_counts_match_stat_pair():
+    for n in range(1, 9):
+        for mu in _direct_shapes(n):
+            by_type = {}
+            for tab in all_standard_tableaux(n):
+                bucket = by_type.setdefault(full_type(mu, tab), {})
+                a = stat_pair(mu, tab)[0]
+                bucket[a] = bucket.get(a, 0) + 1
+            expected = {
+                ts: tuple(counts.get(i, 0) for i in range(max(counts) + 1))
+                for ts, counts in by_type.items()
+            }
+            assert unimodal_profile(mu) == expected
+
+
+def test_stat_genfun_matches_macdonald_at_size_9():
+    for mu in [(2, 2, 2, 2, 1), (3, 2, 2, 2), (4, 2, 2, 1)]:
+        assert stat_genfun(mu) == macdonald(mu)
+
+
+def test_domino_tail_cache_info_and_clear():
+    before = stat_genfun((2, 2, 2, 1))
+    info = stats.cache_info()["domino_tail"]
+    assert set(info) == {"hits", "misses", "size"}
+    assert info["size"] > 0 and info["misses"] > 0
+    stats.clear_caches()
+    assert stats.cache_info()["domino_tail"]["size"] == 0
+    assert stat_genfun((2, 2, 2, 1)) == before

@@ -1,6 +1,10 @@
+from bisect import bisect_right
+from itertools import permutations, product
+
 import pytest
 
 from qtkostka.tableaux import (
+    _standard_charge,
     all_standard_tableaux,
     charge,
     column_insert,
@@ -154,3 +158,75 @@ def test_column_strict_tableaux():
     for tab in column_strict_tableaux((2, 2)):
         assert content(reading_word(tab)) == (2, 2)
         assert is_tableau(tab)
+
+
+def _seed_row_insert(tab, x):
+    # the tuple-based row insertion the list kernel replaced, as a reference
+    rows = [list(row) for row in tab]
+    current = x
+    for row in rows:
+        j = bisect_right(row, current)
+        if j == len(row):
+            row.append(current)
+            current = -1
+            break
+        row[j], current = current, row[j]
+    if current != -1:
+        rows.append([current])
+    return tuple(tuple(row) for row in rows)
+
+
+def _seed_column_insert(tab, x):
+    rows = [list(row) for row in tab]
+    current = x
+    col = 0
+    while True:
+        bumped = False
+        for row in rows:
+            if len(row) > col and row[col] >= current:
+                row[col], current = current, row[col]
+                bumped = True
+                break
+        if not bumped:
+            for row in rows:
+                if len(row) == col:
+                    row.append(current)
+                    break
+            else:
+                rows.append([current])
+            return tuple(tuple(row) for row in rows)
+        col += 1
+
+
+def _seed_rectify(word):
+    tab = ()
+    for letter in word:
+        tab = _seed_row_insert(tab, letter)
+    return tab
+
+
+def test_charge_of_a_permutation_is_its_standard_charge():
+    for n in range(1, 8):
+        for w in permutations(range(1, n + 1)):
+            assert charge(w) == sum(_standard_charge(s) for s in standard_subwords(w))
+
+
+def test_insertion_matches_the_tuple_reference():
+    tabs = list(all_standard_tableaux(6))
+    tabs += [tab for weight in ((2, 2, 1), (3, 2), (2, 1, 1, 1)) for tab in column_strict_tableaux(weight)]
+    for tab in tabs:
+        for x in range(1, 8):
+            assert row_insert(tab, x) == _seed_row_insert(tab, x)
+            assert column_insert(tab, x) == _seed_column_insert(tab, x)
+
+
+def test_rectify_matches_the_tuple_reference():
+    for n in range(10):
+        for tab in all_standard_tableaux(n):
+            word = reading_word(tab)
+            for h in range(3):
+                lowered = [x - h for x in word if x > h]
+                assert rectify(lowered) == _seed_rectify(lowered)
+    for n in range(7):
+        for word in product(range(1, 4), repeat=n):
+            assert rectify(word) == _seed_rectify(word)

@@ -208,6 +208,13 @@ def test_kostka_entries():
         kostka((2,), (2, 1))
 
 
+def test_kostka_rejects_a_non_partition_lam():
+    for lam in [(1, 2), (2, 1, 0), (3, 0)]:
+        with pytest.raises(ValueError, match=r"lam = \(.*\) is not a partition"):
+            kostka(lam, (2, 1))
+    assert kostka([2, 1], (2, 1)) == kostka((2, 1), (2, 1))
+
+
 def test_kostka_conjugate_route():
     # (3,3,1) is reached through its conjugate (3,2,2)
     f = macdonald((3, 3, 1))
