@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Optional
+from typing import Iterable, Optional
 
 from .partitions import (
     Partition,
@@ -113,10 +113,10 @@ def _size(tab: Tableau) -> int:
     return sum(map(len, tab))
 
 
-def _lower(tab: Tableau, m: int) -> Tableau:
-    if any(x <= m for row in tab for x in row):
+def _lower(rows: Iterable[Iterable[int]], m: int) -> Tableau:
+    if any(x <= m for row in rows for x in row):
         raise ValueError(f"cannot lower labels by {m}: some label too small")
-    return tuple(tuple(x - m for x in row) for row in tab)
+    return tuple(tuple(x - m for x in row) for row in rows)
 
 
 def head_tableau(tab: Tableau, m: int) -> Tableau:
