@@ -8,7 +8,6 @@ the whole run is reproducible from the seed.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .oracle import (
@@ -194,42 +193,44 @@ def _check_snakes() -> tuple[bool, str]:
 # --- schur-operator laws ----------------------------------------------------
 
 
-def _check_commutation_dual(m: int, n_op: int, max_deg: int) -> tuple[bool, str]:
-    for n in range(max_deg + 1):
+def _operators_agree(lhs, rhs, degrees) -> tuple[bool, str]:
+    """Compare lhs(s_lam) with rhs(s_lam) for every partition lam of each degree."""
+    for n in degrees:
         for lam in partitions_of(n):
             f = SchurExpansion.schur(lam)
-            lhs = hl_vertex_dual(n_op, hl_vertex(m, f))
-            rhs = hl_vertex(m, hl_vertex_dual(n_op, f)).scaled(QTPoly.t(m - 1))
-            if lhs != rhs:
-                return False, f"lam={lam}: {_diff(lhs, rhs)}"
+            left, right = lhs(f), rhs(f)
+            if left != right:
+                return False, f"lam={lam}: {_diff(left, right)}"
     return True, ""
+
+
+def _check_commutation_dual(m: int, n_op: int, max_deg: int) -> tuple[bool, str]:
+    return _operators_agree(
+        lambda f: hl_vertex_dual(n_op, hl_vertex(m, f)),
+        lambda f: hl_vertex(m, hl_vertex_dual(n_op, f)).scaled(QTPoly.t(m - 1)),
+        range(max_deg + 1),
+    )
 
 
 def _check_commutation_adjacent(m: int, max_deg: int) -> tuple[bool, str]:
-    for n in range(max_deg + 1):
-        for lam in partitions_of(n):
-            f = SchurExpansion.schur(lam)
-            lhs = hl_vertex(m, hl_vertex(m + 1, f))
-            rhs = hl_vertex(m + 1, hl_vertex(m, f)).scaled(QTPoly.t(1))
-            if lhs != rhs:
-                return False, f"lam={lam}: {_diff(lhs, rhs)}"
-    return True, ""
+    return _operators_agree(
+        lambda f: hl_vertex(m, hl_vertex(m + 1, f)),
+        lambda f: hl_vertex(m + 1, hl_vertex(m, f)).scaled(QTPoly.t(1)),
+        range(max_deg + 1),
+    )
 
 
 def _check_commutation_mixed(m: int, n_op: int, max_deg: int) -> tuple[bool, str]:
     t = QTPoly.t(1)
-    for n in range(max_deg + 1):
-        for lam in partitions_of(n):
-            f = SchurExpansion.schur(lam)
-            lhs = hl_vertex(m - 1, hl_vertex(n_op, f))
-            rhs = (
-                hl_vertex(m, hl_vertex(n_op - 1, f)).scaled(t)
-                + hl_vertex(n_op, hl_vertex(m - 1, f)).scaled(t)
-                - hl_vertex(n_op - 1, hl_vertex(m, f))
-            )
-            if lhs != rhs:
-                return False, f"lam={lam}: {_diff(lhs, rhs)}"
-    return True, ""
+    return _operators_agree(
+        lambda f: hl_vertex(m - 1, hl_vertex(n_op, f)),
+        lambda f: (
+            hl_vertex(m, hl_vertex(n_op - 1, f)).scaled(t)
+            + hl_vertex(n_op, hl_vertex(m - 1, f)).scaled(t)
+            - hl_vertex(n_op - 1, hl_vertex(m, f))
+        ),
+        range(max_deg + 1),
+    )
 
 
 def _check_snake_rule(m: int, n: int, k_bound: int) -> tuple[bool, str]:
@@ -310,12 +311,7 @@ def _check_head_component(mu: Partition, heads, op, base: Partition) -> tuple[bo
 
 
 def _check_reassembly(m: int, n: int) -> tuple[bool, str]:
-    for lam in partitions_of(n):
-        f = SchurExpansion.schur(lam)
-        lhs, rhs = reassembled_vertex(m, f), qt_vertex(m, f)
-        if lhs != rhs:
-            return False, f"lam={lam}: {_diff(lhs, rhs)}"
-    return True, ""
+    return _operators_agree(lambda f: reassembled_vertex(m, f), lambda f: qt_vertex(m, f), (n,))
 
 
 def _check_two_column_table(a: int, b: int) -> tuple[bool, str]:
@@ -331,12 +327,7 @@ def _check_three_row_table(a: int, b: int) -> tuple[bool, str]:
 
 
 def _check_fourth_forms(n: int) -> tuple[bool, str]:
-    for lam in partitions_of(n):
-        f = SchurExpansion.schur(lam)
-        lhs, rhs = vertex4(f), vertex4_third_form(f)
-        if lhs != rhs:
-            return False, f"lam={lam}: {_diff(lhs, rhs)}"
-    return True, ""
+    return _operators_agree(vertex4, vertex4_third_form, (n,))
 
 
 def _check_fourth_misprint() -> tuple[bool, str]:
@@ -814,23 +805,16 @@ def run_battery(
     oracle_degree: int = 6,
     n_points: int = 3,
     seed: int = 0,
-    jobs: int = 1,
 ) -> list[dict]:
     """Run every check and return the merged report, sorted by check name.
 
-    Deterministic for a fixed seed regardless of jobs; failures appear as
-    report entries rather than exceptions.
+    Deterministic for a fixed seed; failures appear as report entries rather
+    than exceptions.
     """
     if max_n > 8:
         raise ValueError("run_battery is bounded at max_n <= 8")
     if oracle_degree > 6:
         raise ValueError("run_battery is bounded at oracle_degree <= 6")
-    tasks = list(_tasks(max_n, oracle_degree, n_points, seed))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(lambda fn: fn(), tasks))
-    else:
-        chunks = [fn() for fn in tasks]
-    report = [entry for chunk in chunks for entry in chunk]
+    report = [entry for task in _tasks(max_n, oracle_degree, n_points, seed) for entry in task()]
     report.sort(key=lambda e: (e["check"], sorted((k, str(v)) for k, v in e["params"].items())))
     return report

@@ -21,7 +21,7 @@ from .partitions import (
     partitions_of,
 )
 from .qtpoly import QTPoly
-from .schur import mul_e
+from .schur import SchurExpansion, mul_e
 from .tableaux import column_strict_tableaux, standard_tableaux, tableau_charge
 from .vertex import gaussian_binomial, macdonald, stem_coefficient
 
@@ -103,6 +103,7 @@ def power_coords(f: NumericSchur) -> PowerExpansion:
 
 def scalar_qt(f: PowerExpansion, g: PowerExpansion, q0: Rational, t0: Rational) -> Fraction:
     """<f, g> with p_lam self-pairings z_lam prod (1-q0^k)/(1-t0^k)."""
+    q0, t0 = Fraction(q0), Fraction(t0)
     total = Fraction(0)
     for rho, fv in f.items():
         gv = g.get(rho)
@@ -110,29 +111,19 @@ def scalar_qt(f: PowerExpansion, g: PowerExpansion, q0: Rational, t0: Rational) 
             continue
         weight = Fraction(z_factor(rho))
         for k in rho:
-            den = 1 - Fraction(t0) ** k
+            den = 1 - t0**k
             if den == 0:
                 raise DegeneratePointError(f"1 - t0^{k} vanishes at t0 = {t0}")
-            weight *= (1 - Fraction(q0) ** k) / den
+            weight /= den
+            if q0:  # the factor is 1 at q0 = 0, the pairing scalar_t uses
+                weight *= 1 - q0**k
         total += fv * gv * weight
     return total
 
 
 def scalar_t(f: PowerExpansion, g: PowerExpansion, t0: Rational) -> Fraction:
-    """<f, g> with p_lam self-pairings z_lam prod 1/(1-t0^k)."""
-    total = Fraction(0)
-    for rho, fv in f.items():
-        gv = g.get(rho)
-        if not gv:
-            continue
-        weight = Fraction(z_factor(rho))
-        for k in rho:
-            den = 1 - Fraction(t0) ** k
-            if den == 0:
-                raise DegeneratePointError(f"1 - t0^{k} vanishes at t0 = {t0}")
-            weight /= den
-        total += fv * gv * weight
-    return total
+    """<f, g> with p_lam self-pairings z_lam prod 1/(1-t0^k): scalar_qt at q0 = 0."""
+    return scalar_qt(f, g, 0, t0)
 
 
 def _check_extension(n: int, order: tuple[Partition, ...]) -> None:
@@ -493,8 +484,8 @@ def _assemble_schur(coeffs: NumericSchur, q0: Fraction, t0: Fraction) -> Numeric
     return {lam: v for lam, v in out.items() if v}
 
 
-def _macdonald_at(mu: Partition, q0: Fraction, t0: Fraction) -> NumericSchur:
-    f = macdonald(mu)
+def _macdonald_at(f: SchurExpansion, q0: Fraction, t0: Fraction) -> NumericSchur:
+    """The nonzero Schur coordinates of f at (q0, t0)."""
     out = {}
     for lam, c in f.terms():
         v = c.evaluate(q0, t0)
@@ -538,7 +529,7 @@ def _coef_lemma_failures(a: int, b: int, q0: Fraction, t0: Fraction) -> list[str
 def _pieri_failures(a: int, b: int, q0: Fraction, t0: Fraction) -> list[str]:
     """e_1 H_(2^(a+1) 1^b) against its stated three-term decomposition."""
     n = 2 * a + b + 3
-    lhs = _macdonald_at_mul_e(a, b, q0, t0)
+    lhs = _macdonald_at(mul_e(1, macdonald((2,) * (a + 1) + (1,) * b)), q0, t0)
     coeff_a = (
         (1 - t0 ** (a + 1))
         * (1 - q0 * t0 ** (a + b + 1))
@@ -550,7 +541,7 @@ def _pieri_failures(a: int, b: int, q0: Fraction, t0: Fraction) -> list[str]:
         / ((1 - q0 * t0**b) * (1 - q0**2 * t0 ** (a + b + 1)))
     )
     rhs: dict[Partition, Fraction] = {}
-    for lam, v in _macdonald_at((3,) + (2,) * a + (1,) * b, q0, t0).items():
+    for lam, v in _macdonald_at(macdonald((3,) + (2,) * a + (1,) * b), q0, t0).items():
         rhs[lam] = rhs.get(lam, Fraction(0)) + coeff_a * v
     if b >= 1:
         coeff_b = (
@@ -558,9 +549,9 @@ def _pieri_failures(a: int, b: int, q0: Fraction, t0: Fraction) -> list[str]:
             * (1 - q0)
             / ((1 - q0 * t0**b) * (1 - q0 * t0 ** (a + 1)))
         )
-        for lam, v in _macdonald_at((2,) * (a + 2) + (1,) * (b - 1), q0, t0).items():
+        for lam, v in _macdonald_at(macdonald((2,) * (a + 2) + (1,) * (b - 1)), q0, t0).items():
             rhs[lam] = rhs.get(lam, Fraction(0)) + coeff_b * v
-    for lam, v in _macdonald_at((2,) * (a + 1) + (1,) * (b + 1), q0, t0).items():
+    for lam, v in _macdonald_at(macdonald((2,) * (a + 1) + (1,) * (b + 1)), q0, t0).items():
         rhs[lam] = rhs.get(lam, Fraction(0)) + coeff_c * v
     rhs = {lam: v for lam, v in rhs.items() if v}
     bad = []
@@ -568,16 +559,6 @@ def _pieri_failures(a: int, b: int, q0: Fraction, t0: Fraction) -> list[str]:
         if lhs.get(lam, Fraction(0)) != rhs.get(lam, Fraction(0)):
             bad.append(f"lam={lam}")
     return bad
-
-
-def _macdonald_at_mul_e(a: int, b: int, q0: Fraction, t0: Fraction) -> NumericSchur:
-    f = mul_e(1, macdonald((2,) * (a + 1) + (1,) * b))
-    out = {}
-    for lam, c in f.terms():
-        v = c.evaluate(q0, t0)
-        if v:
-            out[lam] = v
-    return out
 
 
 def verify_rational_props(a: int, b: int, points: list[tuple[Fraction, Fraction]]) -> list[dict]:
@@ -597,7 +578,7 @@ def verify_rational_props(a: int, b: int, points: list[tuple[Fraction, Fraction]
         )
         if 3 + 2 * a + b <= 8:
             got = _assemble_schur(three_row_coefficients(a, b, q0, t0), q0, t0)
-            want = _macdonald_at((3,) + (2,) * a + (1,) * b, q0, t0)
+            want = _macdonald_at(macdonald((3,) + (2,) * a + (1,) * b), q0, t0)
             entries.append(
                 report_entry(
                     "rational/three-row-table",
@@ -612,7 +593,7 @@ def verify_rational_props(a: int, b: int, points: list[tuple[Fraction, Fraction]
             )
         if 4 + 2 * a + b <= 8:
             got = _assemble_schur(four_row_coefficients(a, b, q0, t0), q0, t0)
-            want = _macdonald_at((4,) + (2,) * a + (1,) * b, q0, t0)
+            want = _macdonald_at(macdonald((4,) + (2,) * a + (1,) * b), q0, t0)
             entries.append(
                 report_entry(
                     "rational/four-row-table",

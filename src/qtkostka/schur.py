@@ -51,9 +51,15 @@ def _sort_key(lam: Partition) -> tuple:
 
 
 class SchurExpansion:
-    """Mapping from partitions to nonzero QTPoly coefficients."""
+    """Mapping from partitions to nonzero QTPoly coefficients.
+
+    Subclasses name another basis; expansions of different types never
+    compare equal or add, and the operators below take only this class.
+    """
 
     __slots__ = ("_terms",)
+    basis: str | None = None  # written to and checked in JSON when set
+    _letter = "s"
 
     def __init__(self, terms: Mapping[Partition, Coeff] | None = None):
         clean: dict[Partition, QTPoly] = {}
@@ -86,15 +92,17 @@ class SchurExpansion:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SchurExpansion):
+        if type(other) is not type(self):
             return NotImplemented
         return self._terms == other._terms
 
     def __add__(self, other: "SchurExpansion") -> "SchurExpansion":
+        if type(other) is not type(self):
+            return NotImplemented
         merged = dict(self._terms)
         for lam, coeff in other._terms.items():
             merged[lam] = merged.get(lam, QTPoly.zero()) + coeff
-        return SchurExpansion(merged)
+        return type(self)(merged)
 
     def __sub__(self, other: "SchurExpansion") -> "SchurExpansion":
         return self + other.scaled(-1)
@@ -104,10 +112,10 @@ class SchurExpansion:
 
     def scaled(self, coeff: Coeff) -> "SchurExpansion":
         factor = _poly(coeff)
-        return SchurExpansion({lam: c * factor for lam, c in self._terms.items()})
+        return type(self)({lam: c * factor for lam, c in self._terms.items()})
 
     def map_coefficients(self, fn: Callable[[QTPoly], QTPoly]) -> "SchurExpansion":
-        return SchurExpansion({lam: fn(c) for lam, c in self._terms.items()})
+        return type(self)({lam: fn(c) for lam, c in self._terms.items()})
 
     def degree(self) -> int | None:
         """Common size of the indexing partitions; None when empty."""
@@ -122,16 +130,17 @@ class SchurExpansion:
         return all(c.is_nonnegative() for c in self._terms.values())
 
     def to_json(self) -> dict:
-        return {
-            "degree": self.degree() if self._terms else 0,
-            "terms": [
-                {"lambda": list(lam), "coeff": coeff.to_terms()}
-                for lam, coeff in self.terms()
-            ],
-        }
+        blob = {"basis": self.basis} if self.basis else {}
+        blob["degree"] = self.degree() if self._terms else 0
+        blob["terms"] = [
+            {"lambda": list(lam), "coeff": coeff.to_terms()} for lam, coeff in self.terms()
+        ]
+        return blob
 
     @classmethod
     def from_json(cls, data: dict) -> "SchurExpansion":
+        if data.get("basis") != cls.basis:
+            raise ValueError(f"expected basis {cls.basis!r}, got {data.get('basis')!r}")
         return cls(
             {
                 tuple(entry["lambda"]): QTPoly.from_terms(entry["coeff"])
@@ -140,10 +149,8 @@ class SchurExpansion:
         )
 
     def __repr__(self) -> str:
-        if not self._terms:
-            return "SchurExpansion(0)"
-        bits = [f"({coeff})*s{lam}" for lam, coeff in self.terms()]
-        return "SchurExpansion(" + " + ".join(bits) + ")"
+        bits = [f"({coeff})*{self._letter}{lam}" for lam, coeff in self.terms()]
+        return type(self).__name__ + "(" + (" + ".join(bits) or "0") + ")"
 
 
 def _accumulate(
@@ -176,6 +183,12 @@ def _image(acc: _RawExpansion) -> _RawExpansion:
     return dict(_pieces(_expansion(acc)))
 
 
+def _schur_only(f: SchurExpansion) -> None:
+    # an expansion in another basis (a subclass) would be read as Schur terms
+    if type(f) is not SchurExpansion:
+        raise TypeError(f"the Schur operators take a SchurExpansion, not {type(f).__name__}")
+
+
 def _apply(f: SchurExpansion, image: Callable[[Partition, int], object], k: int) -> SchurExpansion:
     """The linear map sending each s_lam to image(lam, k), applied to f.
 
@@ -183,6 +196,7 @@ def _apply(f: SchurExpansion, image: Callable[[Partition, int], object], k: int)
     coefficient 1, or a cached basis image mapping partitions to raw
     coefficients.
     """
+    _schur_only(f)
     acc: _RawExpansion = {}
     for lam, coeff in f._terms.items():
         found = image(lam, k)
@@ -279,6 +293,7 @@ def hl_vertex_snake(m: int, f: SchurExpansion, k: int | None = None) -> SchurExp
     skipping mu whose snake complement is not a partition.  Any k with
     m + k >= lam_1 gives the same answer; the default is the smallest.
     """
+    _schur_only(f)
     total: dict[Partition, QTPoly] = {}
     for lam, coeff in f.terms():
         first = lam[0] if lam else 0
@@ -305,15 +320,8 @@ def hl_vertex_dual(m: int, f: SchurExpansion) -> SchurExpansion:
 
 def omega(f: SchurExpansion) -> SchurExpansion:
     """The involution sending s_lam to s_(lam conjugate)."""
+    _schur_only(f)
     return SchurExpansion({conjugate(lam): c for lam, c in f.terms()})
-
-
-def t_grade(f: SchurExpansion) -> SchurExpansion:
-    """Multiply a homogeneous expansion of degree n by t^n."""
-    degree = f.degree()
-    if degree is None:
-        return SchurExpansion()
-    return f.scaled(QTPoly.t(degree)) if degree else f
 
 
 _CACHES = {

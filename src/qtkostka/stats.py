@@ -3,9 +3,11 @@
 Every supported H_mu[X;q,t] is a sum of q^b t^a s_shape over standard
 tableaux: the t-exponent is a shifted charge, the q-exponent counts
 vertical dominoes plus a head offset.  The machinery here builds and
-unbuilds the block structure behind those statistics: row/column block
-insertion, its inverse, prefix deletion, types, and the sign-reversing
-pair involution used in the cancellation argument.
+unbuilds the block structure behind those statistics: row block insertion
+and its inverse (the column versions are their transposes), prefix
+deletion, types, and the sign-reversing pair involution used in the
+cancellation argument.  `stat_pair` and `full_type` reject a tableau that
+is not standard.
 
 The chain of domino letters in a type is cached by the tableau left after
 its first domino; `cache_info()` reports the cache's hits, misses and size,
@@ -20,6 +22,7 @@ from typing import Iterable, Optional
 
 from .partitions import (
     Partition,
+    conjugate,
     contains,
     first_column_removed,
     first_row_removed,
@@ -35,6 +38,7 @@ from .tableaux import (
     Tableau,
     column_insert,
     column_insert_into,
+    conjugate_tableau,
     format_tableau,
     is_standard,
     parse_tableau,
@@ -224,7 +228,7 @@ def inverse_row_block(m: int, rho: Partition, built: Tableau) -> Tableau:
 
 
 def add_col_block(m: int, rho: Partition, tab: Tableau) -> Tableau:
-    """Transpose companion of add_row_block: the smallest m labels end up as a
+    """Transpose of add_row_block: the smallest m labels end up as a
     first-column block."""
     rho = tuple(rho)
     n = _size(tab)
@@ -233,24 +237,11 @@ def add_col_block(m: int, rho: Partition, tab: Tableau) -> Tableau:
         raise ValueError(f"|rho| must be {2 * n + m}, got {sum(rho)}")
     if not (contains(rho, lam) and is_vertical_strip(rho, lam)):
         raise ValueError(f"{rho}/{lam} is not a vertical strip")
-    anchor = first_column_removed(rho)
-    cells = sorted(_strip_cells(lam, anchor), key=lambda rc: -rc[0])
-    work, ejected = tab, []
-    for cell in cells:
-        work, letter = reverse_row_insert(work, cell)
-        ejected.append(letter)
-    if ejected != sorted(ejected):
-        raise RuntimeError(f"evacuation of {tab} against {rho} not increasing")
-    out = tuple(tuple(x + m for x in row) for row in work)
-    for x in range(1, m + 1):
-        out = column_insert(out, x)
-    for x in ejected:
-        out = column_insert(out, x + m)
-    return out
+    return conjugate_tableau(add_row_block(m, conjugate(rho), conjugate_tableau(tab)))
 
 
 def inverse_col_block(m: int, rho: Partition, built: Tableau) -> Tableau:
-    """Recover T from add_col_block(m, rho, T) = built."""
+    """Recover T from add_col_block(m, rho, T) = built, by transposing inverse_row_block."""
     rho = tuple(rho)
     size = _size(built)
     if sum(rho) != 2 * (size - m) + m:
@@ -259,18 +250,13 @@ def inverse_col_block(m: int, rho: Partition, built: Tableau) -> Tableau:
     anchor = first_column_removed(rho)
     if not contains(lam, anchor):
         raise ValueError(f"{lam} does not contain {anchor}")
-    cells = sorted(_strip_cells(lam, anchor), key=lambda rc: -rc[0])
-    work, popped = built, []
-    for cell in cells:
-        work, letter = reverse_column_insert(work, cell)
-        popped.append(letter)
-    letters = popped[::-1]
-    if letters[:m] != list(range(1, m + 1)):
-        raise ValueError(f"{built} was not built over {rho}: block 1..{m} missing")
-    rest = _lower(work, m)
-    for x in reversed([x - m for x in letters[m:]]):
-        rest = row_insert(rest, x)
-    return rest
+    transposed = conjugate_tableau(built)
+    try:
+        rest = inverse_row_block(m, conjugate(rho), transposed)
+    except ValueError:
+        # past the checks above, any failure means built did not come from rho
+        raise ValueError(f"{built} was not built over {rho}: block 1..{m} missing") from None
+    return conjugate_tableau(rest)
 
 
 def _two_col_blocks(tab: Tableau, dominoes: int) -> tuple[str, ...]:
@@ -323,14 +309,19 @@ def _direct_parts(mu: Partition) -> tuple[int, int, int]:
     return kind[1], kind[2], kind[3]
 
 
-def full_type(mu: Partition, tab: Tableau) -> TypeSequence:
-    """type_mu(T): for m in {3,4} the head plus the type of the reduced tableau."""
-    mu = tuple(mu)
+def _checked(mu: Partition, tab: Tableau) -> tuple[int, int, int]:
+    """(m, a, b) for mu = (m, 2^a, 1^b), once tab is a standard tableau of size |mu|."""
     if _size(tab) != sum(mu):
         raise ValueError(f"|T| = {_size(tab)} but |mu| = {sum(mu)}")
-    m, a, b = _direct_parts(mu)
-    if m == 2:
-        return type_two_col(tab, a)
+    parts = _direct_parts(mu)
+    if not is_standard(tab):
+        raise ValueError(f"{tab} is not a standard tableau")
+    return parts
+
+
+def full_type(mu: Partition, tab: Tableau) -> TypeSequence:
+    """type_mu(T): for m in {3,4} the head plus the type of the reduced tableau."""
+    m, a, _ = _checked(tuple(mu), tab)
     return _type_of(m, a, tab)
 
 
@@ -358,10 +349,7 @@ def _stats_of_type(a: int, b: int, ts: TypeSequence, charge: int) -> tuple[int, 
 
 def stat_pair(mu: Partition, tab: Tableau) -> tuple[int, int]:
     """(a_mu(T), b_mu(T)); q tracks b and t tracks a in the expansions."""
-    mu = tuple(mu)
-    if _size(tab) != sum(mu):
-        raise ValueError(f"|T| = {_size(tab)} but |mu| = {sum(mu)}")
-    m, a, b = _direct_parts(mu)
+    m, a, b = _checked(tuple(mu), tab)
     c = tableau_charge(tab)
     return _stats_of_type(a, b, _type_of(m, a, tab), c)
 

@@ -66,10 +66,21 @@ def is_tableau(tab: Tableau) -> bool:
 
 
 def is_standard(tab: Tableau) -> bool:
-    if not is_tableau(tab):
-        return False
-    letters = sorted(x for row in tab for x in row)
-    return letters == list(range(1, len(letters) + 1))
+    """Partition shape, rows and columns increasing, letters exactly 1..n; one pass."""
+    n = sum(map(len, tab))
+    seen = [False] * (n + 1)
+    below: tuple[int, ...] = ()
+    for r, row in enumerate(tab):
+        if not row or (r and len(row) > len(below)):
+            return False
+        prev = 0
+        for c, x in enumerate(row):
+            if not isinstance(x, int) or x <= prev or x > n or seen[x] or (r and x <= below[c]):
+                return False
+            seen[x] = True
+            prev = x
+        below = row
+    return True
 
 
 def reading_word(tab: Tableau) -> Word:

@@ -3,16 +3,18 @@
 Shapes with at most one part larger than 2 (and that part at most 4) are
 built by iterating a two-column creation operator on a charge-seeded
 Hall-Littlewood base and finishing with a row-adding operator; all other
-supported shapes are conjugates of these.  Hall-Littlewood expansions of
-the same functions, with coefficients given by closed q,t-binomial
-formulas, provide an independent route used by the checks.
+supported shapes are conjugates of these.  `macdonald` and
+`hall_littlewood` are `functools.cache`d, with `cache_info` on the public
+names.  Hall-Littlewood expansions of the same functions, with coefficients
+given by closed q,t-binomial formulas, provide an independent route used by
+the checks; they are `HLExpansion`s, a `SchurExpansion` tagged with the
+Hall-Littlewood basis, and `to_schur` converts them.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from threading import Lock
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Optional
 
 from .partitions import (
     Partition,
@@ -30,8 +32,6 @@ from .schur import (
     omega,
 )
 from .tableaux import Tableau, column_strict_tableaux, reading_word, charge, shape
-
-Coeff = Union[QTPoly, int]
 
 
 class UnsupportedShapeError(ValueError):
@@ -237,21 +237,15 @@ def _hall_littlewood(nu: Partition) -> SchurExpansion:
 hall_littlewood.cache_info = _hall_littlewood.cache_info
 
 
-_MACD_CACHE: dict[Partition, SchurExpansion] = {}
-_MACD_LOCK = Lock()
-
-
 def macdonald(mu: Partition) -> SchurExpansion:
     """The Macdonald function H_mu[X;q,t] in the Schur basis."""
     mu = tuple(mu)
-    with _MACD_LOCK:
-        hit = _MACD_CACHE.get(mu)
-    if hit is not None:
-        return hit
-    result = _macdonald_uncached(mu)
-    with _MACD_LOCK:
-        _MACD_CACHE.setdefault(mu, result)
-    return result
+    # True and 1.0 hash like 1, so the cache alone would answer them; the
+    # full partition check runs on a miss, in classify_shape.
+    for p in mu:
+        if type(p) is not int:
+            raise ValueError(f"{mu} is not a partition")
+    return _macdonald(mu)
 
 
 def _macdonald_uncached(mu: Partition) -> SchurExpansion:
@@ -266,6 +260,10 @@ def _macdonald_uncached(mu: Partition) -> SchurExpansion:
     if m > 2:
         f = qt_vertex(m, f)
     return f
+
+
+_macdonald = cache(_macdonald_uncached)
+macdonald.cache_info = _macdonald.cache_info
 
 
 def kostka(lam: Partition, mu: Partition) -> QTPoly:
@@ -284,62 +282,23 @@ def kostka(lam: Partition, mu: Partition) -> QTPoly:
 # --- Hall-Littlewood expansions with closed coefficients --------------------
 
 
-class HLExpansion:
+class HLExpansion(SchurExpansion):
     """A linear combination of Hall-Littlewood functions H_nu[X;t]."""
 
     basis = "hall-littlewood-t"
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[Partition, Coeff] | None = None):
-        clean: dict[Partition, QTPoly] = {}
-        for nu, coeff in (terms or {}).items():
-            poly = coeff if isinstance(coeff, QTPoly) else QTPoly({(0, 0): coeff})
-            if poly:
-                clean[tuple(nu)] = poly
-        self._terms = clean
-
-    def terms(self) -> list[tuple[Partition, QTPoly]]:
-        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), tuple(-p for p in kv[0])))
-
-    def coefficient(self, nu: Partition) -> QTPoly:
-        return self._terms.get(tuple(nu), QTPoly.zero())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HLExpansion):
-            return NotImplemented
-        return self._terms == other._terms
+    __slots__ = ()
+    _letter = "H"
 
     def to_schur(self) -> SchurExpansion:
-        total = SchurExpansion()
-        for nu, coeff in self.terms():
-            total = total + hall_littlewood(nu).scaled(coeff)
-        return total
+        return _hl_to_schur(self.terms())
 
-    def to_json(self) -> dict:
-        degree = {sum(nu) for nu in self._terms}
-        return {
-            "basis": self.basis,
-            "degree": degree.pop() if len(degree) == 1 else 0,
-            "terms": [
-                {"lambda": list(nu), "coeff": coeff.to_terms()}
-                for nu, coeff in self.terms()
-            ],
-        }
 
-    @classmethod
-    def from_json(cls, blob: Mapping) -> "HLExpansion":
-        if blob.get("basis") != cls.basis:
-            raise ValueError(f"expected basis {cls.basis!r}")
-        return cls(
-            {
-                tuple(entry["lambda"]): QTPoly.from_terms(entry["coeff"])
-                for entry in blob["terms"]
-            }
-        )
-
-    def __repr__(self) -> str:
-        bits = [f"({coeff})*H{nu}" for nu, coeff in self.terms()]
-        return "HLExpansion(" + (" + ".join(bits) or "0") + ")"
+def _hl_to_schur(terms) -> SchurExpansion:
+    """The Schur expansion of the sum of coeff * H_nu[X;t] over (nu, coeff) pairs."""
+    total = SchurExpansion()
+    for nu, coeff in terms:
+        total = total + hall_littlewood(nu).scaled(coeff)
+    return total
 
 
 @cache
@@ -451,18 +410,15 @@ def _sh(*groups: tuple[int, int]) -> Optional[Partition]:
 
 
 def _identity_entry(name: str, params: dict, lhs: SchurExpansion, rhs_terms) -> dict:
-    rhs = SchurExpansion()
-    for coeff, nu in rhs_terms:
-        if not coeff:
-            continue
-        if nu is None:
-            return {
-                "check": name,
-                "params": params,
-                "status": "fail",
-                "detail": "nonzero coefficient on an invalid shape",
-            }
-        rhs = rhs + hall_littlewood(nu).scaled(coeff)
+    rhs_terms = [(nu, coeff) for coeff, nu in rhs_terms if coeff]
+    if any(nu is None for nu, _ in rhs_terms):
+        return {
+            "check": name,
+            "params": params,
+            "status": "fail",
+            "detail": "nonzero coefficient on an invalid shape",
+        }
+    rhs = _hl_to_schur(rhs_terms)
     ok = lhs == rhs
     detail = "exact match" if ok else f"lhs {lhs!r} != rhs {rhs!r}"
     return {"check": name, "params": params, "status": "pass" if ok else "fail", "detail": detail}

@@ -5,6 +5,8 @@ either reproduces frozen reference data digit for digit or re-runs the
 relevant slice of the verification battery; there is no tolerance anywhere.
 """
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -258,3 +260,14 @@ def test_criterion_9_printed_sequences_and_unimodality(report):
     if missing:
         bad.append(f"unimodality not reported for {sorted(missing)}")
     _gate(9, "printed coefficient sequences and unimodality", bad)
+
+
+# sha256 of the default report as canonical JSON; a refactor must leave it unchanged
+DEFAULT_REPORT_SHA256 = "120c1ae25529c365de0bc42a393ab0beb73eea495aaa83d4a5638047261d0a78"
+
+
+def test_default_report_is_byte_identical(report):
+    assert len(report) == 1179
+    assert all(e["status"] == "pass" for e in report)
+    canonical = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == DEFAULT_REPORT_SHA256

@@ -118,9 +118,9 @@ def test_unimodal_unsupported(capsys):
 
 def test_verify_bounds(capsys):
     code, _, err = run(capsys, "verify", "--max-n", "12")
-    assert code == 1 and "max-n" in err
+    assert code == 1 and "max_n <= 8" in err
     code, _, err = run(capsys, "verify", "--max-n", "4", "--oracle-degree", "9")
-    assert code == 1 and "oracle-degree" in err
+    assert code == 1 and "oracle_degree <= 6" in err
 
 
 @pytest.mark.parametrize("max_n", ["-1", "0"])
@@ -147,11 +147,18 @@ def test_verify_small_run(capsys):
     assert report and all(e["status"] == "pass" for e in report)
 
 
+def test_verify_has_no_jobs_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--max-n", "2", "--jobs", "2"])
+    assert info.value.code == 1
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
 def test_verify_out_file_is_reproducible(capsys, tmp_path):
     args = ["verify", "--max-n", "2", "--oracle-degree", "2", "--points", "1", "--seed", "3"]
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     assert main(args + ["--out", str(first)]) == 0
-    assert main(args + ["--out", str(second), "--jobs", "2"]) == 0
+    assert main(args + ["--out", str(second)]) == 0
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
 

@@ -16,7 +16,6 @@ from qtkostka.schur import (
     omega,
     skew_e,
     skew_h,
-    t_grade,
 )
 
 one = QTPoly.one()
@@ -94,11 +93,6 @@ def test_omega():
     f = s((3, 1)) + s((2, 2)).scaled(t)
     assert omega(f) == s((2, 1, 1)) + s((2, 2)).scaled(t)
     assert omega(omega(f)) == f
-
-
-def test_t_grade():
-    assert t_grade(s((2, 1))) == s((2, 1)).scaled(QTPoly.t(3))
-    assert t_grade(unit()) == unit()
 
 
 def test_hl_vertex_values():

@@ -1,7 +1,15 @@
 import pytest
 
 from qtkostka import stats
-from qtkostka.partitions import horizontal_strips, partitions_of
+from qtkostka.partitions import (
+    contains,
+    first_column_removed,
+    horizontal_strips,
+    is_vertical_strip,
+    part,
+    partitions_of,
+    vertical_strips,
+)
 from qtkostka.stats import (
     HEAD_TABLE,
     TypeSequence,
@@ -26,7 +34,10 @@ from qtkostka.tableaux import (
     all_standard_tableaux,
     column_insert,
     parse_tableau,
+    reverse_column_insert,
+    reverse_row_insert,
     row_insert,
+    shape,
     standard_tableaux,
 )
 from qtkostka.vertex import UnsupportedShapeError, classify_shape, macdonald
@@ -250,3 +261,90 @@ def test_domino_tail_cache_info_and_clear():
     stats.clear_caches()
     assert stats.cache_info()["domino_tail"]["size"] == 0
     assert stat_genfun((2, 2, 2, 1)) == before
+
+
+def _strip_cells(outer, inner):
+    return [
+        (r, c)
+        for r in range(1, len(outer) + 1)
+        for c in range(part(inner, r) + 1, part(outer, r) + 1)
+    ]
+
+
+def _seed_add_col_block(m, rho, tab):
+    # the column-insertion code that the transposed add_row_block replaced
+    n, lam = sum(map(len, tab)), shape(tab)
+    if sum(rho) != 2 * n + m:
+        raise ValueError(f"|rho| must be {2 * n + m}, got {sum(rho)}")
+    if not (contains(rho, lam) and is_vertical_strip(rho, lam)):
+        raise ValueError(f"{rho}/{lam} is not a vertical strip")
+    cells = sorted(_strip_cells(lam, first_column_removed(rho)), key=lambda rc: -rc[0])
+    work, ejected = tab, []
+    for cell in cells:
+        work, letter = reverse_row_insert(work, cell)
+        ejected.append(letter)
+    out = tuple(tuple(x + m for x in row) for row in work)
+    for x in list(range(1, m + 1)) + [x + m for x in ejected]:
+        out = column_insert(out, x)
+    return out
+
+
+def _seed_inverse_col_block(m, rho, built):
+    cells = sorted(_strip_cells(shape(built), first_column_removed(rho)), key=lambda rc: -rc[0])
+    work, popped = built, []
+    for cell in cells:
+        work, letter = reverse_column_insert(work, cell)
+        popped.append(letter)
+    letters = popped[::-1]
+    if letters[:m] != list(range(1, m + 1)):
+        raise ValueError(f"{built} was not built over {rho}: block 1..{m} missing")
+    rest = tuple(tuple(x - m for x in row) for row in work)
+    for x in reversed([x - m for x in letters[m:]]):
+        rest = row_insert(rest, x)
+    return rest
+
+
+def test_col_blocks_match_the_insertion_reference():
+    pairs = 0
+    for n in range(7):
+        for m in (2, 3, 4):
+            for lam in partitions_of(n):
+                for tab in standard_tableaux(lam):
+                    for rho in vertical_strips(lam, n + m):
+                        built = add_col_block(m, rho, tab)
+                        assert built == _seed_add_col_block(m, rho, tab)
+                        assert inverse_col_block(m, rho, built) == tab
+                        assert _seed_inverse_col_block(m, rho, built) == tab
+                        pairs += 1
+    assert pairs == 2118
+
+
+def test_col_blocks_keep_their_own_messages():
+    with pytest.raises(ValueError, match="is not a vertical strip"):
+        add_col_block(2, (6, 1, 1, 1, 1, 1, 1, 1, 1), T("1,3,5,6/2,4"))
+    with pytest.raises(ValueError, match=r"\|rho\| must be 14"):
+        add_col_block(2, (4, 3, 1, 1, 1, 1, 1, 1), T("1,3,5,6/2,4"))
+    rho = (4, 3, 1, 1, 1, 1, 1, 1, 1)
+    assert inverse_col_block(2, rho, T("1,3,5,7/2,4,6/8")) == T("1,3,5,6/2,4")
+    with pytest.raises(ValueError, match=r"\(\(1, 2, 3, 4\), .* not built over \(4, 3, 1, 1"):
+        inverse_col_block(2, rho, T("1,2,3,4/5,6,7/8"))
+
+
+NOT_STANDARD = [
+    ((2, 2), ((1, 2), (1, 2))),  # repeated letters
+    ((2, 2), ((1, 1), (2, 2))),  # a weakly increasing row
+    ((2, 2), ((1, 2, 4, 3),)),  # a decreasing pair in a row, once read as (2, 1)
+    ((2, 1, 1), ((1, 2), (4, 3))),  # once read as (0, 0)
+    ((3, 1), ((1, 2), (4, 3))),
+    ((2, 2), ((1,), (2, 3, 4))),  # not of partition shape
+    ((4,), ((1, 3), (2,), (4,), ())),  # an empty row
+    ((2, 2), ((1, 2, 3, 5),)),  # letters not 1..n
+    ((3, 1), ((2, 3), (1, 4))),  # a column that decreases
+]
+
+
+@pytest.mark.parametrize("mu, tab", NOT_STANDARD)
+def test_stat_pair_and_full_type_reject_non_standard_tableaux(mu, tab):
+    for fn in (stat_pair, full_type):
+        with pytest.raises(ValueError, match="is not a standard tableau"):
+            fn(mu, tab)

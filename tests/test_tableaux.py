@@ -230,3 +230,40 @@ def test_rectify_matches_the_tuple_reference():
     for n in range(7):
         for word in product(range(1, 4), repeat=n):
             assert rectify(word) == _seed_rectify(word)
+
+
+def _seed_is_standard(tab):
+    # the sorted-letters definition is_standard replaced
+    if not is_tableau(tab):
+        return False
+    letters = sorted(x for row in tab for x in row)
+    return letters == list(range(1, len(letters) + 1))
+
+
+def _compositions(n):
+    if n == 0:
+        yield ()
+        return
+    for k in range(1, n + 1):
+        for rest in _compositions(n - k):
+            yield (k,) + rest
+
+
+def test_is_standard_matches_the_sorted_reference():
+    # every row-length sequence of size <= 4, with and without an empty row,
+    # filled with every letter from -1 to n + 1
+    for n in range(5):
+        row_lengths = set(_compositions(n))
+        row_lengths |= {
+            c[:i] + (0,) + c[i:] for c in _compositions(n) for i in range(len(c) + 1)
+        }
+        for lengths in row_lengths:
+            for letters in product(range(-1, n + 2), repeat=n):
+                it = iter(letters)
+                tab = tuple(tuple(next(it) for _ in range(k)) for k in lengths)
+                assert is_standard(tab) == _seed_is_standard(tab), tab
+
+
+def test_is_standard_rejects_non_integer_letters():
+    assert not is_standard(((1.0, 2),))
+    assert not is_standard(((0.5,),))

@@ -2,9 +2,10 @@ import pytest
 
 from qtkostka.partitions import partitions_of
 from qtkostka.qtpoly import QTPoly
-from qtkostka.schur import SchurExpansion, cache_info, clear_caches, omega
+from qtkostka.schur import SchurExpansion, cache_info, clear_caches, hl_vertex, mul_e, omega
 from qtkostka.vertex import (
     _macdonald_uncached,
+    HLExpansion,
     UnsupportedShapeError,
     classify_shape,
     component_groups,
@@ -243,3 +244,42 @@ def test_macdonald_unchanged_after_clearing_caches():
     clear_caches()
     assert all(entry["size"] == 0 for entry in cache_info().values())
     assert [_macdonald_uncached(mu) for mu in shapes] == before
+
+
+def test_macdonald_rejects_non_int_parts_whether_or_not_cached():
+    macdonald((1,))  # (True,) and (1.0,) hash like (1,)
+    for mu in [(True,), (1.0,), (2, True), (2.0, 1)]:
+        with pytest.raises(ValueError, match="is not a partition"):
+            macdonald(mu)
+    for mu in [(1, 2), (2, 0), (-1,)]:
+        with pytest.raises(ValueError, match="is not a partition"):
+            macdonald(mu)
+
+
+def test_macdonald_cache_info_counts_calls():
+    before = macdonald.cache_info()
+    macdonald((2, 1))
+    macdonald((2, 1))
+    after = macdonald.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 2
+    assert after.hits >= before.hits + 1
+
+
+def test_hl_expansion_is_its_own_type():
+    f = two_column_hl(1, 1)
+    assert isinstance(f, HLExpansion) and isinstance(f, SchurExpansion)
+    as_schur = SchurExpansion(dict((nu, c) for nu, c in f.terms()))
+    assert f != as_schur and as_schur != f
+    with pytest.raises(TypeError):
+        f + as_schur
+    assert type(f + f) is HLExpansion and f + f == f.scaled(2)
+    for op in (lambda g: mul_e(1, g), lambda g: hl_vertex(2, g), omega):
+        with pytest.raises(TypeError, match="take a SchurExpansion, not HLExpansion"):
+            op(f)
+    assert repr(HLExpansion({(1,): 1})) == "HLExpansion((1)*H(1,))"
+    assert repr(HLExpansion()) == "HLExpansion(0)"
+    assert "basis" not in macdonald((2, 1)).to_json()
+    with pytest.raises(ValueError, match="expected basis"):
+        HLExpansion.from_json(macdonald((2, 1)).to_json())
+    with pytest.raises(ValueError, match="expected basis"):
+        SchurExpansion.from_json(f.to_json())
