@@ -4,6 +4,13 @@ Everything in this module is built from first principles: symmetric-group
 characters, scalar products evaluated at rational points, Gram-Schmidt
 orthogonalization, charge enumeration, and hook lengths.  None of it touches
 the vertex operators except where a check explicitly compares the two sides.
+
+The oracle keeps its own caches, separate from the `schur` and `vertex`
+ones: characters, power-sum coordinates, Gram-Schmidt bases, one
+Kostka-Foulkes row {lam: K_{lam,nu}(t)} per content nu from a single
+enumeration of its column-strict tableaux, and the pairing weight of each
+power sum at each point.  `cache_info()` reports them and `clear_caches()`
+empties them.
 """
 
 from __future__ import annotations
@@ -12,17 +19,21 @@ import random
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from types import MappingProxyType
+from typing import Mapping
 
 from .partitions import (
     Partition,
     arm_leg,
     dominance_leq,
+    int_parts,
+    is_partition,
     linear_extension,
     partitions_of,
 )
 from .qtpoly import QTPoly
 from .schur import SchurExpansion, mul_e
-from .tableaux import column_strict_tableaux, standard_tableaux, tableau_charge
+from .tableaux import column_strict_tableaux, shape, standard_tableaux, tableau_charge
 from .vertex import gaussian_binomial, macdonald, stem_coefficient
 
 Rational = Fraction
@@ -101,23 +112,32 @@ def power_coords(f: NumericSchur) -> PowerExpansion:
     return {rho: v for rho, v in out.items() if v}
 
 
+@cache
+def _pairing_weight(rho: Partition, q0: Fraction, t0: Fraction) -> Fraction:
+    """<p_rho, p_rho> = z_rho prod_k (1-q0^k)/(1-t0^k) over the parts k of rho.
+
+    A vanishing 1 - t0^k raises, and `functools.cache` stores no exception,
+    so every later call at that point raises again.
+    """
+    weight = Fraction(z_factor(rho))
+    for k in rho:
+        den = 1 - t0**k
+        if den == 0:
+            raise DegeneratePointError(f"1 - t0^{k} vanishes at t0 = {t0}")
+        weight /= den
+        if q0:  # the factor is 1 at q0 = 0, the pairing scalar_t uses
+            weight *= 1 - q0**k
+    return weight
+
+
 def scalar_qt(f: PowerExpansion, g: PowerExpansion, q0: Rational, t0: Rational) -> Fraction:
     """<f, g> with p_lam self-pairings z_lam prod (1-q0^k)/(1-t0^k)."""
     q0, t0 = Fraction(q0), Fraction(t0)
     total = Fraction(0)
     for rho, fv in f.items():
         gv = g.get(rho)
-        if not gv:
-            continue
-        weight = Fraction(z_factor(rho))
-        for k in rho:
-            den = 1 - t0**k
-            if den == 0:
-                raise DegeneratePointError(f"1 - t0^{k} vanishes at t0 = {t0}")
-            weight /= den
-            if q0:  # the factor is 1 at q0 = 0, the pairing scalar_t uses
-                weight *= 1 - q0**k
-        total += fv * gv * weight
+        if gv:
+            total += fv * gv * _pairing_weight(rho, q0, t0)
     return total
 
 
@@ -203,18 +223,46 @@ def kostka_oracle(
     order: tuple[Partition, ...] | None = None,
 ) -> Fraction:
     """K_{lam,mu}(q0,t0) as <J_mu, s_lam> under the t-deformed pairing."""
+    lam = int_parts(lam)
+    if not is_partition(lam):
+        raise ValueError(f"lam = {lam} is not a partition")
+    if sum(lam) != sum(mu):
+        raise ValueError(f"size mismatch: |{lam}| != |{tuple(mu)}|")
     jmu = macdonald_oracle(mu, q0, t0, order)
     return scalar_t(power_coords(jmu), schur_to_power(lam), t0)
 
 
+@cache
+def _kostka_foulkes_row(mu: Partition) -> Mapping[Partition, QTPoly]:
+    """{lam: K_{lam,mu}(t)} over the lam with a nonzero entry, from one enumeration.
+
+    Each column-strict tableau of content mu adds t^charge to its own shape.
+    The shapes come in `partitions_of` order; those not dominating mu are
+    absent.  The mapping is read-only because the cache shares it.
+    """
+    charges: dict[Partition, dict[tuple[int, int], int]] = {}
+    for tab in column_strict_tableaux(mu):
+        terms = charges.setdefault(shape(tab), {})
+        key = (0, tableau_charge(tab))
+        terms[key] = terms.get(key, 0) + 1
+    return MappingProxyType(
+        {lam: QTPoly(charges[lam]) for lam in partitions_of(sum(mu)) if lam in charges}
+    )
+
+
 def kostka_foulkes(lam: Partition, mu: Partition) -> QTPoly:
     """Sum of t^charge over column-strict tableaux of shape lam, content mu."""
+    lam, mu = int_parts(lam), int_parts(mu)
     if sum(lam) != sum(mu):
         raise ValueError("kostka_foulkes needs |lam| = |mu|")
-    out = QTPoly.zero()
-    for tab in column_strict_tableaux(mu, lam):
-        out = out + QTPoly.t(tableau_charge(tab))
-    return out
+    k = _kostka_foulkes_row(mu).get(lam)
+    if k is not None:
+        return k
+    # K_{lam,mu}(t) vanishes unless lam dominates mu, so a miss is no error
+    # by itself
+    if not is_partition(lam):
+        raise ValueError(f"lam = {lam} is not a partition")
+    return QTPoly.zero()
 
 
 def count_syt(lam: Partition) -> int:
@@ -263,6 +311,30 @@ def generic_points(count: int, seed: int, max_n: int = 8) -> list[tuple[Fraction
             continue
         points.append((q0, t0))
     return points
+
+
+_CACHES = {
+    "character": character,
+    "schur_to_power": schur_to_power,
+    "orthogonal_basis": _orthogonal_basis,
+    "kostka_foulkes_row": _kostka_foulkes_row,
+    "pairing_weight": _pairing_weight,
+}
+
+
+def cache_info() -> dict[str, dict[str, int]]:
+    """Hits, misses and current size of each of the oracle's own caches."""
+    report = {}
+    for name, fn in _CACHES.items():
+        info = fn.cache_info()
+        report[name] = {"hits": info.hits, "misses": info.misses, "size": info.currsize}
+    return report
+
+
+def clear_caches() -> None:
+    """Empty the oracle's caches; later calls refill them."""
+    for fn in _CACHES.values():
+        fn.cache_clear()
 
 
 def report_entry(check: str, params: dict, ok: bool, detail: str = "") -> dict:
@@ -477,10 +549,8 @@ def _assemble_schur(coeffs: NumericSchur, q0: Fraction, t0: Fraction) -> Numeric
     for nu, c in coeffs.items():
         if not c:
             continue
-        for lam in partitions_of(sum(nu)):
-            k = kostka_foulkes(lam, nu)
-            if k:
-                out[lam] = out.get(lam, Fraction(0)) + c * k.evaluate(q0, t0)
+        for lam, k in _kostka_foulkes_row(nu).items():
+            out[lam] = out.get(lam, Fraction(0)) + c * k.evaluate(q0, t0)
     return {lam: v for lam, v in out.items() if v}
 
 

@@ -23,6 +23,21 @@ def is_partition(parts: Iterable[int]) -> bool:
     )
 
 
+def int_parts(parts: Iterable[int]) -> Partition:
+    """parts as a tuple, once each part's type is exactly int.
+
+    True and 1.0 hash and compare like 1, so a cache keyed by partitions
+    would answer them as (1,).  Cached entry points call this before the
+    lookup; the order and positivity of the parts are left to the check on
+    a cache miss, so a warm call pays only this loop.
+    """
+    lam = tuple(parts)
+    for p in lam:
+        if type(p) is not int:
+            raise ValueError(f"{lam} is not a partition")
+    return lam
+
+
 def parse_partition(text: str) -> Partition:
     """Parse a comma-separated partition; the empty string is empty."""
     text = text.strip()

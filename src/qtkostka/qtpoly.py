@@ -2,7 +2,10 @@
 
 Coefficients are Python integers, exponents are nonnegative.  Instances
 are immutable; arithmetic returns new objects and never normalizes away
-exactness.
+exactness.  `evaluate` takes `int` or `Fraction` coordinates only and
+stays in integers: with q0 = a/b and t0 = c/d it sums
+coeff * a^i b^(Q-i) * c^j d^(T-j) over the terms q^i t^j and divides once
+by b^Q d^T, where Q and T are the degrees in q and t.
 """
 
 from __future__ import annotations
@@ -11,6 +14,15 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 TermKey = tuple[int, int]
+
+
+def _coordinate(value: Union[int, Fraction], name: str) -> Fraction:
+    """An evaluation point coordinate as a Fraction; floats and bools are refused."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    raise TypeError(f"{name} = {value!r} is not an int or a Fraction")
 
 
 def _coerce(value: Union["QTPoly", int]) -> "QTPoly":
@@ -122,18 +134,24 @@ class QTPoly:
             result = result * self
         return result
 
-    def evaluate(self, q0: Fraction, t0: Fraction) -> Fraction:
-        """Exact value at the point (q0, t0)."""
-        total = Fraction(0)
+    def evaluate(self, q0: Union[int, Fraction], t0: Union[int, Fraction]) -> Fraction:
+        """Exact value at the point (q0, t0), as one integer sum over a common denominator."""
+        q0, t0 = _coordinate(q0, "q0"), _coordinate(t0, "t0")
+        if not self._terms:
+            return Fraction(0)
+        a, b = q0.numerator, q0.denominator
+        c, d = t0.numerator, t0.denominator
+        top_q, top_t = self.deg_q, self.deg_t
+        num = 0
         for (dq, dt), coeff in self._terms.items():
-            total += coeff * Fraction(q0) ** dq * Fraction(t0) ** dt
-        return total
+            num += coeff * a**dq * b ** (top_q - dq) * c**dt * d ** (top_t - dt)
+        return Fraction(num, b**top_q * d**top_t)
 
-    def evaluate_t(self, t0: Fraction) -> Fraction:
+    def evaluate_t(self, t0: Union[int, Fraction]) -> Fraction:
         """Value at t=t0 for polynomials with no q terms."""
         if self.deg_q:
             raise ValueError("polynomial involves q")
-        return self.evaluate(Fraction(0), t0)
+        return self.evaluate(0, t0)
 
     def q_zero(self) -> "QTPoly":
         """The specialization q = 0."""

@@ -86,7 +86,8 @@ class SchurExpansion:
         return [lam for lam, _ in self.terms()]
 
     def coefficient(self, lam: Partition) -> QTPoly:
-        return self._terms.get(tuple(lam), QTPoly.zero())
+        coeff = self._terms.get(tuple(lam))
+        return QTPoly.zero() if coeff is None else coeff
 
     def __bool__(self) -> bool:
         return bool(self._terms)

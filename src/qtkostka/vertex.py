@@ -20,6 +20,7 @@ from .partitions import (
     Partition,
     conjugate,
     format_partition,
+    int_parts,
     is_partition,
 )
 from .qtpoly import QTPoly
@@ -221,7 +222,7 @@ def reassembled_vertex(m: int, f: SchurExpansion) -> SchurExpansion:
 
 def hall_littlewood(nu: Partition) -> SchurExpansion:
     """H_nu[X;t] expanded in Schur functions via charge."""
-    return _hall_littlewood(tuple(nu))
+    return _hall_littlewood(int_parts(nu))
 
 
 @cache
@@ -239,13 +240,8 @@ hall_littlewood.cache_info = _hall_littlewood.cache_info
 
 def macdonald(mu: Partition) -> SchurExpansion:
     """The Macdonald function H_mu[X;q,t] in the Schur basis."""
-    mu = tuple(mu)
-    # True and 1.0 hash like 1, so the cache alone would answer them; the
-    # full partition check runs on a miss, in classify_shape.
-    for p in mu:
-        if type(p) is not int:
-            raise ValueError(f"{mu} is not a partition")
-    return _macdonald(mu)
+    # the full partition check runs on a miss, in classify_shape
+    return _macdonald(int_parts(mu))
 
 
 def _macdonald_uncached(mu: Partition) -> SchurExpansion:
@@ -268,7 +264,8 @@ macdonald.cache_info = _macdonald.cache_info
 
 def kostka(lam: Partition, mu: Partition) -> QTPoly:
     """The q,t-Kostka coefficient K_{lam,mu}(q,t)."""
-    lam, mu = tuple(lam), tuple(mu)
+    # macdonald checks the parts of mu
+    lam, mu = int_parts(lam), tuple(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
     coeff = macdonald(mu).coefficient(lam)

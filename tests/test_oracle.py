@@ -4,7 +4,10 @@ import pytest
 
 from qtkostka.oracle import (
     DegeneratePointError,
+    _kostka_foulkes_row,
+    cache_info,
     character,
+    clear_caches,
     count_syt,
     count_syt_enumerated,
     generic_points,
@@ -21,6 +24,7 @@ from qtkostka.oracle import (
 )
 from qtkostka.partitions import linear_extension, partitions_of
 from qtkostka.qtpoly import QTPoly
+from qtkostka.tableaux import column_strict_tableaux, tableau_charge
 from qtkostka.vertex import hall_littlewood, macdonald
 
 F = Fraction
@@ -98,6 +102,40 @@ def test_scalar_degenerate_points():
         scalar_qt(p2, p2, Q0, F(-1))  # 1 - t0^2 = 0
 
 
+def _scalar_qt_reference(f, g, q0, t0):
+    """The pairing with every weight recomputed on the spot."""
+    total = F(0)
+    for rho, fv in f.items():
+        gv = g.get(rho, 0)
+        if not gv:
+            continue
+        weight = F(z_factor(rho))
+        for k in rho:
+            weight *= (1 - q0**k) / (1 - t0**k)
+        total += fv * gv * weight
+    return total
+
+
+def test_scalar_qt_matches_the_uncached_formula():
+    for q0, t0 in generic_points(3, seed=11, max_n=6):
+        for n in range(7):
+            for lam in partitions_of(n):
+                f = schur_to_power(lam)
+                for mu in partitions_of(n):
+                    g = schur_to_power(mu)
+                    assert scalar_qt(f, g, q0, t0) == _scalar_qt_reference(f, g, q0, t0)
+
+
+def test_degenerate_point_raises_on_every_call():
+    # a raising call leaves nothing in the weight cache
+    p1 = {(1,): F(1)}
+    for _ in range(2):
+        with pytest.raises(DegeneratePointError):
+            scalar_qt(p1, p1, Q0, F(1))
+        with pytest.raises(DegeneratePointError):
+            scalar_t(p1, p1, F(1))
+
+
 def test_oracle_degenerate_points():
     with pytest.raises(DegeneratePointError):
         macdonald_oracle((2,), Q0, F(1))
@@ -155,6 +193,49 @@ def test_kostka_foulkes_values():
     assert kostka_foulkes((1, 1), (2,)) == QTPoly.zero()
     with pytest.raises(ValueError):
         kostka_foulkes((2,), (1, 1, 1))
+
+
+def test_kostka_foulkes_rows_match_per_shape_enumeration():
+    for n in range(8):
+        for nu in partitions_of(n):
+            row = _kostka_foulkes_row(nu)
+            for lam in partitions_of(n):
+                want = QTPoly.zero()
+                for tab in column_strict_tableaux(nu, lam):
+                    want = want + QTPoly.t(tableau_charge(tab))
+                assert row.get(lam, QTPoly.zero()) == want
+                assert (lam in row) == bool(want)
+                assert kostka_foulkes(lam, nu) == want
+
+
+def test_non_partition_lam_is_refused():
+    for lam in [(1, 2), (2, 1, 0), (True, 2), (2.0, 1)]:
+        with pytest.raises(ValueError, match="is not a partition"):
+            kostka_foulkes(lam, (2, 1))
+        with pytest.raises(ValueError, match="is not a partition"):
+            kostka_oracle(lam, (2, 1), F(1, 3), F(2, 7))
+    with pytest.raises(ValueError, match="size mismatch"):
+        kostka_oracle((2,), (2, 1), Q0, T0)
+    assert kostka_foulkes([2, 1], (2, 1)) == QTPoly.one()
+    assert kostka_foulkes((1, 1, 1), (2, 1)) == QTPoly.zero()
+
+
+def test_clear_caches_empties_every_oracle_cache():
+    before = kostka_oracle((2, 1), (2, 1), Q0, T0)
+    info = cache_info()
+    assert set(info) == {
+        "character",
+        "schur_to_power",
+        "orthogonal_basis",
+        "kostka_foulkes_row",
+        "pairing_weight",
+    }
+    assert all(set(v) == {"hits", "misses", "size"} for v in info.values())
+    kostka_foulkes((2, 1), (1, 1, 1))
+    assert all(cache_info()[name]["size"] > 0 for name in info)
+    clear_caches()
+    assert all(entry["size"] == 0 for entry in cache_info().values())
+    assert kostka_oracle((2, 1), (2, 1), Q0, T0) == before
 
 
 def test_kostka_foulkes_matches_hall_littlewood():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from qtkostka.partitions import (
@@ -10,6 +12,7 @@ from qtkostka.partitions import (
     first_row_removed,
     horizontal_strips,
     horizontal_strips_inside,
+    int_parts,
     is_partition,
     is_vertical_strip,
     linear_extension,
@@ -175,3 +178,11 @@ def test_snake_involution_is_involution():
             assert remove_snake(flipped, n) == core
             assert snake_involution(lam, n, flipped) == rho
             assert abs(snake_height(rho, n) - snake_height(flipped, n)) == 1
+
+
+def test_int_parts_checks_the_type_of_each_part():
+    assert int_parts([3, 1]) == (3, 1)
+    assert int_parts(()) == ()
+    for parts in [(True,), (1.0,), (2, False), (Fraction(2), 1)]:
+        with pytest.raises(ValueError, match="is not a partition"):
+            int_parts(parts)

@@ -70,6 +70,19 @@ def test_evaluate_t_only():
         QTPoly.q(1).evaluate_t(Fraction(1, 2))
 
 
+def test_evaluate_rejects_float_and_bool_coordinates():
+    p = QTPoly.q(1) + QTPoly.t(2)
+    for q0, t0 in [(0.1, Fraction(1)), (Fraction(1), 0.5), (True, Fraction(1)), (Fraction(1), False)]:
+        with pytest.raises(TypeError, match="is not an int or a Fraction"):
+            p.evaluate(q0, t0)
+    for t0 in [0.5, True]:
+        with pytest.raises(TypeError, match="is not an int or a Fraction"):
+            QTPoly.t(2).evaluate_t(t0)
+    assert p.evaluate(2, Fraction(1, 3)) == Fraction(19, 9)
+    assert QTPoly.t(2).evaluate_t(3) == 9
+    assert QTPoly.zero().evaluate(0, 0) == 0
+
+
 def test_q_zero_and_swap():
     p = poly((0, 1, 1), (1, 0, 3), (2, 2, 5))
     assert p.q_zero() == QTPoly.t(1)
@@ -108,6 +121,38 @@ def test_ring_laws(a, b, c):
     assert p * q == q * p
     assert p * (q + r) == p * q + p * r
     assert p - p == QTPoly.zero()
+
+
+def _per_term_value(p: QTPoly, q0: Fraction, t0: Fraction) -> Fraction:
+    """The reference evaluation: one Fraction power and product per term."""
+    total = Fraction(0)
+    for (dq, dt), coeff in p.terms():
+        total += coeff * q0**dq * t0**dt
+    return total
+
+
+wide_coeffs = st.dictionaries(
+    st.tuples(st.integers(0, 20), st.integers(0, 20)), st.integers(-10**6, 10**6), max_size=8
+)
+nonzero_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=97).filter(bool)
+
+
+@given(
+    wide_coeffs,
+    st.one_of(st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=97)),
+    nonzero_fractions,
+    st.booleans(),
+)
+def test_integer_evaluate_matches_the_per_term_sum(a, q0, t0, invert):
+    # covers the zero polynomial, q0 = 0, negative t0 and t0 replaced by 1/t0
+    if invert:
+        t0 = 1 / t0
+    p = QTPoly(a)
+    got = p.evaluate(q0, t0)
+    assert type(got) is Fraction
+    assert got == _per_term_value(p, q0, t0)
+    if not p.deg_q:
+        assert p.evaluate_t(t0) == got
 
 
 @given(coeffs)

@@ -4,6 +4,8 @@ from qtkostka.partitions import partitions_of
 from qtkostka.qtpoly import QTPoly
 from qtkostka.schur import SchurExpansion, cache_info, clear_caches, hl_vertex, mul_e, omega
 from qtkostka.vertex import (
+    _hall_littlewood,
+    _macdonald,
     _macdonald_uncached,
     HLExpansion,
     UnsupportedShapeError,
@@ -254,6 +256,25 @@ def test_macdonald_rejects_non_int_parts_whether_or_not_cached():
     for mu in [(1, 2), (2, 0), (-1,)]:
         with pytest.raises(ValueError, match="is not a partition"):
             macdonald(mu)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_bool_and_float_parts_are_refused_whether_or_not_cached(warm):
+    # (True,) and (1.0,) hash like (1,): a warm cache would answer them
+    _macdonald.cache_clear()
+    _hall_littlewood.cache_clear()
+    if warm:
+        assert kostka((1,), (1,)) == one and hall_littlewood((1,)) == s((1,))
+    assert _macdonald.cache_info().currsize == _hall_littlewood.cache_info().currsize == warm
+    for call in [
+        lambda: kostka((True,), (1,)),
+        lambda: kostka((1,), (True,)),
+        lambda: kostka((1.0,), (1,)),
+        lambda: hall_littlewood((True,)),
+        lambda: hall_littlewood((1.0,)),
+    ]:
+        with pytest.raises(ValueError, match="is not a partition"):
+            call()
 
 
 def test_macdonald_cache_info_counts_calls():
