@@ -1,8 +1,12 @@
 """The full verification battery: every invariant in one deterministic report.
 
-Each check is an independent task producing report entries; failures become
-entries rather than exceptions, the merged report is sorted by check name, and
-the whole run is reproducible from the seed.
+`_report` lists the checks and runs each one, serially, as it is listed; a
+check that raises becomes a failing entry rather than an exception.  No two
+entries share (check, params), and the report is sorted on that pair, so the
+order in which the checks run does not matter and the whole run is
+reproducible from the seed.  Checks look library functions up by their
+module-level names when they run, so a wrapper installed on this module (a
+tracer, a monkeypatch) sees every call.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from .stats import (
     pair_involution,
     stat_genfun,
     stat_pair,
+    type_two_col,
     unbuild,
     unimodal_profile,
 )
@@ -90,31 +95,22 @@ from .vertex import (
 _T = parse_tableau
 
 
-def _supported(n: int) -> list[Partition]:
-    out = []
-    for mu in partitions_of(n):
-        try:
-            classify_shape(mu)
-        except UnsupportedShapeError:
-            continue
-        out.append(mu)
-    return out
-
-
-def _direct(n: int) -> list[tuple[int, int, int, Partition]]:
-    out = []
+def _shapes(n: int):
+    """Each supported partition of n with its classify_shape kind."""
     for mu in partitions_of(n):
         try:
             kind = classify_shape(mu)
         except UnsupportedShapeError:
             continue
-        if kind[0] == "direct":
-            out.append((kind[1], kind[2], kind[3], mu))
-    return out
+        yield mu, kind
 
 
-def _mu_str(mu: Partition) -> str:
-    return format_partition(mu)
+def _every_lam(n: int, holds) -> tuple[bool, str]:
+    """Whether holds(lam) for every partition lam of n, naming the first lam that fails."""
+    for lam in partitions_of(n):
+        if not holds(lam):
+            return False, f"lam={lam}"
+    return True, ""
 
 
 def _diff(lhs: SchurExpansion, rhs: SchurExpansion) -> str:
@@ -358,18 +354,12 @@ def _check_h1_commutation(a: int, b: int) -> tuple[bool, str]:
 
 
 def _check_kostka_foulkes(mu: Partition) -> tuple[bool, str]:
-    for lam in partitions_of(sum(mu)):
-        if kostka(lam, mu).q_zero() != kostka_foulkes(lam, mu):
-            return False, f"lam={lam}"
-    return True, ""
+    return _every_lam(sum(mu), lambda lam: kostka(lam, mu).q_zero() == kostka_foulkes(lam, mu))
 
 
 def _check_syt_specialization(mu: Partition) -> tuple[bool, str]:
     one = Fraction(1)
-    for lam in partitions_of(sum(mu)):
-        if kostka(lam, mu).evaluate(one, one) != count_syt(lam):
-            return False, f"lam={lam}"
-    return True, ""
+    return _every_lam(sum(mu), lambda lam: kostka(lam, mu).evaluate(one, one) == count_syt(lam))
 
 
 def _check_extreme_shapes(mu: Partition) -> tuple[bool, str]:
@@ -381,10 +371,9 @@ def _check_extreme_shapes(mu: Partition) -> tuple[bool, str]:
 
 def _check_duality(mu: Partition) -> tuple[bool, str]:
     bq, bt = weighted_size(conjugate(mu)), weighted_size(mu)
-    for lam in partitions_of(sum(mu)):
-        if kostka(lam, mu) != kostka(conjugate(lam), mu).reverse(bq, bt):
-            return False, f"lam={lam}"
-    return True, ""
+    return _every_lam(
+        sum(mu), lambda lam: kostka(lam, mu) == kostka(conjugate(lam), mu).reverse(bq, bt)
+    )
 
 
 # --- oracle -----------------------------------------------------------------
@@ -419,26 +408,17 @@ def _check_extension_independence(n: int, q0, t0) -> tuple[bool, str]:
 
 
 def _check_hooks(n: int) -> tuple[bool, str]:
-    for lam in partitions_of(n):
-        if count_syt(lam) != count_syt_enumerated(lam):
-            return False, f"lam={lam}"
-    return True, ""
+    return _every_lam(n, lambda lam: count_syt(lam) == count_syt_enumerated(lam))
 
 
 # --- build pairs ------------------------------------------------------------
 
 
-def _row_pairs(n: int, m: int):
+def _pairs(n: int, m: int, strips):
+    """Every standard tableau tab of size n with each rho in strips(shape(tab), n + m)."""
     for lam in partitions_of(n):
         for tab in standard_tableaux(lam):
-            for rho in horizontal_strips(lam, n + m):
-                yield tab, rho
-
-
-def _col_pairs(n: int, m: int):
-    for lam in partitions_of(n):
-        for tab in standard_tableaux(lam):
-            for rho in vertical_strips(lam, n + m):
+            for rho in strips(lam, n + m):
                 yield tab, rho
 
 
@@ -448,7 +428,7 @@ def _skew_size(tab, rho: Partition) -> int:
 
 def _check_row_round_trip(n: int, m: int) -> tuple[bool, str]:
     count = 0
-    for tab, rho in _row_pairs(n, m):
+    for tab, rho in _pairs(n, m, horizontal_strips):
         if inverse_row_block(m, rho, add_row_block(m, rho, tab)) != tab:
             return False, f"tab={format_tableau(tab)} rho={rho}"
         count += 1
@@ -457,7 +437,7 @@ def _check_row_round_trip(n: int, m: int) -> tuple[bool, str]:
 
 def _check_col_round_trip(n: int, m: int) -> tuple[bool, str]:
     count = 0
-    for tab, rho in _col_pairs(n, m):
+    for tab, rho in _pairs(n, m, vertical_strips):
         if inverse_col_block(m, rho, add_col_block(m, rho, tab)) != tab:
             return False, f"tab={format_tableau(tab)} rho={rho}"
         count += 1
@@ -466,7 +446,7 @@ def _check_col_round_trip(n: int, m: int) -> tuple[bool, str]:
 
 def _check_charge_shift(n: int, m: int) -> tuple[bool, str]:
     shift = m * (m - 1) // 2 + (m - 1) * n
-    for tab, rho in _row_pairs(n, m):
+    for tab, rho in _pairs(n, m, horizontal_strips):
         built = add_row_block(m, rho, tab)
         if tableau_charge(built) != tableau_charge(tab) + _skew_size(tab, rho) + shift:
             return False, f"tab={format_tableau(tab)} rho={rho}"
@@ -474,9 +454,7 @@ def _check_charge_shift(n: int, m: int) -> tuple[bool, str]:
 
 
 def _check_type_preserved(n: int, m: int) -> tuple[bool, str]:
-    from .stats import type_two_col
-
-    for tab, rho in _row_pairs(n, m):
+    for tab, rho in _pairs(n, m, horizontal_strips):
         reduced = unbuild(m, add_row_block(m, rho, tab))
         if type_two_col(reduced, n // 2) != type_two_col(tab, n // 2):
             return False, f"tab={format_tableau(tab)} rho={rho}"
@@ -485,7 +463,7 @@ def _check_type_preserved(n: int, m: int) -> tuple[bool, str]:
 
 def _check_stability(n: int, m: int) -> tuple[bool, str]:
     stable = unstable = immaterial = 0
-    for tab, rho in _row_pairs(n, m):
+    for tab, rho in _pairs(n, m, horizontal_strips):
         status = classify_pair(n, m, tab, rho)
         built = add_row_block(m, rho, tab)
         recovers = unbuild(m, built) == tab
@@ -504,10 +482,8 @@ def _check_stability(n: int, m: int) -> tuple[bool, str]:
 
 
 def _check_involution(n: int, m: int) -> tuple[bool, str]:
-    from .stats import type_two_col
-
     splits = [(a, n - 2 * a) for a in range(n // 2 + 1)]
-    for tab, rho in _row_pairs(n, m):
+    for tab, rho in _pairs(n, m, horizontal_strips):
         if classify_pair(n, m, tab, rho) != "unstable":
             continue
         built = add_row_block(m, rho, tab)
@@ -582,51 +558,73 @@ def _check_unimodality(mu: Partition) -> tuple[bool, str]:
 # --- assembly ---------------------------------------------------------------
 
 
-def _guard(check: str, params: dict, fn):
-    def run() -> list[dict]:
-        try:
-            ok, detail = fn()
-            return [report_entry(check, params, ok, detail)]
-        except Exception as exc:  # noqa: BLE001 - failures must become entries
-            return [report_entry(check, params, False, f"{type(exc).__name__}: {exc}")]
-
-    return run
+def _entry(check: str, params: dict, fn, *args) -> dict:
+    """Run fn(*args) now and return its entry; an exception becomes a failing entry."""
+    try:
+        ok, detail = fn(*args)
+        return report_entry(check, params, ok, detail)
+    except Exception as exc:  # noqa: BLE001 - failures must become entries
+        return report_entry(check, params, False, f"{type(exc).__name__}: {exc}")
 
 
-def _verbatim(check: str, fn):
-    def run() -> list[dict]:
-        try:
-            return fn()
-        except Exception as exc:  # noqa: BLE001
-            return [report_entry(check, {}, False, f"{type(exc).__name__}: {exc}")]
-
-    return run
+def _suite(check: str, fn, *args) -> list[dict]:
+    """Run a check that returns its own entries; an exception becomes one failing entry."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - failures must become entries
+        return [report_entry(check, {}, False, f"{type(exc).__name__}: {exc}")]
 
 
-def _tasks(max_n: int, oracle_degree: int, n_points: int, seed: int):
+def _report(max_n: int, oracle_degree: int, n_points: int, seed: int):
     if max_n < 1:
         return
     points = generic_points(n_points, seed, max_n)
     t_points = [t0 for _, t0 in points]
     small = min(5, max_n)
 
-    yield _guard("examples/charge-word", {}, _check_charge_word)
-    yield _guard("examples/row-block", {}, _check_row_block)
-    yield _guard("examples/col-block", {}, _check_col_block)
-    yield _guard("examples/unbuild-type", {}, _check_unbuild)
-    yield _guard("examples/pair-involution", {}, _check_involution_example)
-    yield _guard("examples/snake-removal", {}, _check_snakes)
+    for check, fn in (
+        ("examples/charge-word", _check_charge_word),
+        ("examples/row-block", _check_row_block),
+        ("examples/col-block", _check_col_block),
+        ("examples/unbuild-type", _check_unbuild),
+        ("examples/pair-involution", _check_involution_example),
+        ("examples/snake-removal", _check_snakes),
+    ):
+        yield _entry(check, {}, fn)
 
     for n in range(1, max_n + 1):
-        for m, a, b, mu in _direct(n):
-            yield _guard(
-                "stats/generating-function",
-                {"mu": _mu_str(mu)},
-                lambda mu=mu: _check_stat_genfun(mu),
-            )
-        for mu in _supported(n):
-            yield _guard(
-                "vertex/positivity", {"mu": _mu_str(mu)}, lambda mu=mu: _check_positivity(mu)
+        kinds = dict(_shapes(n))
+        direct = {mu for mu, kind in kinds.items() if kind[0] == "direct"}
+        for mu in kinds:
+            tag = {"mu": format_partition(mu)}
+            yield _entry("vertex/positivity", tag, _check_positivity, mu)
+            yield _entry("specialization/kostka-foulkes", tag, _check_kostka_foulkes, mu)
+            yield _entry("specialization/syt-count", tag, _check_syt_specialization, mu)
+            yield _entry("specialization/extreme-shapes", tag, _check_extreme_shapes, mu)
+            yield _entry("specialization/duality", tag, _check_duality, mu)
+            if n <= oracle_degree:
+                for q0, t0 in points:
+                    params = {"mu": format_partition(mu), "q0": str(q0), "t0": str(t0)}
+                    yield _entry(
+                        "oracle/kostka-agreement", params, _check_oracle_agreement, mu, q0, t0
+                    )
+            if mu in direct:
+                yield _entry("stats/generating-function", tag, _check_stat_genfun, mu)
+                yield _entry("profile/unimodality", tag, _check_unimodality, mu)
+                if mu in _PRINTED_PROFILES:
+                    yield _entry("profile/printed-sequences", tag, _check_printed_profile, mu)
+                if conjugate(mu) in direct:
+                    yield _entry(
+                        "vertex/conjugate-agreement", tag, _check_conjugate_agreement, mu
+                    )
+        yield _entry("oracle/hook-counting", {"n": n}, _check_hooks, n)
+        if n <= min(5, oracle_degree):
+            yield _entry(
+                "oracle/extension-independence",
+                {"n": n},
+                _check_extension_independence,
+                n,
+                *points[0],
             )
 
     for m in (3, 4):
@@ -636,168 +634,68 @@ def _tasks(max_n: int, oracle_degree: int, n_points: int, seed: int):
                 base = (2,) * a + (1,) * b
                 for gamma, heads, op in component_groups(m):
                     label = "+".join(format_tableau(h) for h in heads)
-                    yield _guard(
-                        "stats/head-components",
-                        {"mu": _mu_str(mu), "heads": label, "gamma": gamma},
-                        lambda mu=mu, heads=heads, op=op, base=base: _check_head_component(
-                            mu, heads, op, base
-                        ),
+                    tag = {"mu": format_partition(mu), "heads": label, "gamma": gamma}
+                    yield _entry(
+                        "stats/head-components", tag, _check_head_component, mu, heads, op, base
                     )
 
     for m in (3, 4):
         for n in range(small + 1):
-            yield _guard(
-                "vertex/reassembly", {"m": m, "n": n}, lambda m=m, n=n: _check_reassembly(m, n)
-            )
+            yield _entry("vertex/reassembly", {"m": m, "n": n}, _check_reassembly, m, n)
 
-    yield _verbatim("hl-identity", lambda: hl_identity_suite(max_n))
+    yield from _suite("hl-identity", hl_identity_suite, max_n)
 
     for m in range(1, 5):
         for n_op in range(1, 5):
-            yield _guard(
-                "schur/commutation-dual",
-                {"m": m, "n": n_op},
-                lambda m=m, n_op=n_op: _check_commutation_dual(m, n_op, small),
-            )
-            yield _guard(
-                "schur/commutation-mixed",
-                {"m": m, "n": n_op},
-                lambda m=m, n_op=n_op: _check_commutation_mixed(m, n_op, small),
-            )
-        yield _guard(
-            "schur/commutation-adjacent",
-            {"m": m},
-            lambda m=m: _check_commutation_adjacent(m, small),
-        )
+            tag = {"m": m, "n": n_op}
+            yield _entry("schur/commutation-dual", tag, _check_commutation_dual, m, n_op, small)
+            yield _entry("schur/commutation-mixed", tag, _check_commutation_mixed, m, n_op, small)
+        yield _entry("schur/commutation-adjacent", {"m": m}, _check_commutation_adjacent, m, small)
 
     snake_deg = min(6, max_n)
     for m in (2, 3, 4):
         for n in range(snake_deg + 1):
-            yield _guard(
-                "schur/snake-rule",
-                {"m": m, "n": n},
-                lambda m=m, n=n: _check_snake_rule(m, n, snake_deg),
-            )
+            yield _entry("schur/snake-rule", {"m": m, "n": n}, _check_snake_rule, m, n, snake_deg)
 
     for m in range(1, 5):
         for n in range(small + 1):
-            yield _guard(
-                "schur/dual-omega-law",
-                {"m": m, "n": n},
-                lambda m=m, n=n: _check_dual_omega(m, n, t_points),
+            yield _entry(
+                "schur/dual-omega-law", {"m": m, "n": n}, _check_dual_omega, m, n, t_points
             )
 
-    yield _guard(
-        "schur/adjoint-pairing",
-        {"seed": seed},
-        lambda: _check_adjoint(seed, min(6, max_n)),
-    )
+    yield _entry("schur/adjoint-pairing", {"seed": seed}, _check_adjoint, seed, min(6, max_n))
 
     for n in range(1, min(7, max_n) + 1):
         for mu in partitions_of(n):
-            yield _guard(
-                "vertex/iterated-charge",
-                {"mu": _mu_str(mu)},
-                lambda mu=mu: _check_iterated_charge(mu),
+            yield _entry(
+                "vertex/iterated-charge", {"mu": format_partition(mu)}, _check_iterated_charge, mu
             )
 
     for a in range(max_n // 2 + 1):
         for b in range(max_n - 2 * a + 1):
-            yield _guard(
-                "vertex/two-column-table",
-                {"a": a, "b": b},
-                lambda a=a, b=b: _check_two_column_table(a, b),
-            )
+            tag = {"a": a, "b": b}
+            yield _entry("vertex/two-column-table", tag, _check_two_column_table, a, b)
             if 3 + 2 * a + b <= max_n:
-                yield _guard(
-                    "vertex/three-row-table",
-                    {"a": a, "b": b},
-                    lambda a=a, b=b: _check_three_row_table(a, b),
-                )
-                yield _verbatim(
-                    "rational",
-                    lambda a=a, b=b: verify_rational_props(a, b, points),
-                )
+                yield _entry("vertex/three-row-table", tag, _check_three_row_table, a, b)
+                yield from _suite("rational", verify_rational_props, a, b, points)
             if 2 * a + b + 1 <= max_n:
-                yield _guard(
-                    "vertex/h1-commutation",
-                    {"a": a, "b": b},
-                    lambda a=a, b=b: _check_h1_commutation(a, b),
-                )
+                yield _entry("vertex/h1-commutation", tag, _check_h1_commutation, a, b)
 
     for n in range(small + 1):
-        yield _guard(
-            "vertex/fourth-operator-forms", {"n": n}, lambda n=n: _check_fourth_forms(n)
-        )
-    yield _guard("vertex/fourth-operator-misprint", {}, _check_fourth_misprint)
-
-    for n in range(1, min(oracle_degree, max_n) + 1):
-        for mu in _supported(n):
-            for q0, t0 in points:
-                yield _guard(
-                    "oracle/kostka-agreement",
-                    {"mu": _mu_str(mu), "q0": str(q0), "t0": str(t0)},
-                    lambda mu=mu, q0=q0, t0=t0: _check_oracle_agreement(mu, q0, t0),
-                )
-    for n in range(1, min(5, oracle_degree, max_n) + 1):
-        yield _guard(
-            "oracle/extension-independence",
-            {"n": n},
-            lambda n=n: _check_extension_independence(n, *points[0]),
-        )
-    for n in range(1, max_n + 1):
-        yield _guard("oracle/hook-counting", {"n": n}, lambda n=n: _check_hooks(n))
-
-    for n in range(1, max_n + 1):
-        for mu in _supported(n):
-            tag = {"mu": _mu_str(mu)}
-            yield _guard(
-                "specialization/kostka-foulkes", tag, lambda mu=mu: _check_kostka_foulkes(mu)
-            )
-            yield _guard(
-                "specialization/syt-count", tag, lambda mu=mu: _check_syt_specialization(mu)
-            )
-            yield _guard(
-                "specialization/extreme-shapes", tag, lambda mu=mu: _check_extreme_shapes(mu)
-            )
-            yield _guard("specialization/duality", tag, lambda mu=mu: _check_duality(mu))
-
-    for n in range(1, max_n + 1):
-        for mu in partitions_of(n):
-            try:
-                direct_here = classify_shape(mu)[0] == "direct"
-                direct_conj = classify_shape(conjugate(mu))[0] == "direct"
-            except UnsupportedShapeError:
-                continue
-            if direct_here and direct_conj:
-                yield _guard(
-                    "vertex/conjugate-agreement",
-                    {"mu": _mu_str(mu)},
-                    lambda mu=mu: _check_conjugate_agreement(mu),
-                )
+        yield _entry("vertex/fourth-operator-forms", {"n": n}, _check_fourth_forms, n)
+    yield _entry("vertex/fourth-operator-misprint", {}, _check_fourth_misprint)
 
     for n in range(1, small + 1):
         for m in (2, 3, 4):
-            tag = {"n": n, "m": m}
-            yield _guard("pairs/row-round-trip", tag, lambda n=n, m=m: _check_row_round_trip(n, m))
-            yield _guard("pairs/col-round-trip", tag, lambda n=n, m=m: _check_col_round_trip(n, m))
-            yield _guard("pairs/charge-shift", tag, lambda n=n, m=m: _check_charge_shift(n, m))
-            yield _guard("pairs/type-preserved", tag, lambda n=n, m=m: _check_type_preserved(n, m))
-            yield _guard("pairs/stability", tag, lambda n=n, m=m: _check_stability(n, m))
-            yield _guard("pairs/involution", tag, lambda n=n, m=m: _check_involution(n, m))
-
-    for mu in _PRINTED_PROFILES:
-        if sum(mu) <= max_n:
-            yield _guard(
-                "profile/printed-sequences",
-                {"mu": _mu_str(mu)},
-                lambda mu=mu: _check_printed_profile(mu),
-            )
-    for n in range(1, max_n + 1):
-        for m, a, b, mu in _direct(n):
-            yield _guard(
-                "profile/unimodality", {"mu": _mu_str(mu)}, lambda mu=mu: _check_unimodality(mu)
-            )
+            for check, fn in (
+                ("pairs/row-round-trip", _check_row_round_trip),
+                ("pairs/col-round-trip", _check_col_round_trip),
+                ("pairs/charge-shift", _check_charge_shift),
+                ("pairs/type-preserved", _check_type_preserved),
+                ("pairs/stability", _check_stability),
+                ("pairs/involution", _check_involution),
+            ):
+                yield _entry(check, {"n": n, "m": m}, fn, n, m)
 
 
 def run_battery(
@@ -815,6 +713,6 @@ def run_battery(
         raise ValueError("run_battery is bounded at max_n <= 8")
     if oracle_degree > 6:
         raise ValueError("run_battery is bounded at oracle_degree <= 6")
-    report = [entry for task in _tasks(max_n, oracle_degree, n_points, seed) for entry in task()]
+    report = list(_report(max_n, oracle_degree, n_points, seed))
     report.sort(key=lambda e: (e["check"], sorted((k, str(v)) for k, v in e["params"].items())))
     return report

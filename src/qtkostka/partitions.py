@@ -16,9 +16,9 @@ Cell = tuple[int, int]
 
 
 def is_partition(parts: Iterable[int]) -> bool:
-    """True when parts is weakly decreasing with all entries positive."""
+    """True when parts is weakly decreasing and every part is a positive int (not a bool)."""
     seq = tuple(parts)
-    return all(isinstance(p, int) and p > 0 for p in seq) and all(
+    return all(type(p) is int and p > 0 for p in seq) and all(
         seq[i] >= seq[i + 1] for i in range(len(seq) - 1)
     )
 

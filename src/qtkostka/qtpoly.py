@@ -10,6 +10,7 @@ by b^Q d^T, where Q and T are the degrees in q and t.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -178,10 +179,16 @@ class QTPoly:
 
     @classmethod
     def from_terms(cls, triples: Iterable[Iterable]) -> "QTPoly":
+        """Inverse of to_terms: int exponents, each coefficient an int or a decimal string."""
         data: dict[TermKey, int] = {}
         for dq, dt, coeff in triples:
-            key = (int(dq), int(dt))
-            data[key] = data.get(key, 0) + int(coeff)
+            if type(dq) is not int or type(dt) is not int:
+                raise TypeError(f"exponents ({dq!r}, {dt!r}) are not ints")
+            if isinstance(coeff, str) and re.fullmatch(r"-?[0-9]+", coeff):
+                coeff = int(coeff)
+            elif type(coeff) is not int:
+                raise TypeError(f"coefficient {coeff!r} is not an int or a decimal string")
+            data[(dq, dt)] = data.get((dq, dt), 0) + coeff
         return cls(data)
 
     def _render(self, mul: str, power) -> str:

@@ -29,6 +29,7 @@ from .partitions import (
     conjugate,
     horizontal_strips,
     horizontal_strips_inside,
+    is_partition,
     remove_snake,
     snake_height,
     vertical_strips,
@@ -142,12 +143,19 @@ class SchurExpansion:
     def from_json(cls, data: dict) -> "SchurExpansion":
         if data.get("basis") != cls.basis:
             raise ValueError(f"expected basis {cls.basis!r}, got {data.get('basis')!r}")
-        return cls(
-            {
-                tuple(entry["lambda"]): QTPoly.from_terms(entry["coeff"])
-                for entry in data["terms"]
-            }
-        )
+        terms = {}
+        for entry in data["terms"]:
+            lam = tuple(entry["lambda"])
+            if not is_partition(lam):
+                raise ValueError(f"{lam} is not a partition")
+            if lam in terms:
+                raise ValueError(f"{lam} appears twice")
+            terms[lam] = QTPoly.from_terms(entry["coeff"])
+        f = cls(terms)
+        degree, given = (f.degree() if f else 0), data.get("degree")
+        if type(given) is not int or given != degree:
+            raise ValueError(f"degree {given!r} does not match the size {degree} of the terms")
+        return f
 
     def __repr__(self) -> str:
         bits = [f"({coeff})*{self._letter}{lam}" for lam, coeff in self.terms()]

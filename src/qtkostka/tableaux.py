@@ -16,6 +16,7 @@ from .partitions import (
     Partition,
     contains,
     horizontal_strips,
+    int_parts,
     is_partition,
     partitions_of,
 )
@@ -260,24 +261,33 @@ def conjugate_tableau(tab: Tableau) -> Tableau:
     return rectify(tuple(reversed(reading_word(tab))))
 
 
-@cache
 def standard_tableaux(sh: Partition) -> tuple[Tableau, ...]:
     """All standard tableaux of the given shape, in a fixed order."""
+    return _standard_tableaux(int_parts(sh))
+
+
+@cache
+def _standard_tableaux(sh: Partition) -> tuple[Tableau, ...]:
     if not sh:
         return ((),)
+    if not is_partition(sh):
+        raise ValueError(f"{sh} is not a partition")
     n = sum(sh)
     out: list[Tableau] = []
     for r in range(len(sh)):
         if r + 1 < len(sh) and sh[r] == sh[r + 1]:
             continue
         smaller = tuple(p for p in (sh[:r] + (sh[r] - 1,) + sh[r + 1 :]) if p)
-        for sub in standard_tableaux(smaller):
+        for sub in _standard_tableaux(smaller):
             rows = [list(row) for row in sub]
             while len(rows) <= r:
                 rows.append([])
             rows[r].append(n)
             out.append(tuple(tuple(row) for row in rows))
     return tuple(out)
+
+
+standard_tableaux.cache_info = _standard_tableaux.cache_info
 
 
 def all_standard_tableaux(n: int) -> tuple[Tableau, ...]:

@@ -266,6 +266,11 @@ def test_criterion_9_printed_sequences_and_unimodality(report):
 DEFAULT_REPORT_SHA256 = "120c1ae25529c365de0bc42a393ab0beb73eea495aaa83d4a5638047261d0a78"
 
 
+def test_no_two_entries_share_check_and_params(report):
+    keys = [(e["check"], json.dumps(e["params"], sort_keys=True)) for e in report]
+    assert len(set(keys)) == len(keys)
+
+
 def test_default_report_is_byte_identical(report):
     assert len(report) == 1179
     assert all(e["status"] == "pass" for e in report)

@@ -1,6 +1,9 @@
 import pytest
 
+from qtkostka import battery
 from qtkostka.battery import run_battery
+
+SMALL = {"max_n": 3, "oracle_degree": 3, "n_points": 1, "seed": 11}
 
 
 def test_empty_ranges_give_empty_report():
@@ -39,3 +42,72 @@ def test_report_is_sorted_and_deterministic():
     assert first == second
     keys = [(e["check"], sorted((k, str(v)) for k, v in e["params"].items())) for e in first]
     assert keys == sorted(keys)
+
+
+def _failures(report):
+    return [e for e in report if e["status"] != "pass"]
+
+
+def test_a_raising_check_becomes_one_failing_entry(monkeypatch):
+    monkeypatch.setattr(battery, "_check_snakes", lambda: 1 // 0)
+    report = run_battery(**SMALL)
+    assert _failures(report) == [
+        {
+            "check": "examples/snake-removal",
+            "params": {},
+            "status": "fail",
+            "detail": "ZeroDivisionError: integer division or modulo by zero",
+        }
+    ]
+    assert len(report) == len(run_battery(**SMALL))
+
+
+def test_a_raising_check_fails_only_for_its_own_params(monkeypatch):
+    real = battery._check_positivity
+
+    def broken_at_21(mu):
+        if mu == (2, 1):
+            raise ValueError("no positivity here")
+        return real(mu)
+
+    monkeypatch.setattr(battery, "_check_positivity", broken_at_21)
+    assert _failures(run_battery(**SMALL)) == [
+        {
+            "check": "vertex/positivity",
+            "params": {"mu": "2,1"},
+            "status": "fail",
+            "detail": "ValueError: no positivity here",
+        }
+    ]
+
+
+def test_a_raising_suite_becomes_one_entry_without_params(monkeypatch):
+    def broken(max_n):
+        raise RuntimeError(f"suite at {max_n}")
+
+    monkeypatch.setattr(battery, "hl_identity_suite", broken)
+    report = run_battery(**SMALL)
+    assert [e for e in report if e["check"] == "hl-identity"] == [
+        {
+            "check": "hl-identity",
+            "params": {},
+            "status": "fail",
+            "detail": "RuntimeError: suite at 3",
+        }
+    ]
+    assert len(_failures(report)) == 1
+
+
+def test_library_functions_are_looked_up_when_the_battery_runs(monkeypatch):
+    # a wrapper installed on the module after import sees every call
+    calls = []
+    real = battery.verify_rational_props
+
+    def counted(a, b, points):
+        calls.append((a, b))
+        return real(a, b, points)
+
+    monkeypatch.setattr(battery, "verify_rational_props", counted)
+    report = run_battery(max_n=5, oracle_degree=3, n_points=1, seed=11)
+    assert sorted(calls) == [(0, 0), (0, 1), (0, 2), (1, 0)]
+    assert not _failures(report)

@@ -186,3 +186,10 @@ def test_int_parts_checks_the_type_of_each_part():
     for parts in [(True,), (1.0,), (2, False), (Fraction(2), 1)]:
         with pytest.raises(ValueError, match="is not a partition"):
             int_parts(parts)
+
+
+def test_is_partition_wants_int_parts():
+    # True and 1.0 compare equal to 1 but are not parts
+    for parts in [(True,), (1.0,), (2, True), (2.0, 1), (True, True)]:
+        assert not is_partition(parts)
+    assert is_partition((2, 1)) and is_partition(())

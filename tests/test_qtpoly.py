@@ -160,3 +160,24 @@ def test_swap_and_reverse_involutive(a):
     p = QTPoly(a)
     assert p.swap_qt().swap_qt() == p
     assert p.reverse(p.deg_q, p.deg_t).reverse(p.deg_q, p.deg_t) == p
+
+
+def test_from_terms_refuses_what_to_terms_never_writes():
+    # int() would truncate 1.5 and 0.5, reloading a different polynomial
+    for triple in [
+        (0, 0, 1.5),
+        (0, 0, 2.0),
+        (0, 0, True),
+        (0, 0, Fraction(2)),
+        (0, 0, "1.5"),
+        (0, 0, " 7"),
+        (0, 0, "1_0"),
+        (0, 0, "0x1f"),
+        (0.5, 0, 1),
+        (0, 1.0, 1),
+        (True, 0, 1),
+        ("1", 0, 1),
+    ]:
+        with pytest.raises(TypeError):
+            QTPoly.from_terms([triple])
+    assert QTPoly.from_terms([(2, 1, "-12"), (2, 1, 5), (0, 0, "0")]) == poly((2, 1, -7))

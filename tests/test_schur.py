@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from qtkostka.schur import (
     skew_e,
     skew_h,
 )
+from qtkostka.vertex import HLExpansion
 
 one = QTPoly.one()
 t = QTPoly.t(1)
@@ -44,6 +47,45 @@ def test_mixed_degree_rejected():
 def test_json_round_trip():
     f = SchurExpansion({(2, 1): QTPoly.monomial(1, 1, 3), (1, 1, 1): 1})
     assert SchurExpansion.from_json(f.to_json()) == f
+
+
+def test_from_json_refuses_bad_shapes_and_degrees():
+    def blob(degree, *lams):
+        terms = [{"lambda": list(lam), "coeff": [[0, 0, "1"]]} for lam in lams]
+        return {"degree": degree, "terms": terms}
+
+    assert SchurExpansion.from_json(blob(3, (2, 1), (3,))) == s((2, 1)) + s((3,))
+    assert SchurExpansion.from_json(blob(0)) == SchurExpansion()
+    assert SchurExpansion.from_json(blob(0, ())) == unit()
+    for lams in [[(1.0,)], [(True,)], [(1, 2)], [(2, 0)]]:
+        with pytest.raises(ValueError, match="is not a partition"):
+            SchurExpansion.from_json(blob(1, *lams))
+    with pytest.raises(ValueError, match="appears twice"):
+        SchurExpansion.from_json(blob(3, (2, 1), (2, 1)))
+    for bad in [blob(5, (2, 1)), blob(1), blob(True, (1,)), blob(3.0, (2, 1)), blob(None)]:
+        with pytest.raises(ValueError, match="does not match the size"):
+            SchurExpansion.from_json(bad)
+    with pytest.raises(ValueError, match="mixes degrees"):
+        SchurExpansion.from_json(blob(3, (2, 1), (1,)))
+
+
+big_poly = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)), st.integers(-(10**30), 10**30), max_size=4
+).map(QTPoly)
+
+
+@st.composite
+def expansions(draw):
+    cls = draw(st.sampled_from([SchurExpansion, HLExpansion]))
+    shapes = partitions_of(draw(st.integers(0, 6)))
+    return cls(draw(st.dictionaries(st.sampled_from(shapes), big_poly, max_size=5)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=expansions())
+def test_json_round_trip_is_the_identity(f):
+    blob = json.loads(json.dumps(f.to_json()))
+    assert type(f).from_json(blob) == f
 
 
 def test_is_nonnegative():

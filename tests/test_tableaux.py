@@ -5,6 +5,7 @@ import pytest
 
 from qtkostka.tableaux import (
     _standard_charge,
+    _standard_tableaux,
     all_standard_tableaux,
     charge,
     column_insert,
@@ -147,6 +148,23 @@ def test_standard_tableaux_counts():
     assert len(all_standard_tableaux(4)) == 10
     for tab in standard_tableaux((3, 2)):
         assert is_standard(tab) and shape(tab) == (3, 2)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_standard_tableaux_refuses_non_partitions_whether_or_not_cached(warm):
+    # (True,) and (1.0,) hash like (1,): a warm cache would answer them, and a
+    # cold one would store their tableaux under (1,)
+    _standard_tableaux.cache_clear()
+    if warm:
+        assert standard_tableaux((1,)) == (((1,),),)
+    for sh in [(1.0,), (True,), (2.0, 1), (2, True), (1, 2), (2, 0)]:
+        with pytest.raises(ValueError, match="is not a partition"):
+            standard_tableaux(sh)
+    assert standard_tableaux((1,)) == (((1,),),)
+    assert [type(x) for tab in standard_tableaux((2, 1)) for row in tab for x in row] == [int] * 6
+    assert standard_tableaux.cache_info() == _standard_tableaux.cache_info()
+    with pytest.raises(ValueError, match="must be a partition"):
+        column_strict_tableaux((True, True))
 
 
 def test_column_strict_tableaux():
