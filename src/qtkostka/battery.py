@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from ._series import series_hl_vertex
 from .oracle import (
     count_syt,
     count_syt_enumerated,
@@ -242,11 +243,13 @@ def _check_snake_rule(m: int, n: int, k_bound: int) -> tuple[bool, str]:
 
 
 def _check_dual_omega(m: int, n: int, t_points) -> tuple[bool, str]:
+    # the closed images make hl_vertex_dual a conjugated hl_vertex, so the
+    # right side is the series definition, a derivation of its own
     zero = Fraction(0)
     for lam in partitions_of(n):
         f = SchurExpansion.schur(lam)
         lhs = hl_vertex_dual(m, f)
-        rhs = omega(hl_vertex(m, omega(f)))
+        rhs = omega(series_hl_vertex(m, omega(f)))
         shapes = {p for p, _ in lhs.terms()} | {p for p, _ in rhs.terms()}
         for t0 in t_points:
             for sh in shapes:

@@ -6,11 +6,12 @@ orthogonalization, charge enumeration, and hook lengths.  None of it touches
 the vertex operators except where a check explicitly compares the two sides.
 
 The oracle keeps its own caches, separate from the `schur` and `vertex`
-ones: characters, power-sum coordinates, Gram-Schmidt bases, one
-Kostka-Foulkes row {lam: K_{lam,nu}(t)} per content nu from a single
-enumeration of its column-strict tableaux, and the pairing weight of each
-power sum at each point.  `cache_info()` reports them and `clear_caches()`
-empties them.
+ones: characters, power-sum coordinates, Gram-Schmidt bases, J_mu in
+power-sum coordinates per (mu, point, order), which every K_{lam,mu} at that
+point reads, one Kostka-Foulkes row {lam: K_{lam,nu}(t)} per content nu from
+a single enumeration of its column-strict tableaux, and the pairing weight
+of each power sum at each point.  `cache_info()` reports them and
+`clear_caches()` empties them.
 """
 
 from __future__ import annotations
@@ -223,13 +224,24 @@ def kostka_oracle(
     order: tuple[Partition, ...] | None = None,
 ) -> Fraction:
     """K_{lam,mu}(q0,t0) as <J_mu, s_lam> under the t-deformed pairing."""
-    lam = int_parts(lam)
+    lam, mu = int_parts(lam), int_parts(mu)
     if not is_partition(lam):
         raise ValueError(f"lam = {lam} is not a partition")
     if sum(lam) != sum(mu):
-        raise ValueError(f"size mismatch: |{lam}| != |{tuple(mu)}|")
-    jmu = macdonald_oracle(mu, q0, t0, order)
-    return scalar_t(power_coords(jmu), schur_to_power(lam), t0)
+        raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
+    order = tuple(linear_extension(sum(mu)) if order is None else order)
+    jmu = _power_macdonald(mu, Fraction(q0), Fraction(t0), order)
+    return scalar_t(jmu, schur_to_power(lam), t0)
+
+
+@cache
+def _power_macdonald(
+    mu: Partition, q0: Fraction, t0: Fraction, order: tuple[Partition, ...]
+) -> Mapping[Partition, Fraction]:
+    """macdonald_oracle in power-sum coordinates, read-only because the cache shares it."""
+    if not is_partition(mu):
+        raise ValueError(f"mu = {mu} is not a partition")
+    return MappingProxyType(power_coords(macdonald_oracle(mu, q0, t0, order)))
 
 
 @cache
@@ -317,6 +329,7 @@ _CACHES = {
     "character": character,
     "schur_to_power": schur_to_power,
     "orthogonal_basis": _orthogonal_basis,
+    "power_macdonald": _power_macdonald,
     "kostka_foulkes_row": _kostka_foulkes_row,
     "pairing_weight": _pairing_weight,
 }

@@ -1,21 +1,21 @@
 """Schur expansions and the operators that act on them.
 
-A SchurExpansion is a finite linear combination of Schur functions with
-QTPoly coefficients.  The operators below are linear; most require a
-homogeneous argument because their series truncation depends on the
-degree.
+A SchurExpansion is a finite linear combination of Schur functions, keyed by
+partitions only, with QTPoly coefficients.  The operators below are linear;
+`bernstein`, `hl_vertex` and `hl_vertex_dual` require a homogeneous argument.
 
 Every operator except the snake rule runs through one kernel, `_apply`: it
 looks up the image of each basis function s_lam, multiplies it by the
 coefficient of s_lam, and accumulates in place into raw integer
 dictionaries, building each output QTPoly once at the end.  The Pieri
 operators take their images from the strip enumerators in `partitions`.
-`bernstein`, `hl_vertex` and `hl_vertex_dual` evaluate their series on s_lam
-the first time (lam, m) is seen and cache the result as raw dictionaries,
-which the kernel only reads.  `cache_info()` reports the hits, misses and
-size of these three caches and of the four strip caches, and
-`clear_caches()` empties them.  `hl_vertex_snake` is a separate route that
-shares neither the series nor the caches.
+The other three compute the image of s_lam by a closed rule the first time
+(lam, m) is seen and cache it as raw dictionaries: Bernstein's operator
+straightens s_(m, lam) (`_straighten`), and the vertex operators are Jing's
+sums of Bernstein images of h_k-perp s_lam, on the conjugate for the dual.
+`cache_info()` and `clear_caches()` cover these three caches and the four
+strip caches.  `hl_vertex_snake` shares neither the rules nor the caches,
+and `_series` keeps the series definitions as a reference for the checks.
 """
 
 from __future__ import annotations
@@ -65,10 +65,20 @@ class SchurExpansion:
     def __init__(self, terms: Mapping[Partition, Coeff] | None = None):
         clean: dict[Partition, QTPoly] = {}
         for lam, coeff in (terms or {}).items():
+            lam = tuple(lam)
+            if not is_partition(lam):
+                raise ValueError(f"{lam} is not a partition")
             poly = _poly(coeff)
             if poly:
-                clean[tuple(lam)] = poly
+                clean[lam] = poly
         self._terms = clean
+
+    @classmethod
+    def _trusted(cls, terms: Mapping[Partition, QTPoly]) -> "SchurExpansion":
+        """The expansion of terms, whose keys are already partitions; zeros are dropped."""
+        out = cls.__new__(cls)
+        out._terms = {lam: c for lam, c in terms.items() if c}
+        return out
 
     @classmethod
     def unit(cls) -> "SchurExpansion":
@@ -82,9 +92,6 @@ class SchurExpansion:
     def terms(self) -> list[tuple[Partition, QTPoly]]:
         """Terms sorted by size then descending lexicographic partition."""
         return sorted(self._terms.items(), key=lambda kv: _sort_key(kv[0]))
-
-    def partitions(self) -> list[Partition]:
-        return [lam for lam, _ in self.terms()]
 
     def coefficient(self, lam: Partition) -> QTPoly:
         coeff = self._terms.get(tuple(lam))
@@ -104,7 +111,7 @@ class SchurExpansion:
         merged = dict(self._terms)
         for lam, coeff in other._terms.items():
             merged[lam] = merged.get(lam, QTPoly.zero()) + coeff
-        return type(self)(merged)
+        return self._trusted(merged)
 
     def __sub__(self, other: "SchurExpansion") -> "SchurExpansion":
         return self + other.scaled(-1)
@@ -114,10 +121,10 @@ class SchurExpansion:
 
     def scaled(self, coeff: Coeff) -> "SchurExpansion":
         factor = _poly(coeff)
-        return type(self)({lam: c * factor for lam, c in self._terms.items()})
+        return self._trusted({lam: c * factor for lam, c in self._terms.items()})
 
     def map_coefficients(self, fn: Callable[[QTPoly], QTPoly]) -> "SchurExpansion":
-        return type(self)({lam: fn(c) for lam, c in self._terms.items()})
+        return self._trusted({lam: _poly(fn(c)) for lam, c in self._terms.items()})
 
     def degree(self) -> int | None:
         """Common size of the indexing partitions; None when empty."""
@@ -146,8 +153,6 @@ class SchurExpansion:
         terms = {}
         for entry in data["terms"]:
             lam = tuple(entry["lambda"])
-            if not is_partition(lam):
-                raise ValueError(f"{lam} is not a partition")
             if lam in terms:
                 raise ValueError(f"{lam} appears twice")
             terms[lam] = QTPoly.from_terms(entry["coeff"])
@@ -178,18 +183,7 @@ def _accumulate(
 
 
 def _expansion(acc: _RawExpansion) -> SchurExpansion:
-    out = SchurExpansion()
-    out._terms = {mu: poly for mu, raw in acc.items() if (poly := QTPoly(raw))}
-    return out
-
-
-def _pieces(f: SchurExpansion) -> Iterable[tuple[Partition, _RawPoly]]:
-    return ((mu, c._terms) for mu, c in f._terms.items())
-
-
-def _image(acc: _RawExpansion) -> _RawExpansion:
-    """The cached form of a basis image: raw coefficients with the zeros dropped."""
-    return dict(_pieces(_expansion(acc)))
+    return SchurExpansion._trusted({mu: QTPoly(raw) for mu, raw in acc.items()})
 
 
 def _schur_only(f: SchurExpansion) -> None:
@@ -234,56 +228,61 @@ def skew_e(k: int, f: SchurExpansion) -> SchurExpansion:
     return f if k == 0 else _apply(f, vertical_strips_inside, k)
 
 
-# The images of one basis function s_lam under the series operators, keyed
-# by (lam, m) in the order _apply passes them.  Each is computed once from
-# the operator's series definition and is shared by every later call.
+def _straighten(m: int, lam: Partition) -> tuple[int, Partition] | None:
+    """(sign, mu) with s_(m, lam) = sign * s_mu, or None when s_(m, lam) = 0.
+
+    m bubbles rightwards by the Jacobi-Trudi rule s_(..,a,b,..) = -s_(..,b-1,a+1,..),
+    which vanishes when a = b - 1, as does a negative last entry.
+    """
+    head: list[int] = []
+    for i, part in enumerate(lam):
+        if m >= part:
+            return (-1) ** i, (*head, m, *lam[i:])
+        if m == part - 1:
+            return None
+        head.append(part - 1)
+        m += 1
+    if m < 0:
+        return None
+    # only parts equal to 1 leave a 0 in head, and then m <= 0: the zeros trail
+    return (-1) ** len(lam), tuple(p for p in (*head, m) if p)
 
 
 @cache
 def _bernstein_image(lam: Partition, m: int) -> _RawExpansion:
+    found = _straighten(m, lam)
+    return {} if found is None else {found[1]: {(0, 0): found[0]}}
+
+
+def _jing_sum(lam: Partition, m: int, dual: bool) -> _RawExpansion:
+    """Sum of t^e B_{m+k} h_k-perp s_lam over k, where e is k, or |lam| - k when
+    dual; cancelled terms are dropped."""
+    n = sum(lam)
     s_lam = SchurExpansion.schur(lam)
     acc: _RawExpansion = {}
-    for k in range(sum(lam) + 1):
-        reduced = skew_e(k, s_lam)
-        if reduced:
-            _accumulate(acc, _pieces(mul_h(m + k, reduced)), {(0, 0): (-1) ** k})
-    return _image(acc)
+    for k in range(n + 1):
+        image = bernstein(m + k, skew_h(k, s_lam))
+        pieces = ((mu, c._terms) for mu, c in image._terms.items())
+        _accumulate(acc, pieces, {(0, n - k if dual else k): 1})
+    return {mu: raw for mu, slot in acc.items() if (raw := {e: c for e, c in slot.items() if c})}
 
 
 @cache
 def _hl_vertex_image(lam: Partition, m: int) -> _RawExpansion:
-    s_lam = SchurExpansion.schur(lam)
-    acc: _RawExpansion = {}
-    for k in range(sum(lam) + 1):
-        reduced = skew_h(k, s_lam)
-        if reduced:
-            _accumulate(acc, _pieces(bernstein(m + k, reduced)), {(0, k): 1})
-    return _image(acc)
+    # Jing: sum_k t^k B_{m+k} h_k-perp
+    return _jing_sum(lam, m, False)
 
 
 @cache
 def _hl_vertex_dual_image(lam: Partition, m: int) -> _RawExpansion:
-    degree = sum(lam)
-    s_lam = SchurExpansion.schur(lam)
-    acc: _RawExpansion = {}
-    for j in range(degree + 1):
-        stripped = skew_e(j, s_lam)
-        if not stripped:
-            continue
-        for i in range(degree - j + 1):
-            reduced = skew_h(i, stripped)
-            if reduced:
-                piece = mul_e(m + i + j, reduced)
-                _accumulate(acc, _pieces(piece), {(0, degree - j): (-1) ** i})
-    return _image(acc)
+    # sum_j t^(n-j) omega B_{m+j} omega e_j-perp, with e_j-perp = omega h_j-perp omega
+    return {conjugate(mu): c for mu, c in _jing_sum(conjugate(lam), m, True).items()}
 
 
 def bernstein(m: int, f: SchurExpansion) -> SchurExpansion:
-    """The Bernstein row-adding operator, as the series sum_k (-1)^k h_{m+k} e_k-perp.
+    """The Bernstein row-adding operator sum_k (-1)^k h_{m+k} e_k-perp.
 
-    On s_mu with m >= mu_1 it yields s_{(m, mu)}; smaller m follows the
-    straightening implicit in the alternating series.
-    """
+    It sends s_mu to s_(m, mu) straightened: +-one Schur function, or 0."""
     f.degree()  # rejects an argument that mixes degrees
     return _apply(f, _bernstein_image, m)
 
@@ -330,7 +329,7 @@ def hl_vertex_dual(m: int, f: SchurExpansion) -> SchurExpansion:
 def omega(f: SchurExpansion) -> SchurExpansion:
     """The involution sending s_lam to s_(lam conjugate)."""
     _schur_only(f)
-    return SchurExpansion({conjugate(lam): c for lam, c in f.terms()})
+    return SchurExpansion._trusted({conjugate(lam): c for lam, c in f._terms.items()})
 
 
 _CACHES = {

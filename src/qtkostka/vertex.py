@@ -1,14 +1,17 @@
 """Vertex-operator construction of the Macdonald functions H_mu[X;q,t].
 
 Shapes with at most one part larger than 2 (and that part at most 4) are
-built by iterating a two-column creation operator on a charge-seeded
-Hall-Littlewood base and finishing with a row-adding operator; all other
-supported shapes are conjugates of these.  `macdonald` and
-`hall_littlewood` are `functools.cache`d, with `cache_info` on the public
-names.  Hall-Littlewood expansions of the same functions, with coefficients
-given by closed q,t-binomial formulas, provide an independent route used by
-the checks; they are `HLExpansion`s, a `SchurExpansion` tagged with the
-Hall-Littlewood basis, and `to_schur` converts them.
+built from the constant 1 by vertex operators alone: Jing's operator
+`hl_vertex(1, .)` b times gives the Hall-Littlewood base H_(1^b)[X;t], a
+two-column creation operator adds the columns of height 2, and a row-adding
+operator finishes; all other supported shapes are conjugates of these.
+`macdonald` and `hall_littlewood` are `functools.cache`d, with `cache_info`
+on the public names.  Hall-Littlewood expansions of the same functions,
+with coefficients given by closed q,t-binomial formulas, provide an
+independent route used by the checks: they are `HLExpansion`s, a
+`SchurExpansion` tagged with the Hall-Littlewood basis, and `to_schur`
+converts them through the charge expansion of `hall_littlewood`, which
+`macdonald` never calls.
 """
 
 from __future__ import annotations
@@ -250,7 +253,9 @@ def _macdonald_uncached(mu: Partition) -> SchurExpansion:
         base = macdonald(kind[1])
         return omega(base.map_coefficients(lambda p: p.swap_qt()))
     _, m, a, b = kind
-    f = hall_littlewood((1,) * b)
+    f = SchurExpansion.unit()
+    for _ in range(b):  # H_(1^b)[X;t], one column cell at a time
+        f = hl_vertex(1, f)
     for _ in range(a):
         f = vertex2(f)
     if m > 2:

@@ -182,6 +182,23 @@ def test_oracle_matches_vertex_output():
                 assert kostka_oracle(lam, mu, Q0, T0) == want
 
 
+def test_cached_power_macdonald_matches_the_uncached_pairing():
+    for q0, t0 in generic_points(3, seed=5, max_n=6):
+        for n in range(1, 7):
+            for mu in partitions_of(n):
+                jmu = power_coords(macdonald_oracle(mu, q0, t0))
+                for lam in partitions_of(n):
+                    want = scalar_t(jmu, schur_to_power(lam), t0)
+                    assert kostka_oracle(lam, mu, q0, t0) == want, (lam, mu, q0, t0)
+
+
+def test_kostka_oracle_refuses_a_non_partition_mu():
+    for mu in [(1, 2), (True, 2), (2.0, 1)]:
+        with pytest.raises(ValueError, match="is not a partition"):
+            kostka_oracle((2, 1), mu, Q0, T0)
+    assert kostka_oracle((2, 1), [2, 1], Q0, T0) == 1 + Q0 * T0
+
+
 def test_kostka_foulkes_values():
     one = QTPoly.one()
     t = QTPoly.t
@@ -227,6 +244,7 @@ def test_clear_caches_empties_every_oracle_cache():
         "character",
         "schur_to_power",
         "orthogonal_basis",
+        "power_macdonald",
         "kostka_foulkes_row",
         "pairing_weight",
     }

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtkostka._series import series_bernstein, series_hl_vertex, series_hl_vertex_dual
 from qtkostka.partitions import partitions_of
 from qtkostka.qtpoly import QTPoly
 from qtkostka.schur import (
@@ -36,6 +37,23 @@ def test_expansion_basics():
     assert (f - f) == SchurExpansion()
     assert (-f) + f == SchurExpansion()
     assert f.scaled(3).coefficient((2, 1)) == 6 * one
+
+
+@pytest.mark.parametrize("key", [(1, 2), (True,), (1.0,), (2, 0), (-1,)])
+def test_constructor_refuses_keys_that_are_not_partitions(key):
+    with pytest.raises(ValueError, match="is not a partition"):
+        SchurExpansion({key: 1})
+    with pytest.raises(ValueError, match="is not a partition"):
+        SchurExpansion.schur(key)
+
+
+def test_a_non_partition_never_reaches_the_operators():
+    # read as a shape, s_(1,2) would make hl_vertex(2, .) answer -s_(3,1)
+    with pytest.raises(ValueError, match="is not a partition"):
+        hl_vertex(2, SchurExpansion({(1, 2): 1}))
+    f = SchurExpansion({(2, 1): 1, (): 3})
+    assert (f + f).coefficient(()) == 6 * one and f.scaled(2) == f + f
+    assert f.map_coefficients(lambda c: c * t).coefficient((2, 1)) == t
 
 
 def test_mixed_degree_rejected():
@@ -129,6 +147,14 @@ def test_bernstein():
     # straightening: s_(1,2) and s_(0,1) both vanish
     assert bernstein(1, s((2,))) == SchurExpansion()
     assert bernstein(0, s((1,))) == SchurExpansion()
+    # s_(1,3) = -s_(2,2), s_(0,2) = -s_(1,1), s_(-1,1) = -1, s_(-2,1) = -s_(0,-1) = 0,
+    # s_(1,3,3) = -s_(2,2,3) = 0 and s_(0,3,3) = -s_(2,1,3) = s_(2,2,2)
+    assert bernstein(1, s((3,))) == -s((2, 2))
+    assert bernstein(0, s((2,))) == -s((1, 1))
+    assert bernstein(-1, s((1,))) == -unit()
+    assert bernstein(-2, s((1,))) == SchurExpansion()
+    assert bernstein(1, s((3, 3))) == SchurExpansion()
+    assert bernstein(0, s((3, 3))) == s((2, 2, 2))
 
 
 def test_omega():
@@ -164,35 +190,6 @@ def test_vertex_on_zero():
     assert hl_vertex_dual(2, SchurExpansion()) == SchurExpansion()
 
 
-# The series definitions evaluated term by term in SchurExpansion arithmetic,
-# without the cached basis images: the reference the kernel must reproduce.
-
-
-def series_bernstein(m, f):
-    total = SchurExpansion()
-    for k in range((f.degree() or 0) + 1):
-        piece = mul_h(m + k, skew_e(k, f))
-        total = total + (piece if k % 2 == 0 else -piece)
-    return total
-
-
-def series_hl_vertex(m, f):
-    total = SchurExpansion()
-    for k in range((f.degree() or 0) + 1):
-        total = total + series_bernstein(m + k, skew_h(k, f)).scaled(QTPoly.t(k))
-    return total
-
-
-def series_hl_vertex_dual(m, f):
-    n = f.degree() or 0
-    total = SchurExpansion()
-    for j in range(n + 1):
-        for i in range(n - j + 1):
-            piece = mul_e(m + i + j, skew_h(i, skew_e(j, f)))
-            total = total + piece.scaled(QTPoly.monomial(0, n - j, (-1) ** i))
-    return total
-
-
 SERIES = [
     (bernstein, series_bernstein),
     (hl_vertex, series_hl_vertex),
@@ -202,9 +199,11 @@ SERIES = [
 
 @pytest.mark.parametrize("op, series", SERIES, ids=lambda x: getattr(x, "__name__", ""))
 def test_cached_images_match_series(op, series):
-    for n in range(8):
+    # bernstein is public and takes any m; the vertex operators build from m >= 0
+    ms = range(-2, 8) if op is bernstein else range(8)
+    for n in range(9):
         for lam in partitions_of(n):
-            for m in range(6):
+            for m in ms:
                 assert op(m, s(lam)) == series(m, s(lam)), (op.__name__, lam, m)
 
 

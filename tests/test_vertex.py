@@ -248,6 +248,28 @@ def test_macdonald_unchanged_after_clearing_caches():
     assert [_macdonald_uncached(mu) for mu in shapes] == before
 
 
+def test_vertex_built_seed_is_the_charge_expansion():
+    f = unit()
+    for b in range(1, 11):
+        f = hl_vertex(1, f)
+        assert f == hall_littlewood((1,) * b), b
+
+
+def test_macdonald_on_a_fresh_cache_makes_no_hall_littlewood_call(monkeypatch):
+    import qtkostka.vertex as vertex
+
+    def refuse(nu):
+        raise AssertionError(f"hall_littlewood({nu}) called")
+
+    monkeypatch.setattr(vertex, "hall_littlewood", refuse)
+    _macdonald.cache_clear()
+    _hall_littlewood.cache_clear()
+    clear_caches()
+    shapes = [(1,), (1, 1, 1), (2, 1, 1), (3, 2, 1), (4, 1, 1), (4, 2), (3, 1, 1, 1)]
+    assert all(macdonald(mu) for mu in shapes)
+    assert _hall_littlewood.cache_info().misses == 0
+
+
 def test_macdonald_rejects_non_int_parts_whether_or_not_cached():
     macdonald((1,))  # (True,) and (1.0,) hash like (1,)
     for mu in [(True,), (1.0,), (2, True), (2.0, 1)]:
