@@ -6,6 +6,7 @@ Everything is computed over the integers (or exact rationals in the
 verification oracles); there is no floating point anywhere.
 """
 
+from ._cache import cache_info, clear_caches
 from .partitions import Partition, conjugate, parse_partition, format_partition
 from .qtpoly import QTPoly
 from .tableaux import Tableau, Word, charge, parse_tableau, format_tableau
@@ -19,7 +20,9 @@ __all__ = [
     "Tableau",
     "UnsupportedShapeError",
     "Word",
+    "cache_info",
     "charge",
+    "clear_caches",
     "conjugate",
     "format_partition",
     "format_tableau",

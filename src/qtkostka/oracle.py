@@ -4,25 +4,17 @@ Everything in this module is built from first principles: symmetric-group
 characters, scalar products evaluated at rational points, Gram-Schmidt
 orthogonalization, charge enumeration, and hook lengths.  None of it touches
 the vertex operators except where a check explicitly compares the two sides.
-
-The oracle keeps its own caches, separate from the `schur` and `vertex`
-ones: characters, power-sum coordinates, Gram-Schmidt bases, J_mu in
-power-sum coordinates per (mu, point, order), which every K_{lam,mu} at that
-point reads, one Kostka-Foulkes row {lam: K_{lam,nu}(t)} per content nu from
-a single enumeration of its column-strict tableaux, and the pairing weight
-of each power sum at each point.  `cache_info()` reports them and
-`clear_caches()` empties them.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
 from math import factorial
 from types import MappingProxyType
 from typing import Mapping
 
+from ._cache import memo
 from .partitions import (
     Partition,
     arm_leg,
@@ -57,7 +49,7 @@ def z_factor(lam: Partition) -> int:
     return out
 
 
-@cache
+@memo
 def character(lam: Partition, mu: Partition) -> int:
     """Irreducible symmetric-group character chi^lam evaluated on class mu.
 
@@ -91,7 +83,7 @@ def character(lam: Partition, mu: Partition) -> int:
     return total
 
 
-@cache
+@memo
 def schur_to_power(lam: Partition) -> PowerExpansion:
     """Coordinates of s_lam in the power-sum basis: chi^lam(rho) / z_rho."""
     out = {}
@@ -113,12 +105,12 @@ def power_coords(f: NumericSchur) -> PowerExpansion:
     return {rho: v for rho, v in out.items() if v}
 
 
-@cache
+@memo
 def _pairing_weight(rho: Partition, q0: Fraction, t0: Fraction) -> Fraction:
     """<p_rho, p_rho> = z_rho prod_k (1-q0^k)/(1-t0^k) over the parts k of rho.
 
-    A vanishing 1 - t0^k raises, and `functools.cache` stores no exception,
-    so every later call at that point raises again.
+    A vanishing 1 - t0^k raises, and the memo table stores no exception, so
+    every later call at that point raises again.
     """
     weight = Fraction(z_factor(rho))
     for k in rho:
@@ -156,7 +148,7 @@ def _check_extension(n: int, order: tuple[Partition, ...]) -> None:
                 raise ValueError("order does not refine dominance")
 
 
-@cache
+@memo
 def _orthogonal_basis(
     n: int, q0: Rational, t0: Rational, order: tuple[Partition, ...]
 ) -> dict[Partition, NumericSchur]:
@@ -234,7 +226,7 @@ def kostka_oracle(
     return scalar_t(jmu, schur_to_power(lam), t0)
 
 
-@cache
+@memo
 def _power_macdonald(
     mu: Partition, q0: Fraction, t0: Fraction, order: tuple[Partition, ...]
 ) -> Mapping[Partition, Fraction]:
@@ -244,7 +236,7 @@ def _power_macdonald(
     return MappingProxyType(power_coords(macdonald_oracle(mu, q0, t0, order)))
 
 
-@cache
+@memo
 def _kostka_foulkes_row(mu: Partition) -> Mapping[Partition, QTPoly]:
     """{lam: K_{lam,mu}(t)} over the lam with a nonzero entry, from one enumeration.
 
@@ -323,31 +315,6 @@ def generic_points(count: int, seed: int, max_n: int = 8) -> list[tuple[Fraction
             continue
         points.append((q0, t0))
     return points
-
-
-_CACHES = {
-    "character": character,
-    "schur_to_power": schur_to_power,
-    "orthogonal_basis": _orthogonal_basis,
-    "power_macdonald": _power_macdonald,
-    "kostka_foulkes_row": _kostka_foulkes_row,
-    "pairing_weight": _pairing_weight,
-}
-
-
-def cache_info() -> dict[str, dict[str, int]]:
-    """Hits, misses and current size of each of the oracle's own caches."""
-    report = {}
-    for name, fn in _CACHES.items():
-        info = fn.cache_info()
-        report[name] = {"hits": info.hits, "misses": info.misses, "size": info.currsize}
-    return report
-
-
-def clear_caches() -> None:
-    """Empty the oracle's caches; later calls refill them."""
-    for fn in _CACHES.values():
-        fn.cache_clear()
 
 
 def report_entry(check: str, params: dict, ok: bool, detail: str = "") -> dict:

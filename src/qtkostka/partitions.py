@@ -8,8 +8,9 @@ and cells are addressed by 1-based (row, column) pairs.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Iterable, Optional
+
+from ._cache import memo
 
 Partition = tuple[int, ...]
 Cell = tuple[int, int]
@@ -107,7 +108,7 @@ def is_vertical_strip(outer: Partition, inner: Partition) -> bool:
     return all(part(outer, i + 1) - part(inner, i + 1) <= 1 for i in range(len(outer)))
 
 
-@cache
+@memo
 def horizontal_strips(lam: Partition, k: int) -> tuple[Partition, ...]:
     """All mu with mu/lam a horizontal strip of size k, lexicographic order."""
     if k < 0:
@@ -133,13 +134,13 @@ def horizontal_strips(lam: Partition, k: int) -> tuple[Partition, ...]:
     return tuple(sorted(found))
 
 
-@cache
+@memo
 def vertical_strips(lam: Partition, k: int) -> tuple[Partition, ...]:
     """All mu with mu/lam a vertical strip of size k, lexicographic order."""
     return tuple(sorted(conjugate(mu) for mu in horizontal_strips(conjugate(lam), k)))
 
 
-@cache
+@memo
 def horizontal_strips_inside(mu: Partition, k: int) -> tuple[Partition, ...]:
     """All lam with mu/lam a horizontal strip of size k, lexicographic order."""
     if k < 0:
@@ -161,7 +162,7 @@ def horizontal_strips_inside(mu: Partition, k: int) -> tuple[Partition, ...]:
     return tuple(sorted(found))
 
 
-@cache
+@memo
 def vertical_strips_inside(mu: Partition, k: int) -> tuple[Partition, ...]:
     """All lam with mu/lam a vertical strip of size k, lexicographic order."""
     return tuple(sorted(conjugate(lam) for lam in horizontal_strips_inside(conjugate(mu), k)))
@@ -243,7 +244,7 @@ def snake_involution(lam: Partition, n: int, rho: Partition) -> Partition:
     return flipped
 
 
-@cache
+@memo
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """Partitions of n in descending lexicographic order."""
 

@@ -13,22 +13,22 @@ The other three compute the image of s_lam by a closed rule the first time
 (lam, m) is seen and cache it as raw dictionaries: Bernstein's operator
 straightens s_(m, lam) (`_straighten`), and the vertex operators are Jing's
 sums of Bernstein images of h_k-perp s_lam, on the conjugate for the dual.
-`cache_info()` and `clear_caches()` cover these three caches and the four
-strip caches.  `hl_vertex_snake` shares neither the rules nor the caches,
-and `_series` keeps the series definitions as a reference for the checks.
+`hl_vertex_snake` shares neither the rules nor the cached images, and
+`_series` keeps the series definitions as a reference for the checks.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import repeat
 from typing import Callable, Iterable, Mapping, Union
 
+from ._cache import memo
 from .partitions import (
     Partition,
     conjugate,
     horizontal_strips,
     horizontal_strips_inside,
+    int_parts,
     is_partition,
     remove_snake,
     snake_height,
@@ -94,7 +94,7 @@ class SchurExpansion:
         return sorted(self._terms.items(), key=lambda kv: _sort_key(kv[0]))
 
     def coefficient(self, lam: Partition) -> QTPoly:
-        coeff = self._terms.get(tuple(lam))
+        coeff = self._terms.get(int_parts(lam))
         return QTPoly.zero() if coeff is None else coeff
 
     def __bool__(self) -> bool:
@@ -248,7 +248,7 @@ def _straighten(m: int, lam: Partition) -> tuple[int, Partition] | None:
     return (-1) ** len(lam), tuple(p for p in (*head, m) if p)
 
 
-@cache
+@memo
 def _bernstein_image(lam: Partition, m: int) -> _RawExpansion:
     found = _straighten(m, lam)
     return {} if found is None else {found[1]: {(0, 0): found[0]}}
@@ -267,13 +267,13 @@ def _jing_sum(lam: Partition, m: int, dual: bool) -> _RawExpansion:
     return {mu: raw for mu, slot in acc.items() if (raw := {e: c for e, c in slot.items() if c})}
 
 
-@cache
+@memo
 def _hl_vertex_image(lam: Partition, m: int) -> _RawExpansion:
     # Jing: sum_k t^k B_{m+k} h_k-perp
     return _jing_sum(lam, m, False)
 
 
-@cache
+@memo
 def _hl_vertex_dual_image(lam: Partition, m: int) -> _RawExpansion:
     # sum_j t^(n-j) omega B_{m+j} omega e_j-perp, with e_j-perp = omega h_j-perp omega
     return {conjugate(mu): c for mu, c in _jing_sum(conjugate(lam), m, True).items()}
@@ -330,29 +330,3 @@ def omega(f: SchurExpansion) -> SchurExpansion:
     """The involution sending s_lam to s_(lam conjugate)."""
     _schur_only(f)
     return SchurExpansion._trusted({conjugate(lam): c for lam, c in f._terms.items()})
-
-
-_CACHES = {
-    "bernstein": _bernstein_image,
-    "hl_vertex": _hl_vertex_image,
-    "hl_vertex_dual": _hl_vertex_dual_image,
-    "horizontal_strips": horizontal_strips,
-    "vertical_strips": vertical_strips,
-    "horizontal_strips_inside": horizontal_strips_inside,
-    "vertical_strips_inside": vertical_strips_inside,
-}
-
-
-def cache_info() -> dict[str, dict[str, int]]:
-    """Hits, misses and current size of each basis-image and strip cache."""
-    report = {}
-    for name, fn in _CACHES.items():
-        info = fn.cache_info()
-        report[name] = {"hits": info.hits, "misses": info.misses, "size": info.currsize}
-    return report
-
-
-def clear_caches() -> None:
-    """Empty the basis-image and strip caches; later calls refill them."""
-    for fn in _CACHES.values():
-        fn.cache_clear()

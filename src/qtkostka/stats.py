@@ -8,18 +8,14 @@ and its inverse (the column versions are their transposes), prefix
 deletion, types, and the sign-reversing pair involution used in the
 cancellation argument.  `stat_pair` and `full_type` reject a tableau that
 is not standard.
-
-The chain of domino letters in a type is cached by the tableau left after
-its first domino; `cache_info()` reports the cache's hits, misses and size,
-and `clear_caches()` empties it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable, Optional
 
+from ._cache import memo
 from .partitions import (
     Partition,
     conjugate,
@@ -272,23 +268,12 @@ def _two_col_blocks(tab: Tableau, dominoes: int) -> tuple[str, ...]:
     return (letter,) + _domino_tail(unbuild(2, tab), dominoes - 1)
 
 
-@cache
+@memo
 def _domino_tail(tab: Tableau, dominoes: int) -> tuple[str, ...]:
     # The first domino of each tableau is not cached, so the cache holds only
     # tableaux two or more cells smaller than the ones being typed, and many
     # tableaux of one size share each entry.
     return _two_col_blocks(tab, dominoes)
-
-
-def cache_info() -> dict[str, dict[str, int]]:
-    """Hits, misses and current size of the domino-tail cache."""
-    info = _domino_tail.cache_info()
-    return {"domino_tail": {"hits": info.hits, "misses": info.misses, "size": info.currsize}}
-
-
-def clear_caches() -> None:
-    """Empty the domino-tail cache; later calls refill it."""
-    _domino_tail.cache_clear()
 
 
 def type_two_col(tab: Tableau, dominoes: int) -> TypeSequence:

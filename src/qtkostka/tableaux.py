@@ -9,9 +9,9 @@ top row, so the bottom row is read last.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import cache
 from typing import Iterable, Optional
 
+from ._cache import memo_checked
 from .partitions import (
     Partition,
     contains,
@@ -76,7 +76,7 @@ def is_standard(tab: Tableau) -> bool:
             return False
         prev = 0
         for c, x in enumerate(row):
-            if not isinstance(x, int) or x <= prev or x > n or seen[x] or (r and x <= below[c]):
+            if type(x) is not int or x <= prev or x > n or seen[x] or (r and x <= below[c]):
                 return False
             seen[x] = True
             prev = x
@@ -261,13 +261,9 @@ def conjugate_tableau(tab: Tableau) -> Tableau:
     return rectify(tuple(reversed(reading_word(tab))))
 
 
+@memo_checked(int_parts)
 def standard_tableaux(sh: Partition) -> tuple[Tableau, ...]:
     """All standard tableaux of the given shape, in a fixed order."""
-    return _standard_tableaux(int_parts(sh))
-
-
-@cache
-def _standard_tableaux(sh: Partition) -> tuple[Tableau, ...]:
     if not sh:
         return ((),)
     if not is_partition(sh):
@@ -278,16 +274,13 @@ def _standard_tableaux(sh: Partition) -> tuple[Tableau, ...]:
         if r + 1 < len(sh) and sh[r] == sh[r + 1]:
             continue
         smaller = tuple(p for p in (sh[:r] + (sh[r] - 1,) + sh[r + 1 :]) if p)
-        for sub in _standard_tableaux(smaller):
+        for sub in standard_tableaux(smaller):
             rows = [list(row) for row in sub]
             while len(rows) <= r:
                 rows.append([])
             rows[r].append(n)
             out.append(tuple(tuple(row) for row in rows))
     return tuple(out)
-
-
-standard_tableaux.cache_info = _standard_tableaux.cache_info
 
 
 def all_standard_tableaux(n: int) -> tuple[Tableau, ...]:

@@ -5,20 +5,18 @@ built from the constant 1 by vertex operators alone: Jing's operator
 `hl_vertex(1, .)` b times gives the Hall-Littlewood base H_(1^b)[X;t], a
 two-column creation operator adds the columns of height 2, and a row-adding
 operator finishes; all other supported shapes are conjugates of these.
-`macdonald` and `hall_littlewood` are `functools.cache`d, with `cache_info`
-on the public names.  Hall-Littlewood expansions of the same functions,
-with coefficients given by closed q,t-binomial formulas, provide an
-independent route used by the checks: they are `HLExpansion`s, a
-`SchurExpansion` tagged with the Hall-Littlewood basis, and `to_schur`
-converts them through the charge expansion of `hall_littlewood`, which
-`macdonald` never calls.
+Hall-Littlewood expansions of the same functions, with coefficients given by
+closed q,t-binomial formulas, provide an independent route used by the
+checks: they are `HLExpansion`s, a `SchurExpansion` tagged with the
+Hall-Littlewood basis, and `to_schur` converts them through the charge
+expansion of `hall_littlewood`, which `macdonald` never calls.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Callable, Optional
 
+from ._cache import memo, memo_checked
 from .partitions import (
     Partition,
     conjugate,
@@ -223,13 +221,9 @@ def reassembled_vertex(m: int, f: SchurExpansion) -> SchurExpansion:
 # --- Macdonald functions ----------------------------------------------------
 
 
+@memo_checked(int_parts)
 def hall_littlewood(nu: Partition) -> SchurExpansion:
     """H_nu[X;t] expanded in Schur functions via charge."""
-    return _hall_littlewood(int_parts(nu))
-
-
-@cache
-def _hall_littlewood(nu: Partition) -> SchurExpansion:
     total: dict[Partition, QTPoly] = {}
     for tab in column_strict_tableaux(nu):
         sh = shape(tab)
@@ -237,17 +231,10 @@ def _hall_littlewood(nu: Partition) -> SchurExpansion:
     return SchurExpansion(total)
 
 
-# The cache stays observable through the public name.
-hall_littlewood.cache_info = _hall_littlewood.cache_info
-
-
+@memo_checked(int_parts)
 def macdonald(mu: Partition) -> SchurExpansion:
     """The Macdonald function H_mu[X;q,t] in the Schur basis."""
     # the full partition check runs on a miss, in classify_shape
-    return _macdonald(int_parts(mu))
-
-
-def _macdonald_uncached(mu: Partition) -> SchurExpansion:
     kind = classify_shape(mu)
     if kind[0] == "conjugate":
         base = macdonald(kind[1])
@@ -263,21 +250,18 @@ def _macdonald_uncached(mu: Partition) -> SchurExpansion:
     return f
 
 
-_macdonald = cache(_macdonald_uncached)
-macdonald.cache_info = _macdonald.cache_info
-
-
 def kostka(lam: Partition, mu: Partition) -> QTPoly:
     """The q,t-Kostka coefficient K_{lam,mu}(q,t)."""
-    # macdonald checks the parts of mu
-    lam, mu = int_parts(lam), tuple(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
+    # macdonald checks the parts of mu, and coefficient those of lam
+    lam, mu = tuple(lam), tuple(mu)
     coeff = macdonald(mu).coefficient(lam)
     # every partition of |mu| has a nonzero coefficient, so only a miss
-    # needs the check
-    if not coeff and not is_partition(lam):
-        raise ValueError(f"lam = {lam} is not a partition")
+    # needs the checks
+    if not coeff:
+        if sum(lam) != sum(mu):
+            raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
+        if not is_partition(lam):
+            raise ValueError(f"lam = {lam} is not a partition")
     return coeff
 
 
@@ -303,7 +287,7 @@ def _hl_to_schur(terms) -> SchurExpansion:
     return total
 
 
-@cache
+@memo
 def gaussian_binomial(n: int, k: int) -> QTPoly:
     """The t-binomial coefficient, by the Pascal recurrence (no division)."""
     if k < 0 or k > n:

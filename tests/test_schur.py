@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtkostka import cache_info
 from qtkostka._series import series_bernstein, series_hl_vertex, series_hl_vertex_dual
 from qtkostka.partitions import partitions_of
 from qtkostka.qtpoly import QTPoly
 from qtkostka.schur import (
     SchurExpansion,
     bernstein,
-    cache_info,
     hl_vertex,
     hl_vertex_dual,
     hl_vertex_snake,
@@ -45,6 +45,15 @@ def test_constructor_refuses_keys_that_are_not_partitions(key):
         SchurExpansion({key: 1})
     with pytest.raises(ValueError, match="is not a partition"):
         SchurExpansion.schur(key)
+
+
+@pytest.mark.parametrize("key", [(True,), (1.0,), (2, True)])
+def test_coefficient_refuses_parts_that_only_hash_like_ints(key):
+    # (True,) and (1.0,) hash like (1,), so a plain lookup would answer 5
+    f = SchurExpansion({(1,): 5, (2, 1): 1})
+    with pytest.raises(ValueError, match="is not a partition"):
+        f.coefficient(key)
+    assert f.coefficient([1]) == 5 * one and f.coefficient((2,)) == QTPoly.zero()
 
 
 def test_a_non_partition_never_reaches_the_operators():
@@ -248,20 +257,21 @@ def test_operators_are_linear(op, m, pair, a, b):
 
 
 def test_cache_info_counts_lookups():
-    before = cache_info()["hl_vertex_dual"]
+    before = cache_info()["schur.hl_vertex_dual_image"]
     hl_vertex_dual(3, s((2, 1)))
     hl_vertex_dual(3, s((2, 1)))
     info = cache_info()
-    assert set(info) == {
-        "bernstein",
-        "hl_vertex",
-        "hl_vertex_dual",
-        "horizontal_strips",
-        "vertical_strips",
-        "horizontal_strips_inside",
-        "vertical_strips_inside",
+    assert {name for name in info if name.startswith(("schur.", "partitions."))} == {
+        "schur.bernstein_image",
+        "schur.hl_vertex_image",
+        "schur.hl_vertex_dual_image",
+        "partitions.horizontal_strips",
+        "partitions.vertical_strips",
+        "partitions.horizontal_strips_inside",
+        "partitions.vertical_strips_inside",
+        "partitions.partitions_of",
     }
     assert all(set(entry) == {"hits", "misses", "size"} for entry in info.values())
-    after = info["hl_vertex_dual"]
+    after = info["schur.hl_vertex_dual_image"]
     assert after["hits"] + after["misses"] == before["hits"] + before["misses"] + 2
     assert after["hits"] >= before["hits"] + 1 and after["size"] >= 1

@@ -1,6 +1,6 @@
 import pytest
 
-from qtkostka import stats
+from qtkostka import cache_info, clear_caches
 from qtkostka.partitions import (
     contains,
     first_column_removed,
@@ -255,11 +255,11 @@ def test_stat_genfun_matches_macdonald_at_size_9():
 
 def test_domino_tail_cache_info_and_clear():
     before = stat_genfun((2, 2, 2, 1))
-    info = stats.cache_info()["domino_tail"]
+    info = cache_info()["stats.domino_tail"]
     assert set(info) == {"hits", "misses", "size"}
     assert info["size"] > 0 and info["misses"] > 0
-    stats.clear_caches()
-    assert stats.cache_info()["domino_tail"]["size"] == 0
+    clear_caches()
+    assert cache_info()["stats.domino_tail"]["size"] == 0
     assert stat_genfun((2, 2, 2, 1)) == before
 
 
@@ -340,6 +340,8 @@ NOT_STANDARD = [
     ((4,), ((1, 3), (2,), (4,), ())),  # an empty row
     ((2, 2), ((1, 2, 3, 5),)),  # letters not 1..n
     ((3, 1), ((2, 3), (1, 4))),  # a column that decreases
+    ((2,), ((True, 2),)),  # a bool letter, once read as (0, 0)
+    ((1,), ((True,),)),
 ]
 
 

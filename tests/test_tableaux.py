@@ -3,9 +3,9 @@ from itertools import permutations, product
 
 import pytest
 
+from qtkostka import cache_info
 from qtkostka.tableaux import (
     _standard_charge,
-    _standard_tableaux,
     all_standard_tableaux,
     charge,
     column_insert,
@@ -154,7 +154,7 @@ def test_standard_tableaux_counts():
 def test_standard_tableaux_refuses_non_partitions_whether_or_not_cached(warm):
     # (True,) and (1.0,) hash like (1,): a warm cache would answer them, and a
     # cold one would store their tableaux under (1,)
-    _standard_tableaux.cache_clear()
+    standard_tableaux.cache_clear()
     if warm:
         assert standard_tableaux((1,)) == (((1,),),)
     for sh in [(1.0,), (True,), (2.0, 1), (2, True), (1, 2), (2, 0)]:
@@ -162,7 +162,12 @@ def test_standard_tableaux_refuses_non_partitions_whether_or_not_cached(warm):
             standard_tableaux(sh)
     assert standard_tableaux((1,)) == (((1,),),)
     assert [type(x) for tab in standard_tableaux((2, 1)) for row in tab for x in row] == [int] * 6
-    assert standard_tableaux.cache_info() == _standard_tableaux.cache_info()
+    info = standard_tableaux.cache_info()
+    assert cache_info()["tableaux.standard_tableaux"] == {
+        "hits": info.hits,
+        "misses": info.misses,
+        "size": info.currsize,
+    }
     with pytest.raises(ValueError, match="must be a partition"):
         column_strict_tableaux((True, True))
 
@@ -285,3 +290,5 @@ def test_is_standard_matches_the_sorted_reference():
 def test_is_standard_rejects_non_integer_letters():
     assert not is_standard(((1.0, 2),))
     assert not is_standard(((0.5,),))
+    assert not is_standard(((True,),))  # True == 1, but it is a bool
+    assert not is_standard(((True, 2),))
