@@ -271,6 +271,9 @@ def kostka_foulkes(lam: Partition, mu: Partition) -> QTPoly:
 
 def count_syt(lam: Partition) -> int:
     """Number of standard tableaux of shape lam, by the hook-length product."""
+    lam = int_parts(lam)
+    if not is_partition(lam):
+        raise ValueError(f"{lam} is not a partition")
     den = 1
     for row in range(1, len(lam) + 1):
         for col in range(1, lam[row - 1] + 1):
@@ -301,15 +304,18 @@ def generic_points(count: int, seed: int, max_n: int = 8) -> list[tuple[Fraction
     (0, 1) that is the only way any factor (1 - q^i t^j), including the
     negative-j ones hiding in the rational coefficient tables, can vanish.
     """
+    if type(count) is not int or count < 0:
+        raise ValueError(f"count must be a nonnegative int, not {count!r}")
+    if type(max_n) is not int:
+        raise ValueError(f"max_n must be an int, not {max_n!r}")
     rng = random.Random(seed)
     bound = 2 * max_n
     points: list[tuple[Fraction, Fraction]] = []
     while len(points) < count:
         q0 = _draw_fraction(rng)
         t0 = _draw_fraction(rng)
-        if any(
-            q0**i == t0**j for i in range(1, bound + 1) for j in range(1, bound + 1)
-        ):
+        q_powers = {q0**i for i in range(1, bound + 1)}
+        if any(t0**j in q_powers for j in range(1, bound + 1)):
             continue
         if (q0, t0) in points:
             continue

@@ -12,16 +12,18 @@ is not standard.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from ._cache import memo
+from ._cache import memo, memo_checked
 from .partitions import (
     Partition,
     conjugate,
     contains,
     first_column_removed,
     first_row_removed,
+    int_parts,
     is_horizontal_strip,
     is_vertical_strip,
     part,
@@ -113,10 +115,10 @@ def _size(tab: Tableau) -> int:
     return sum(map(len, tab))
 
 
-def _lower(rows: Iterable[Iterable[int]], m: int) -> Tableau:
-    if any(x <= m for row in rows for x in row):
+def _lower(rows: Iterable[Sequence[int]], m: int) -> Tableau:
+    if min(map(min, filter(None, rows)), default=m + 1) <= m:
         raise ValueError(f"cannot lower labels by {m}: some label too small")
-    return tuple(tuple(x - m for x in row) for row in rows)
+    return tuple([tuple([x - m for x in row]) for row in rows])
 
 
 def head_tableau(tab: Tableau, m: int) -> Tableau:
@@ -135,14 +137,32 @@ def head_tableau(tab: Tableau, m: int) -> Tableau:
     return head
 
 
+def _head(tab: Tableau, m: int) -> Tableau:
+    # in a standard tableau of at least m cells, labels 1..m begin each row
+    head = []
+    for row in tab:
+        k = bisect_right(row, m)
+        if not k:
+            break
+        head.append(row[:k])
+    return tuple(head)
+
+
 def delete_prefix(h: int, tab: Tableau) -> Tableau:
-    """Remove labels 1..h and lower the rest, staying in the Knuth class."""
-    if h < 0:
-        raise ValueError("prefix length must be nonnegative")
-    if h == 0:
-        return tab
+    """Remove labels 1..h of a standard tableau and lower the rest, staying
+    in the Knuth class."""
+    if type(h) is not int or h < 0:
+        raise ValueError(f"prefix length must be a nonnegative int, not {h!r}")
+    if not is_standard(tab):
+        raise ValueError(f"{tab} is not a standard tableau")
     if _size(tab) < h:
         raise ValueError(f"tableau has fewer than {h} cells")
+    return _delete_prefix(h, tab)
+
+
+def _delete_prefix(h: int, tab: Tableau) -> Tableau:
+    if h == 0:
+        return tab
     return rectify(x - h for x in reading_word(tab) if x > h)
 
 
@@ -280,11 +300,12 @@ def type_two_col(tab: Tableau, dominoes: int) -> TypeSequence:
     """The (2^a 1^b) type: one H/V letter per unbuilt domino, then singles."""
     if not is_standard(tab):
         raise ValueError("type is defined for standard tableaux")
-    if not 0 <= 2 * dominoes <= _size(tab):
-        raise ValueError(f"cannot take {dominoes} dominoes out of {_size(tab)} cells")
-    return TypeSequence(None, _two_col_blocks(tab, dominoes))
+    if type(dominoes) is not int or not 0 <= 2 * dominoes <= _size(tab):
+        raise ValueError(f"cannot take {dominoes!r} dominoes out of {_size(tab)} cells")
+    return _type_sequence(None, _two_col_blocks(tab, dominoes))
 
 
+@memo_checked(int_parts)
 def _direct_parts(mu: Partition) -> tuple[int, int, int]:
     kind = classify_shape(mu)
     if kind[0] != "direct":
@@ -313,14 +334,21 @@ def full_type(mu: Partition, tab: Tableau) -> TypeSequence:
 def _type_of(m: int, a: int, tab: Tableau) -> TypeSequence:
     """The type of a standard tableau under the shape (m, 2^a, 1^b)."""
     if m == 2:
-        return TypeSequence(None, _two_col_blocks(tab, a))
-    head = head_tableau(tab, m)
+        return _type_sequence(None, _two_col_blocks(tab, a))
+    head = _head(tab, m)
     h, mm = HEAD_TABLE[head][2]
-    return TypeSequence(head, _two_col_blocks(unbuild(mm, delete_prefix(h, tab)), a))
+    # the reduced tableau has n - m cells, so its whole tail is a cache entry
+    return _type_sequence(head, _domino_tail(unbuild(mm, _delete_prefix(h, tab)), a))
 
 
-def _stats_of_type(a: int, b: int, ts: TypeSequence, charge: int) -> tuple[int, int]:
-    """(a_mu(T), b_mu(T)) from the type and charge of T, for mu = (m, 2^a, 1^b)."""
+@memo
+def _type_sequence(head: Optional[Tableau], blocks: tuple[str, ...]) -> TypeSequence:
+    return TypeSequence(head, blocks)
+
+
+@memo
+def _type_weights(a: int, b: int, ts: TypeSequence) -> tuple[int, int]:
+    """(alpha + beta n + H weight, #V + gamma): a_mu(T) is charge(T) less the first."""
     n = 2 * a + b
     if ts.head is None:
         alpha = beta = gamma = 0
@@ -329,7 +357,13 @@ def _stats_of_type(a: int, b: int, ts: TypeSequence, charge: int) -> tuple[int, 
     h_weight = sum(
         (n + 1) - 2 * i for i, letter in enumerate(ts.blocks[:a], start=1) if letter == "H"
     )
-    return (charge - alpha - beta * n - h_weight, ts.blocks.count("V") + gamma)
+    return alpha + beta * n + h_weight, ts.blocks.count("V") + gamma
+
+
+def _stats_of_type(a: int, b: int, ts: TypeSequence, charge: int) -> tuple[int, int]:
+    """(a_mu(T), b_mu(T)) from the type and charge of T, for mu = (m, 2^a, 1^b)."""
+    shift, stat_b = _type_weights(a, b, ts)
+    return charge - shift, stat_b
 
 
 def stat_pair(mu: Partition, tab: Tableau) -> tuple[int, int]:
@@ -360,13 +394,19 @@ def head_genfun(mu: Partition, heads: tuple[Tableau, ...]) -> SchurExpansion:
     head lies in heads (all sharing one gamma)."""
     mu = tuple(mu)
     m, _, _ = _direct_parts(mu)
+    if m == 2:
+        raise ValueError(f"{mu} is of the form (2^a 1^b), which has no head")
+    for S in heads:
+        # every standard tableau of size 3 or 4 is a head
+        if not is_standard(S) or _size(S) != m:
+            raise ValueError(f"{S} is not a head tableau of size {m}")
     gammas = {HEAD_TABLE[S][3] for S in heads}
     if len(gammas) != 1:
         raise ValueError("heads must share a single gamma offset")
     gamma = gammas.pop()
     counts: dict[Partition, dict[tuple[int, int], int]] = {}
     for tab in all_standard_tableaux(sum(mu)):
-        if head_tableau(tab, m) not in heads:
+        if _head(tab, m) not in heads:
             continue
         a, b = stat_pair(mu, tab)
         bucket = counts.setdefault(shape(tab), {})

@@ -25,6 +25,9 @@ TABLES = {
     "vertex.macdonald",
     "vertex.gaussian_binomial",
     "stats.domino_tail",
+    "stats.direct_parts",
+    "stats.type_sequence",
+    "stats.type_weights",
     "oracle.character",
     "oracle.schur_to_power",
     "oracle.orthogonal_basis",

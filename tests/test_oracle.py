@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -270,6 +271,14 @@ def test_count_syt():
     for n in range(1, 7):
         for lam in partitions_of(n):
             assert count_syt(lam) == count_syt_enumerated(lam)
+    assert count_syt(()) == 1
+
+
+@pytest.mark.parametrize("lam", [(True,), (1.0,), (1, 2), (2, 0), (-1,), ("a",)])
+def test_count_syt_refuses_a_non_partition(lam):
+    # (True,) once gave 1 and (1, 2) an ArithmeticError
+    with pytest.raises(ValueError, match="is not a partition"):
+        count_syt(lam)
 
 
 def test_generic_points_deterministic_and_generic():
@@ -282,6 +291,43 @@ def test_generic_points_deterministic_and_generic():
             for j in range(1, 17):
                 assert q0**i != t0**j
     assert generic_points(5, seed=124) != pts
+
+
+def _double_loop_points(count, seed, max_n, rejected):
+    # the pairwise power comparison that the set of powers of q0 replaced
+    rng = random.Random(seed)
+    bound = 2 * max_n
+    points = []
+    while len(points) < count:
+        v = rng.randint(3, 97)
+        q0 = F(rng.randint(2, v - 1), v)
+        v = rng.randint(3, 97)
+        t0 = F(rng.randint(2, v - 1), v)
+        if any(q0**i == t0**j for i in range(1, bound + 1) for j in range(1, bound + 1)):
+            rejected.append((q0, t0))
+            continue
+        if (q0, t0) in points:
+            continue
+        points.append((q0, t0))
+    return points
+
+
+def test_generic_points_match_the_double_loop():
+    rejected = []
+    for seed in range(20):
+        for max_n in range(4, 10):
+            expected = _double_loop_points(8, seed, max_n, rejected)
+            assert generic_points(8, seed, max_n=max_n) == expected
+    assert rejected  # the rejection branch was taken
+
+
+@pytest.mark.parametrize(
+    "count, max_n", [(-1, 8), (True, 8), (2.0, 8), ("2", 8), (2, True), (2, 8.0), (2, None)]
+)
+def test_generic_points_refuse_a_bad_count_or_max_n(count, max_n):
+    with pytest.raises(ValueError, match="must be"):
+        generic_points(count, 0, max_n=max_n)
+    assert generic_points(0, 0) == []
 
 
 def test_report_entry_shape():

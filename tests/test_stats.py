@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from qtkostka import cache_info, clear_caches
@@ -18,6 +21,7 @@ from qtkostka.stats import (
     classify_pair,
     delete_prefix,
     full_type,
+    head_genfun,
     head_tableau,
     inverse_col_block,
     inverse_row_block,
@@ -68,6 +72,22 @@ def test_delete_prefix():
     assert delete_prefix(3, T("1,2,3")) == ()
 
 
+@pytest.mark.parametrize("tab", [((2,),), ((1, 1),), ((1, 3), (2, 4, 5)), ((True, 2),)])
+def test_delete_prefix_refuses_a_tableau_that_is_not_standard(tab):
+    # ((2,),) once gave ((1,),) and ((1, 1),) gave ()
+    for h in (0, 1):
+        with pytest.raises(ValueError, match="is not a standard tableau"):
+            delete_prefix(h, tab)
+
+
+def test_delete_prefix_refuses_a_bad_prefix_length():
+    for h in (-1, True, 1.0):
+        with pytest.raises(ValueError, match="prefix length"):
+            delete_prefix(h, T("1,2/3"))
+    with pytest.raises(ValueError, match="fewer than 4 cells"):
+        delete_prefix(4, T("1,2/3"))
+
+
 def test_row_block_examples():
     assert add_row_block(2, (11, 3), T("1,3,5,6/2,4")) == T("1,2,4,6,7/3,5,8")
     assert add_row_block(2, (8, 3, 1), T("1,2,3/4/5")) == T("1,2,5,7/3,4/6")
@@ -90,6 +110,12 @@ def test_type_two_col():
     assert type_two_col(T("1,4,5/2,6/3"), 3).blocks == ("V", "V", "H")
     assert type_two_col(T("1,2"), 1).blocks == ("H",)
     assert type_two_col(T("1/2"), 1).blocks == ("V",)
+
+
+def test_type_two_col_refuses_a_domino_count_that_is_not_an_int():
+    for dominoes in (True, 1.0, -1, 2):
+        with pytest.raises(ValueError, match="dominoes out of 2 cells"):
+            type_two_col(T("1,2"), dominoes)
 
 
 def test_full_type():
@@ -350,3 +376,75 @@ def test_stat_pair_and_full_type_reject_non_standard_tableaux(mu, tab):
     for fn in (stat_pair, full_type):
         with pytest.raises(ValueError, match="is not a standard tableau"):
             fn(mu, tab)
+
+
+def test_head_genfun_refuses_heads_that_do_not_fit_mu():
+    with pytest.raises(ValueError, match="has no head"):
+        head_genfun((2, 2), (T("1,2,3"),))  # once SchurExpansion(0)
+    with pytest.raises(ValueError, match="has no head"):
+        head_genfun((1, 1), ())
+    for mu, head in [((3,), T("1,2")), ((3, 1), T("1,2,3,4")), ((4,), T("1,2,3"))]:
+        with pytest.raises(ValueError, match=f"is not a head tableau of size {mu[0]}"):
+            head_genfun(mu, (head,))  # ((3,), 1,2) once raised a bare KeyError
+    for head in [((True, 2, 3),), ((1, 2, 2),), ((1, 3, 2),)]:
+        with pytest.raises(ValueError, match="is not a head tableau of size 3"):
+            head_genfun((3, 1), (head,))
+    with pytest.raises(ValueError, match="single gamma"):
+        head_genfun((3, 1), (T("1,2,3"), T("1/2/3")))
+
+
+def test_a_cached_shape_never_answers_for_a_key_that_only_hashes_like_it():
+    tab = T("1,3/2,4")
+    assert stat_pair((2, 2), tab) == stat_pair((2, 2), tab)
+    stat_genfun((2, 2))
+    unimodal_profile((1, 1))
+    head_genfun((3, 1), (T("1,2,3"),))
+    for call in [
+        lambda: stat_pair((2.0, 2), tab),
+        lambda: stat_pair((True, True, True, True), tab),
+        lambda: full_type((2.0, 2), tab),
+        lambda: stat_genfun((True, True)),
+        lambda: stat_genfun((2.0, 2)),
+        lambda: unimodal_profile((True, True)),
+        lambda: head_genfun((3.0, 1), (T("1,2,3"),)),
+    ]:
+        with pytest.raises(ValueError, match="is not a partition"):
+            call()
+
+
+def _json_digest(h, f):
+    h.update(json.dumps(f.to_json(), sort_keys=True).encode())
+
+
+# Digests of the outputs of the statistics kernel before its per-shape and
+# per-type tables were added; any change to an answer changes them.
+GENFUN_DIGEST = "578311647a29e47d9ace1b3d3e72383e775d131d8b6778b59edfc951715322a3"
+PAIR_DIGEST = "f270d8b97c91fe6392eba9995b1841b79ccaf61930577fc687ff66c673def88d"
+
+
+def _genfun_digest():
+    h = hashlib.sha256()
+    for n in range(1, 10):
+        for mu in _direct_shapes(n):
+            _json_digest(h, stat_genfun(mu))
+            profile = sorted((ts.text(), seq) for ts, seq in unimodal_profile(mu).items())
+            h.update(repr(profile).encode())
+            if mu[0] > 2:
+                for head in HEAD_TABLE:
+                    if sum(map(len, head)) == mu[0]:
+                        _json_digest(h, head_genfun(mu, (head,)))
+    return h.hexdigest()
+
+
+def _pair_digest():
+    h = hashlib.sha256()
+    for n in range(1, 9):
+        for mu in _direct_shapes(n):
+            for tab in all_standard_tableaux(n):
+                h.update(repr((mu, tab, stat_pair(mu, tab), full_type(mu, tab).text())).encode())
+    return h.hexdigest()
+
+
+def test_statistics_match_the_pinned_digests():
+    assert _genfun_digest() == GENFUN_DIGEST
+    assert _pair_digest() == PAIR_DIGEST
