@@ -6,8 +6,8 @@ vertical dominoes plus a head offset.  The machinery here builds and
 unbuilds the block structure behind those statistics: row block insertion
 and its inverse (the column versions are their transposes), prefix
 deletion, types, and the sign-reversing pair involution used in the
-cancellation argument.  `stat_pair` and `full_type` reject a tableau that
-is not standard.
+cancellation argument.  `stat_pair`, `full_type` and `delete_prefix` reject
+a tableau that is not standard.
 """
 
 from __future__ import annotations
@@ -127,25 +127,14 @@ def head_tableau(tab: Tableau, m: int) -> Tableau:
         raise ValueError(f"tableau has fewer than {m} cells")
     sub = []
     for row in tab:
-        prefix = tuple(x for x in row if x <= m)
-        if not prefix:
+        k = bisect_right(row, m)  # rows increase, so the labels <= m are a prefix
+        if not k:
             break
-        sub.append(prefix)
+        sub.append(row[:k])
     head = tuple(sub)
     if _size(head) != m:
         raise RuntimeError(f"labels 1..{m} of {tab} do not form a sub-tableau")
     return head
-
-
-def _head(tab: Tableau, m: int) -> Tableau:
-    # in a standard tableau of at least m cells, labels 1..m begin each row
-    head = []
-    for row in tab:
-        k = bisect_right(row, m)
-        if not k:
-            break
-        head.append(row[:k])
-    return tuple(head)
 
 
 def delete_prefix(h: int, tab: Tableau) -> Tableau:
@@ -290,9 +279,9 @@ def _two_col_blocks(tab: Tableau, dominoes: int) -> tuple[str, ...]:
 
 @memo
 def _domino_tail(tab: Tableau, dominoes: int) -> tuple[str, ...]:
-    # The first domino of each tableau is not cached, so the cache holds only
-    # tableaux two or more cells smaller than the ones being typed, and many
-    # tableaux of one size share each entry.
+    # Keys are what is left after the first domino or the head is taken off,
+    # so the cache holds only tableaux two or more cells smaller than the
+    # ones being typed, and many tableaux of one size share each entry.
     return _two_col_blocks(tab, dominoes)
 
 
@@ -335,9 +324,9 @@ def _type_of(m: int, a: int, tab: Tableau) -> TypeSequence:
     """The type of a standard tableau under the shape (m, 2^a, 1^b)."""
     if m == 2:
         return _type_sequence(None, _two_col_blocks(tab, a))
-    head = _head(tab, m)
+    head = head_tableau(tab, m)
     h, mm = HEAD_TABLE[head][2]
-    # the reduced tableau has n - m cells, so its whole tail is a cache entry
+    # the reduced tableau has n - m cells, so its whole tail is one cache entry
     return _type_sequence(head, _domino_tail(unbuild(mm, _delete_prefix(h, tab)), a))
 
 
@@ -406,7 +395,7 @@ def head_genfun(mu: Partition, heads: tuple[Tableau, ...]) -> SchurExpansion:
     gamma = gammas.pop()
     counts: dict[Partition, dict[tuple[int, int], int]] = {}
     for tab in all_standard_tableaux(sum(mu)):
-        if _head(tab, m) not in heads:
+        if head_tableau(tab, m) not in heads:
             continue
         a, b = stat_pair(mu, tab)
         bucket = counts.setdefault(shape(tab), {})

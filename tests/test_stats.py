@@ -66,6 +66,15 @@ def test_head_tableau():
     assert head_tableau(T("1,2,4/3"), 1) == T("1")
 
 
+def test_head_tableau_matches_the_filter_reference():
+    # the per-row filter that the prefix search replaced
+    for n in range(1, 8):
+        for tab in all_standard_tableaux(n):
+            for m in range(1, n + 1):
+                rows = (tuple(x for x in row if x <= m) for row in tab)
+                assert head_tableau(tab, m) == tuple(row for row in rows if row)
+
+
 def test_delete_prefix():
     assert delete_prefix(1, T("1,2,4/3")) == T("1,3/2")
     assert delete_prefix(0, T("1,3/2")) == T("1,3/2")
