@@ -42,6 +42,8 @@ class QTPoly:
     def __init__(self, terms: Mapping[TermKey, int] | None = None):
         clean: dict[TermKey, int] = {}
         for (dq, dt), coeff in (terms or {}).items():
+            if type(dq) is not int or type(dt) is not int:
+                raise TypeError(f"exponents ({dq!r}, {dt!r}) are not ints")
             if dq < 0 or dt < 0:
                 raise ValueError(f"negative exponent in term q^{dq} t^{dt}")
             if type(coeff) is not int:
@@ -49,6 +51,14 @@ class QTPoly:
             if coeff:
                 clean[(dq, dt)] = coeff
         self._terms = clean
+
+    @classmethod
+    def _trusted(cls, terms: Mapping[TermKey, int]) -> "QTPoly":
+        """The polynomial of terms, whose exponents and coefficients are already
+        valid (they come from other QTPolys); zeros are dropped."""
+        out = cls.__new__(cls)
+        out._terms = {key: c for key, c in terms.items() if c}
+        return out
 
     @classmethod
     def zero(cls) -> "QTPoly":
@@ -103,12 +113,12 @@ class QTPoly:
         merged = dict(self._terms)
         for key, coeff in other._terms.items():
             merged[key] = merged.get(key, 0) + coeff
-        return QTPoly(merged)
+        return QTPoly._trusted(merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QTPoly":
-        return QTPoly({key: -coeff for key, coeff in self._terms.items()})
+        return QTPoly._trusted({key: -coeff for key, coeff in self._terms.items()})
 
     def __sub__(self, other: Union["QTPoly", int]) -> "QTPoly":
         return self + (-_coerce(other))
@@ -123,7 +133,7 @@ class QTPoly:
             for (bq, bt), bc in other._terms.items():
                 key = (aq + bq, at + bt)
                 product[key] = product.get(key, 0) + ac * bc
-        return QTPoly(product)
+        return QTPoly._trusted(product)
 
     __rmul__ = __mul__
 
@@ -156,17 +166,19 @@ class QTPoly:
 
     def q_zero(self) -> "QTPoly":
         """The specialization q = 0."""
-        return QTPoly({key: c for key, c in self._terms.items() if key[0] == 0})
+        return QTPoly._trusted({key: c for key, c in self._terms.items() if key[0] == 0})
 
     def swap_qt(self) -> "QTPoly":
         """Exchange the roles of q and t."""
-        return QTPoly({(dt, dq): c for (dq, dt), c in self._terms.items()})
+        return QTPoly._trusted({(dt, dq): c for (dq, dt), c in self._terms.items()})
 
     def reverse(self, bound_q: int, bound_t: int) -> "QTPoly":
         """q^A t^B P(1/q, 1/t) for A=bound_q, B=bound_t."""
+        if type(bound_q) is not int or type(bound_t) is not int:
+            raise TypeError(f"reversal bounds ({bound_q!r}, {bound_t!r}) are not ints")
         if bound_q < self.deg_q or bound_t < self.deg_t:
             raise ValueError("reversal bounds below the actual degrees")
-        return QTPoly(
+        return QTPoly._trusted(
             {(bound_q - dq, bound_t - dt): c for (dq, dt), c in self._terms.items()}
         )
 

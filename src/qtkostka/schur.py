@@ -7,7 +7,8 @@ partitions only, with QTPoly coefficients.  The operators below are linear;
 Every operator except the snake rule runs through one kernel, `_apply`: it
 looks up the image of each basis function s_lam, multiplies it by the
 coefficient of s_lam, and accumulates in place into raw integer
-dictionaries, building each output QTPoly once at the end.  The Pieri
+dictionaries, building each output QTPoly once at the end;
+`linear_combination` sums expansions with QTPoly weights the same way.  The Pieri
 operators take their images from the strip enumerators in `partitions`.
 The other three compute the image of s_lam by a closed rule the first time
 (lam, m) is seen and cache it as raw dictionaries: Bernstein's operator
@@ -176,20 +177,47 @@ def _accumulate(
         if slot is None:
             slot = acc[mu] = {}
         get = slot.get
-        for (bq, bt), bc in piece.items():
-            for (aq, at), ac in coeff.items():
+        if piece is _UNIT:  # a Pieri image: coeff itself, unshifted
+            for key, ac in coeff.items():
+                slot[key] = get(key, 0) + ac
+            continue
+        # the shorter factor in the outer loop: fewer inner loops to start
+        outer, inner = (piece, coeff) if len(piece) <= len(coeff) else (coeff, piece)
+        for (bq, bt), bc in outer.items():
+            for (aq, at), ac in inner.items():
                 key = (aq + bq, at + bt)
                 slot[key] = get(key, 0) + ac * bc
 
 
 def _expansion(acc: _RawExpansion) -> SchurExpansion:
-    return SchurExpansion._trusted({mu: QTPoly(raw) for mu, raw in acc.items()})
+    return SchurExpansion._trusted({mu: QTPoly._trusted(raw) for mu, raw in acc.items()})
+
+
+def _pieces(f: SchurExpansion) -> Iterable[tuple[Partition, _RawPoly]]:
+    return ((lam, c._terms) for lam, c in f._terms.items())
 
 
 def _schur_only(f: SchurExpansion) -> None:
     # an expansion in another basis (a subclass) would be read as Schur terms
     if type(f) is not SchurExpansion:
         raise TypeError(f"the Schur operators take a SchurExpansion, not {type(f).__name__}")
+
+
+def _int_degree(k: int) -> int:
+    # (lam, 2.0) and (lam, True) hash like (lam, 2) and (lam, 1): a float or bool
+    # degree would reach the cached images and come back in their keys
+    if type(k) is not int:
+        raise ValueError(f"operator degree {k!r} is not an int")
+    return k
+
+
+def linear_combination(pairs: Iterable[tuple[Coeff, SchurExpansion]]) -> SchurExpansion:
+    """The sum of c * F over the (c, F) pairs, each output coefficient built once."""
+    acc: _RawExpansion = {}
+    for coeff, f in pairs:
+        _schur_only(f)
+        _accumulate(acc, _pieces(f), _poly(coeff)._terms)
+    return _expansion(acc)
 
 
 def _apply(f: SchurExpansion, image: Callable[[Partition, int], object], k: int) -> SchurExpansion:
@@ -199,6 +227,7 @@ def _apply(f: SchurExpansion, image: Callable[[Partition, int], object], k: int)
     coefficient 1, or a cached basis image mapping partitions to raw
     coefficients.
     """
+    _int_degree(k)
     _schur_only(f)
     acc: _RawExpansion = {}
     for lam, coeff in f._terms.items():
@@ -210,22 +239,22 @@ def _apply(f: SchurExpansion, image: Callable[[Partition, int], object], k: int)
 
 def mul_h(k: int, f: SchurExpansion) -> SchurExpansion:
     """Multiplication by the homogeneous symmetric function h_k."""
-    return f if k == 0 else _apply(f, horizontal_strips, k)
+    return _apply(f, horizontal_strips, k) if _int_degree(k) else f
 
 
 def mul_e(k: int, f: SchurExpansion) -> SchurExpansion:
     """Multiplication by the elementary symmetric function e_k."""
-    return f if k == 0 else _apply(f, vertical_strips, k)
+    return _apply(f, vertical_strips, k) if _int_degree(k) else f
 
 
 def skew_h(k: int, f: SchurExpansion) -> SchurExpansion:
     """The adjoint of mul_h: removes horizontal k-strips."""
-    return f if k == 0 else _apply(f, horizontal_strips_inside, k)
+    return _apply(f, horizontal_strips_inside, k) if _int_degree(k) else f
 
 
 def skew_e(k: int, f: SchurExpansion) -> SchurExpansion:
     """The adjoint of mul_e: removes vertical k-strips."""
-    return f if k == 0 else _apply(f, vertical_strips_inside, k)
+    return _apply(f, vertical_strips_inside, k) if _int_degree(k) else f
 
 
 def _straighten(m: int, lam: Partition) -> tuple[int, Partition] | None:
@@ -260,10 +289,10 @@ def _jing_sum(lam: Partition, m: int, dual: bool) -> _RawExpansion:
     n = sum(lam)
     s_lam = SchurExpansion.schur(lam)
     acc: _RawExpansion = {}
-    for k in range(n + 1):
+    # a horizontal strip inside lam has at most lam_1 cells
+    for k in range((lam[0] if lam else 0) + 1):
         image = bernstein(m + k, skew_h(k, s_lam))
-        pieces = ((mu, c._terms) for mu, c in image._terms.items())
-        _accumulate(acc, pieces, {(0, n - k if dual else k): 1})
+        _accumulate(acc, _pieces(image), {(0, n - k if dual else k): 1})
     return {mu: raw for mu, slot in acc.items() if (raw := {e: c for e, c in slot.items() if c})}
 
 
@@ -301,6 +330,9 @@ def hl_vertex_snake(m: int, f: SchurExpansion, k: int | None = None) -> SchurExp
     skipping mu whose snake complement is not a partition.  Any k with
     m + k >= lam_1 gives the same answer; the default is the smallest.
     """
+    _int_degree(m)
+    if k is not None:
+        _int_degree(k)
     _schur_only(f)
     total: dict[Partition, QTPoly] = {}
     for lam, coeff in f.terms():

@@ -306,9 +306,9 @@ def _direct_parts(mu: Partition) -> tuple[int, int, int]:
 
 def _checked(mu: Partition, tab: Tableau) -> tuple[int, int, int]:
     """(m, a, b) for mu = (m, 2^a, 1^b), once tab is a standard tableau of size |mu|."""
+    parts = _direct_parts(mu)  # checks the parts of mu before sum(mu) reads them
     if _size(tab) != sum(mu):
         raise ValueError(f"|T| = {_size(tab)} but |mu| = {sum(mu)}")
-    parts = _direct_parts(mu)
     if not is_standard(tab):
         raise ValueError(f"{tab} is not a standard tableau")
     return parts

@@ -29,6 +29,7 @@ from .schur import (
     SchurExpansion,
     hl_vertex,
     hl_vertex_dual,
+    linear_combination,
     mul_e,
     mul_h,
     omega,
@@ -72,36 +73,44 @@ def _direct_family(mu: Partition) -> Optional[tuple[int, int, int]]:
 
 def vertex2(f: SchurExpansion) -> SchurExpansion:
     """The operator H_2^t + q Hbar_2^t prepending a column of height <= 2."""
-    return hl_vertex(2, f) + hl_vertex_dual(2, f).scaled(QTPoly.q(1))
+    return linear_combination([(1, hl_vertex(2, f)), (QTPoly.q(1), hl_vertex_dual(2, f))])
 
 
 def vertex3(f: SchurExpansion) -> SchurExpansion:
-    """The row-3 creation operator, expanded in powers of q."""
+    """The row-3 creation operator, expanded in powers of q:
+    h3 + q (e_1 h2 - h3) + q^2 (e_1 b2 - b3) + q^3 b3, with hm, bm the
+    vertex operator and its dual at row size m."""
+    q, one = QTPoly.q, QTPoly.one()
     h3, b3 = hl_vertex(3, f), hl_vertex_dual(3, f)
     h2, b2 = hl_vertex(2, f), hl_vertex_dual(2, f)
-    return (
-        h3
-        + (mul_e(1, h2) - h3).scaled(QTPoly.q(1))
-        + (mul_e(1, b2) - b3).scaled(QTPoly.q(2))
-        + b3.scaled(QTPoly.q(3))
+    return linear_combination(
+        [(one - q(1), h3), (q(3) - q(2), b3), (q(1), mul_e(1, h2)), (q(2), mul_e(1, b2))]
     )
 
 
 def vertex4(f: SchurExpansion) -> SchurExpansion:
-    """The row-4 creation operator, expanded in powers of q."""
+    """The row-4 creation operator, expanded in powers of q:
+    h4 + q (h_1 h3 - h4) + q^2 (h_2 h2 - h4) + q^3 (e_2 h2 - e_1 h3 + h4)
+    + q^3 (h_2 b2 - h_1 b3 + b4) + q^4 (e_2 b2 - b4) + q^5 (e_1 b3 - b4) + q^6 b4,
+    collected by operator; h4 and b4 carry (1 - q)(1 - q^2) and q^3 times it."""
+    q, one = QTPoly.q, QTPoly.one()
     h4, b4 = hl_vertex(4, f), hl_vertex_dual(4, f)
     h3, b3 = hl_vertex(3, f), hl_vertex_dual(3, f)
     h2, b2 = hl_vertex(2, f), hl_vertex_dual(2, f)
-    q = QTPoly.q
-    return (
-        h4
-        + (mul_h(1, h3) - h4).scaled(q(1))
-        + (mul_h(2, h2) - h4).scaled(q(2))
-        + (mul_e(2, h2) - mul_e(1, h3) + h4).scaled(q(3))
-        + (mul_h(2, b2) - mul_h(1, b3) + b4).scaled(q(3))
-        + (mul_e(2, b2) - b4).scaled(q(4))
-        + (mul_e(1, b3) - b4).scaled(q(5))
-        + b4.scaled(q(6))
+    top = (one - q(1)) * (one - q(2))
+    return linear_combination(
+        [
+            (top, h4),
+            (top * q(3), b4),
+            (q(1), mul_h(1, h3)),
+            (-q(3), mul_e(1, h3)),
+            (-q(3), mul_h(1, b3)),
+            (q(5), mul_e(1, b3)),
+            (q(2), mul_h(2, h2)),
+            (q(3), mul_e(2, h2)),
+            (q(3), mul_h(2, b2)),
+            (q(4), mul_e(2, b2)),
+        ]
     )
 
 

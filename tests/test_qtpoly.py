@@ -181,3 +181,35 @@ def test_from_terms_refuses_what_to_terms_never_writes():
         with pytest.raises(TypeError):
             QTPoly.from_terms([triple])
     assert QTPoly.from_terms([(2, 1, "-12"), (2, 1, 5), (0, 0, "0")]) == poly((2, 1, -7))
+
+
+def test_non_int_exponents_rejected():
+    # True and 2.0 hash like 1 and 2; q^1.5 is not a polynomial term
+    for key in [(1.5, 0), (0, 2.0), (True, 0), (0, False), ("1", 0)]:
+        with pytest.raises(TypeError, match="are not ints"):
+            QTPoly({key: 1})
+    for make in [
+        lambda: QTPoly.q(1.5),
+        lambda: QTPoly.t(2.0),
+        lambda: QTPoly.monomial(1, True),
+        lambda: QTPoly.one().reverse(2.0, 0),
+        lambda: QTPoly.one().reverse(0, True),
+    ]:
+        with pytest.raises(TypeError):
+            make()
+    assert QTPoly.q(2).reverse(3, 1) == QTPoly.monomial(1, 1)
+
+
+def _validated(p: QTPoly) -> QTPoly:
+    return QTPoly(dict(p.terms()))
+
+
+@given(coeffs, coeffs, st.integers(-3, 3))
+def test_arithmetic_results_are_what_the_checked_constructor_builds(a, b, k):
+    # the arithmetic builds its results without the per-term checks; they must
+    # hold the same terms, with no zero coefficient, as the checked constructor
+    p, q = QTPoly(a), QTPoly(b)
+    for r in (p + q, p - q, p * q, -p, p + k, k - p, k * p, p * k, p.q_zero(), p.swap_qt()):
+        assert r == _validated(r)
+        assert all(type(c) is int and c for _, c in r.terms())
+    assert (p - p).terms() == []

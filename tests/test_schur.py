@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtkostka import cache_info
+from qtkostka import cache_info, clear_caches
 from qtkostka._series import series_bernstein, series_hl_vertex, series_hl_vertex_dual
 from qtkostka.partitions import partitions_of
 from qtkostka.qtpoly import QTPoly
@@ -14,13 +14,14 @@ from qtkostka.schur import (
     hl_vertex,
     hl_vertex_dual,
     hl_vertex_snake,
+    linear_combination,
     mul_e,
     mul_h,
     omega,
     skew_e,
     skew_h,
 )
-from qtkostka.vertex import HLExpansion
+from qtkostka.vertex import HLExpansion, macdonald
 
 one = QTPoly.one()
 t = QTPoly.t(1)
@@ -275,3 +276,49 @@ def test_cache_info_counts_lookups():
     after = info["schur.hl_vertex_dual_image"]
     assert after["hits"] + after["misses"] == before["hits"] + before["misses"] + 2
     assert after["hits"] >= before["hits"] + 1 and after["size"] >= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=homogeneous_pair(), a=small_poly, b=small_poly)
+def test_linear_combination_is_the_sum_of_scaled_terms(pair, a, b):
+    f, g = pair
+    assert linear_combination([(a, f), (b, g), (-1, f)]) == f.scaled(a) + g.scaled(b) - f
+    assert linear_combination([]) == SchurExpansion()
+
+
+def test_linear_combination_takes_schur_expansions_only():
+    with pytest.raises(TypeError, match="take a SchurExpansion, not HLExpansion"):
+        linear_combination([(1, s((1,))), (1, HLExpansion({(1,): 1}))])
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_non_int_degrees_never_reach_the_cached_images(warm):
+    # (lam, 2.0) and (lam, True) hash like (lam, 2) and (lam, 1): a warm table
+    # would answer them, and a cold one would keep keys such as (2.0, 2, 1)
+    f = s((2, 1))
+    clear_caches()
+    if warm:
+        for m in (1, 2, 3):
+            bernstein(m, f), hl_vertex(m, f), hl_vertex_dual(m, f)
+            mul_h(m, f), mul_e(m, f), skew_h(m, f), skew_e(m, f)
+        hl_vertex(1, unit())
+    before = json.dumps(cache_info(), sort_keys=True)
+    for call in [
+        lambda: hl_vertex(2.0, f),
+        lambda: hl_vertex(1.0, unit()),
+        lambda: hl_vertex_dual(True, f),
+        lambda: bernstein(3.0, f),
+        lambda: mul_h(True, f),
+        lambda: mul_h(False, f),
+        lambda: mul_e(1.0, f),
+        lambda: skew_h(1.0, f),
+        lambda: skew_e(True, f),
+        lambda: hl_vertex_snake(2.0, f),
+        lambda: hl_vertex_snake(2, f, 1.0),
+        lambda: hl_vertex_snake(True, f, 0),
+    ]:
+        with pytest.raises(ValueError, match="is not an int"):
+            call()
+    assert json.dumps(cache_info(), sort_keys=True) == before
+    h1 = '{"degree": 1, "terms": [{"lambda": [1], "coeff": [[0, 0, "1"]]}]}'
+    assert json.dumps(macdonald((1,)).to_json()) == h1

@@ -157,6 +157,14 @@ def test_stat_pair_rejects_size_mismatch():
         stat_pair((2, 1), T("1,2"))
 
 
+@pytest.mark.parametrize("mu", [("a",), (1.5,), (None, 1)])
+def test_stat_pair_and_full_type_check_the_shape_before_its_size(mu):
+    # sum(mu) would raise a TypeError; stat_genfun raises this ValueError
+    for fn in (stat_pair, full_type, lambda mu, _: stat_genfun(mu)):
+        with pytest.raises(ValueError, match="is not a partition"):
+            fn(mu, ((1,),))
+
+
 def test_stat_genfun_small():
     assert stat_genfun((2, 1)) == macdonald((2, 1))
     assert stat_genfun((1, 1)) == macdonald((1, 1))

@@ -1,9 +1,14 @@
+import hashlib
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtkostka import cache_info, clear_caches
 from qtkostka.partitions import partitions_of
 from qtkostka.qtpoly import QTPoly
-from qtkostka.schur import SchurExpansion, hl_vertex, mul_e, omega
+from qtkostka.schur import SchurExpansion, hl_vertex, hl_vertex_dual, mul_e, mul_h, omega
 from qtkostka.vertex import (
     HLExpansion,
     UnsupportedShapeError,
@@ -325,3 +330,91 @@ def test_hl_expansion_is_its_own_type():
         HLExpansion.from_json(macdonald((2, 1)).to_json())
     with pytest.raises(ValueError, match="expected basis"):
         SchurExpansion.from_json(f.to_json())
+
+
+# --- the row operators against their chain forms ------------------------------
+
+
+def chain_vertex2(f):
+    """vertex2 as a chain of SchurExpansion arithmetic, before it used one accumulation."""
+    return hl_vertex(2, f) + hl_vertex_dual(2, f).scaled(q(1))
+
+
+def chain_vertex3(f):
+    h3, b3 = hl_vertex(3, f), hl_vertex_dual(3, f)
+    h2, b2 = hl_vertex(2, f), hl_vertex_dual(2, f)
+    return (
+        h3
+        + (mul_e(1, h2) - h3).scaled(q(1))
+        + (mul_e(1, b2) - b3).scaled(q(2))
+        + b3.scaled(q(3))
+    )
+
+
+def chain_vertex4(f):
+    h4, b4 = hl_vertex(4, f), hl_vertex_dual(4, f)
+    h3, b3 = hl_vertex(3, f), hl_vertex_dual(3, f)
+    h2, b2 = hl_vertex(2, f), hl_vertex_dual(2, f)
+    return (
+        h4
+        + (mul_h(1, h3) - h4).scaled(q(1))
+        + (mul_h(2, h2) - h4).scaled(q(2))
+        + (mul_e(2, h2) - mul_e(1, h3) + h4).scaled(q(3))
+        + (mul_h(2, b2) - mul_h(1, b3) + b4).scaled(q(3))
+        + (mul_e(2, b2) - b4).scaled(q(4))
+        + (mul_e(1, b3) - b4).scaled(q(5))
+        + b4.scaled(q(6))
+    )
+
+
+CHAINS = [(vertex2, chain_vertex2), (vertex3, chain_vertex3), (vertex4, chain_vertex4)]
+
+
+@pytest.mark.parametrize("op, chain", CHAINS, ids=["vertex2", "vertex3", "vertex4"])
+def test_row_operators_match_their_chain_forms_on_every_schur_function(op, chain):
+    for n in range(7):
+        for lam in partitions_of(n):
+            assert op(s(lam)) == chain(s(lam)), lam
+
+
+small_poly = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-4, 4), max_size=3
+).map(QTPoly)
+
+
+@st.composite
+def homogeneous(draw):
+    shapes = partitions_of(draw(st.integers(0, 4)))
+    return SchurExpansion(draw(st.dictionaries(st.sampled_from(shapes), small_poly, max_size=4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=homogeneous(), which=st.sampled_from(CHAINS))
+def test_row_operators_match_their_chain_forms(f, which):
+    op, chain = which
+    assert op(f) == chain(f)
+
+
+def _supported_shapes(max_n):
+    for n in range(max_n + 1):
+        for mu in partitions_of(n):
+            try:
+                classify_shape(mu)
+            except UnsupportedShapeError:
+                continue
+            yield mu
+
+
+# sha256 of macdonald(mu).to_json() over the 118 supported shapes with n <= 10,
+# computed before vertex2/3/4 were folded into one accumulation each
+MACDONALD_DIGEST = "135ffd89568306a6396f89438e3eaa3de282e34c140207ebad8b6601b2337cfe"
+
+
+def test_macdonald_matches_the_pinned_digest():
+    clear_caches()
+    h = hashlib.sha256()
+    shapes = list(_supported_shapes(10))
+    assert len(shapes) == 118
+    for mu in shapes:
+        h.update(json.dumps(macdonald(mu).to_json(), sort_keys=True).encode())
+    assert h.hexdigest() == MACDONALD_DIGEST
