@@ -710,8 +710,19 @@ def run_battery(
     """Run every check and return the merged report, sorted by check name.
 
     Deterministic for a fixed seed; failures appear as report entries rather
-    than exceptions.
+    than exceptions.  Every argument is an int (not a bool), and n_points is
+    at least 1.
     """
+    for name, value in (
+        ("max_n", max_n),
+        ("oracle_degree", oracle_degree),
+        ("n_points", n_points),
+        ("seed", seed),
+    ):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, not {value!r}")
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, not {n_points}")
     if max_n > 8:
         raise ValueError("run_battery is bounded at max_n <= 8")
     if oracle_degree > 6:

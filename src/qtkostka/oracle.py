@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
-from ._cache import memo
+from ._cache import memo, memo_checked
 from .partitions import (
     Partition,
     arm_leg,
@@ -24,7 +25,7 @@ from .partitions import (
     linear_extension,
     partitions_of,
 )
-from .qtpoly import QTPoly
+from .qtpoly import QTPoly, _coordinate
 from .schur import SchurExpansion, mul_e
 from .tableaux import column_strict_tableaux, shape, standard_tableaux, tableau_charge
 from .vertex import gaussian_binomial, macdonald, stem_coefficient
@@ -38,8 +39,27 @@ class DegeneratePointError(ValueError):
     """Raised when a specialization point kills a needed denominator."""
 
 
+def _partition(parts, name: str) -> Partition:
+    """parts as a tuple, once it is a partition; the error names the argument."""
+    lam = int_parts(parts)
+    if not is_partition(lam):
+        raise ValueError(f"{name} = {lam} is not a partition")
+    return lam
+
+
+def _extension(n: int, order) -> tuple[Partition, ...]:
+    """The given order of the partitions of n as a tuple of int tuples, or the default one.
+
+    Whether it is a dominance-compatible permutation is checked on a cache miss.
+    """
+    if order is None:
+        return linear_extension(n)
+    return tuple(int_parts(lam) for lam in order)
+
+
 def z_factor(lam: Partition) -> int:
     """The centralizer order z_lam = prod_i i^{m_i} m_i!."""
+    lam = _partition(lam, "lam")
     out = 1
     mult: dict[int, int] = {}
     for p in lam:
@@ -49,7 +69,6 @@ def z_factor(lam: Partition) -> int:
     return out
 
 
-@memo
 def character(lam: Partition, mu: Partition) -> int:
     """Irreducible symmetric-group character chi^lam evaluated on class mu.
 
@@ -57,12 +76,18 @@ def character(lam: Partition, mu: Partition) -> int:
     rows i..j forces nu_r = lam_{r+1} - 1 on the intermediate rows, which
     leaves exactly one candidate per row interval.
     """
-    if not mu:
-        if not lam:
-            return 1
-        raise ValueError("character needs |lam| = |mu|")
+    lam, mu = _partition(lam, "lam"), _partition(mu, "mu")
     if sum(lam) != sum(mu):
         raise ValueError("character needs |lam| = |mu|")
+    return _character(lam, mu)
+
+
+@memo
+def _character(lam: Partition, mu: Partition) -> int:
+    """character without the checks: lam and mu are partitions of one size,
+    and every recursive call keeps them so."""
+    if not mu:
+        return 1
     k, rest = mu[0], mu[1:]
     total = 0
     for i in range(1, len(lam) + 1):
@@ -79,16 +104,17 @@ def character(lam: Partition, mu: Partition) -> int:
             trimmed = tuple(p for p in nu if p)
             if any(nu[r] < nu[r + 1] for r in range(len(nu) - 1)):
                 continue
-            total += (-1) ** (j - i) * character(trimmed, rest)
+            total += (-1) ** (j - i) * _character(trimmed, rest)
     return total
 
 
-@memo
+@memo_checked(int_parts)
 def schur_to_power(lam: Partition) -> PowerExpansion:
     """Coordinates of s_lam in the power-sum basis: chi^lam(rho) / z_rho."""
+    lam = _partition(lam, "lam")  # the part order, on a miss
     out = {}
     for rho in partitions_of(sum(lam)):
-        chi = character(lam, rho)
+        chi = _character(lam, rho)
         if chi:
             out[rho] = Fraction(chi, z_factor(rho))
     return out
@@ -124,8 +150,12 @@ def _pairing_weight(rho: Partition, q0: Fraction, t0: Fraction) -> Fraction:
 
 
 def scalar_qt(f: PowerExpansion, g: PowerExpansion, q0: Rational, t0: Rational) -> Fraction:
-    """<f, g> with p_lam self-pairings z_lam prod (1-q0^k)/(1-t0^k)."""
-    q0, t0 = Fraction(q0), Fraction(t0)
+    """<f, g> with p_lam self-pairings z_lam prod (1-q0^k)/(1-t0^k).
+
+    q0 and t0 are ints or Fractions; floats and bools are refused before any
+    weight is looked up.
+    """
+    q0, t0 = _coordinate(q0, "q0"), _coordinate(t0, "t0")
     total = Fraction(0)
     for rho, fv in f.items():
         gv = g.get(rho)
@@ -156,30 +186,50 @@ def _orthogonal_basis(
 
     Ascending dominance-compatible order makes each output vector unitriangular:
     coordinate 1 on its own shape plus dominance-smaller terms only.
+
+    The vectors are the rows of L^-1 in the exact LDL^T factorization of the
+    Gram matrix G_ik = <s_i, s_k> = sum_rho chi^i(rho) chi^k(rho) U_rho, with
+    U_rho = <p_rho, p_rho> / z_rho^2.  Scaling every U_rho to one common
+    denominator makes G an integer matrix and leaves L unchanged.  Row i is
+    built from the rows before it: G (L^-1)^T = L D gives
+    L_ij = <s_i, v_j> / <s_j, v_j>, and v_i = s_i - sum_{j<i} L_ij v_j.  Each
+    row is kept as integers over one denominator, reduced by their gcd.
     """
     _check_extension(n, order)
+    rhos = partitions_of(n)
+    units = [_pairing_weight(rho, q0, t0) / z_factor(rho) ** 2 for rho in rhos]
+    scale = lcm(*(u.denominator for u in units))
+    units = [u.numerator * (scale // u.denominator) for u in units]
+    chars: list[list[int]] = []  # chi^k(rho) for the shapes done so far
+    rows: list[list[int]] = []  # v_k = rows[k] / dens[k], in the coordinates of order
+    dens: list[int] = []
+    norms: list[int] = []  # G_k . rows[k], which is <v_k, v_k> * dens[k] * scale
     vecs: dict[Partition, NumericSchur] = {}
-    powers: dict[Partition, PowerExpansion] = {}
-    norms: dict[Partition, Fraction] = {}
-    for lam in order:
-        v = {lam: Fraction(1)}
-        pv = dict(schur_to_power(lam))
-        for mu, w in vecs.items():
-            c = scalar_qt(pv, powers[mu], q0, t0) / norms[mu]
-            if not c:
-                continue
-            for shape, coord in w.items():
-                v[shape] = v.get(shape, Fraction(0)) - c * coord
-            for rho, coord in powers[mu].items():
-                pv[rho] = pv.get(rho, Fraction(0)) - c * coord
-        v = {shape: coord for shape, coord in v.items() if coord}
-        pv = {rho: coord for rho, coord in pv.items() if coord}
-        norm = scalar_qt(pv, pv, q0, t0)
+    for i, lam in enumerate(order):
+        chi = [_character(lam, rho) for rho in rhos]
+        chars.append(chi)
+        weighted = list(map(mul, chi, units))
+        gram = [sum(map(mul, weighted, other)) for other in chars]  # G_ik for k <= i
+        # L_ij v_j = (G_i . rows[j]) / norms[j] * rows[j] / dens[j]
+        terms = [(dot, j) for j, row in enumerate(rows) if (dot := sum(map(mul, row, gram)))]
+        den = lcm(*(norms[j] * dens[j] for _, j in terms))
+        row = [0] * i + [den]
+        for dot, j in terms:
+            c = dot * (den // (norms[j] * dens[j]))
+            for k, x in enumerate(rows[j]):
+                if x:
+                    row[k] -= c * x
+        common = gcd(*row)
+        if common > 1:
+            row = [x // common for x in row]
+            den //= common
+        norm = sum(map(mul, row, gram))
         if norm == 0:
             raise DegeneratePointError(f"zero norm at {lam} for point ({q0}, {t0})")
-        vecs[lam] = v
-        powers[lam] = pv
-        norms[lam] = norm
+        rows.append(row)
+        dens.append(den)
+        norms.append(norm)
+        vecs[lam] = {order[k]: Fraction(x, den) for k, x in enumerate(row) if x}
     return vecs
 
 
@@ -192,17 +242,18 @@ def macdonald_oracle(
     """Numeric J_mu in Schur coordinates, from orthogonality alone.
 
     The Gram-Schmidt vector for mu is rescaled so that its s_mu coordinate is
-    the hook product prod_{cells} (1 - q0^arm t0^(leg+1)).
+    the hook product prod_{cells} (1 - q0^arm t0^(leg+1)).  q0 and t0 are
+    ints or Fractions.
     """
+    q0, t0 = _coordinate(q0, "q0"), _coordinate(t0, "t0")
+    mu = _partition(mu, "mu")
     n = sum(mu)
-    if order is None:
-        order = linear_extension(n)
-    vecs = _orthogonal_basis(n, Fraction(q0), Fraction(t0), tuple(order))
+    vecs = _orthogonal_basis(n, q0, t0, _extension(n, order))
     lead = Fraction(1)
     for row in range(1, len(mu) + 1):
         for col in range(1, mu[row - 1] + 1):
             arm, leg = arm_leg(mu, row, col)
-            lead *= 1 - Fraction(q0) ** arm * Fraction(t0) ** (leg + 1)
+            lead *= 1 - q0**arm * t0 ** (leg + 1)
     if lead == 0:
         raise DegeneratePointError(f"leading factor vanishes for {mu} at ({q0}, {t0})")
     return {lam: c * lead for lam, c in vecs[mu].items()}
@@ -216,13 +267,11 @@ def kostka_oracle(
     order: tuple[Partition, ...] | None = None,
 ) -> Fraction:
     """K_{lam,mu}(q0,t0) as <J_mu, s_lam> under the t-deformed pairing."""
-    lam, mu = int_parts(lam), int_parts(mu)
-    if not is_partition(lam):
-        raise ValueError(f"lam = {lam} is not a partition")
+    q0, t0 = _coordinate(q0, "q0"), _coordinate(t0, "t0")
+    lam, mu = _partition(lam, "lam"), int_parts(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
-    order = tuple(linear_extension(sum(mu)) if order is None else order)
-    jmu = _power_macdonald(mu, Fraction(q0), Fraction(t0), order)
+    jmu = _power_macdonald(mu, q0, t0, _extension(sum(mu), order))
     return scalar_t(jmu, schur_to_power(lam), t0)
 
 
@@ -231,8 +280,6 @@ def _power_macdonald(
     mu: Partition, q0: Fraction, t0: Fraction, order: tuple[Partition, ...]
 ) -> Mapping[Partition, Fraction]:
     """macdonald_oracle in power-sum coordinates, read-only because the cache shares it."""
-    if not is_partition(mu):
-        raise ValueError(f"mu = {mu} is not a partition")
     return MappingProxyType(power_coords(macdonald_oracle(mu, q0, t0, order)))
 
 
@@ -271,9 +318,7 @@ def kostka_foulkes(lam: Partition, mu: Partition) -> QTPoly:
 
 def count_syt(lam: Partition) -> int:
     """Number of standard tableaux of shape lam, by the hook-length product."""
-    lam = int_parts(lam)
-    if not is_partition(lam):
-        raise ValueError(f"{lam} is not a partition")
+    lam = _partition(lam, "lam")
     den = 1
     for row in range(1, len(lam) + 1):
         for col in range(1, lam[row - 1] + 1):

@@ -111,3 +111,25 @@ def test_library_functions_are_looked_up_when_the_battery_runs(monkeypatch):
     report = run_battery(max_n=5, oracle_degree=3, n_points=1, seed=11)
     assert sorted(calls) == [(0, 0), (0, 1), (0, 2), (1, 0)]
     assert not _failures(report)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n_points": 0},
+        {"n_points": -1},
+        {"n_points": True},
+        {"seed": 1.5},
+        {"seed": True},
+        {"oracle_degree": 3.0},
+        {"max_n": 2.0},
+    ],
+)
+def test_run_battery_refuses_bad_arguments(kwargs, monkeypatch):
+    monkeypatch.setattr(battery, "_report", _refuse_to_run)
+    with pytest.raises(ValueError, match="n_points|seed|oracle_degree|max_n"):
+        run_battery(**{"max_n": 2, "oracle_degree": 2, "n_points": 1, "seed": 0, **kwargs})
+
+
+def _refuse_to_run(*args):
+    raise AssertionError("a check ran before the arguments were checked")

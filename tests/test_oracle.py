@@ -1,12 +1,15 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from qtkostka import cache_info, clear_caches
+from qtkostka import cache_info, clear_caches, schur, vertex
+from qtkostka.battery import _alternative_extension
 from qtkostka.oracle import (
     DegeneratePointError,
     _kostka_foulkes_row,
+    _orthogonal_basis,
     character,
     count_syt,
     count_syt_enumerated,
@@ -144,6 +147,151 @@ def test_oracle_degenerate_points():
         macdonald_oracle((2,), F(1, 2), F(2))
     with pytest.raises(DegeneratePointError):
         kostka_oracle((2,), (2,), Q0, F(1))
+
+
+def _orthogonal_basis_reference(n, q0, t0, order):
+    """Classical Gram-Schmidt in Fractions, one scalar_qt per earlier vector."""
+    vecs, powers, norms = {}, {}, {}
+    for lam in order:
+        v = {lam: F(1)}
+        pv = dict(schur_to_power(lam))
+        for mu, w in vecs.items():
+            c = scalar_qt(pv, powers[mu], q0, t0) / norms[mu]
+            if not c:
+                continue
+            for shape, coord in w.items():
+                v[shape] = v.get(shape, F(0)) - c * coord
+            for rho, coord in powers[mu].items():
+                pv[rho] = pv.get(rho, F(0)) - c * coord
+        v = {shape: coord for shape, coord in v.items() if coord}
+        pv = {rho: coord for rho, coord in pv.items() if coord}
+        norm = scalar_qt(pv, pv, q0, t0)
+        if norm == 0:
+            raise DegeneratePointError(f"zero norm at {lam} for point ({q0}, {t0})")
+        vecs[lam] = v
+        powers[lam] = pv
+        norms[lam] = norm
+    return vecs
+
+
+def _basis_outcome(basis, n, q0, t0, order):
+    try:
+        return basis(n, q0, t0, order)
+    except DegeneratePointError as exc:
+        return ("raised", str(exc))
+
+
+def test_orthogonal_basis_matches_the_reference_loop():
+    cases = [(n, pt) for n in range(8) for pt in generic_points(3, seed=n, max_n=max(n, 1))]
+    cases.append((8, generic_points(1, seed=8, max_n=8)[0]))
+    for n, (q0, t0) in cases:
+        orders = {linear_extension(n), _alternative_extension(n)}
+        assert len(orders) == (2 if n >= 6 else 1)
+        for order in orders:
+            got = _orthogonal_basis(n, q0, t0, order)
+            assert got == _orthogonal_basis_reference(n, q0, t0, order), (n, q0, t0)
+            assert all(type(c) is Fraction for v in got.values() for c in v.values())
+
+
+def test_orthogonal_basis_raises_where_the_reference_loop_does():
+    # t0 = 1 kills 1 - t0^k; q0 t0 = 1 zeroes the norm of s_2; q0 = 1 every weight
+    for q0, t0 in ((Q0, F(1)), (F(1, 2), F(2)), (F(1), T0)):
+        raised = 0
+        for n in range(1, 6):
+            order = linear_extension(n)
+            want = _basis_outcome(_orthogonal_basis_reference, n, q0, t0, order)
+            assert _basis_outcome(_orthogonal_basis, n, q0, t0, order) == want, (n, q0, t0)
+            raised += isinstance(want, tuple)
+        assert raised
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the oracle reached schur, vertex or QTPoly arithmetic")
+
+
+def test_oracle_needs_no_schur_vertex_or_qtpoly_arithmetic(monkeypatch):
+    shapes = [mu for n in range(1, 7) for mu in partitions_of(n)]
+    want = {mu: macdonald_oracle(mu, Q0, T0) for mu in shapes}
+    want_k = {
+        (lam, mu): kostka_oracle(lam, mu, Q0, T0) for mu in shapes for lam in partitions_of(sum(mu))
+    }
+    # every binding of a public schur or vertex function, in every loaded module
+    targets = {
+        id(obj)
+        for module in (schur, vertex)
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and callable(obj)
+        and not isinstance(obj, type)
+        and getattr(obj, "__module__", None) == module.__name__
+    }
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name == "qtkostka" or name.startswith("qtkostka."):
+            for attr, obj in list(vars(module).items()):
+                if id(obj) in targets:
+                    monkeypatch.setattr(module, attr, _refuse)
+                    patched += 1
+    assert patched >= len(targets)
+    for method in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__"):
+        monkeypatch.setattr(QTPoly, method, _refuse)
+    clear_caches()
+    for mu in shapes:
+        assert macdonald_oracle(mu, Q0, T0) == want[mu]
+        for lam in partitions_of(sum(mu)):
+            assert kostka_oracle(lam, mu, Q0, T0) == want_k[lam, mu]
+
+
+def _cache_sizes():
+    return {name: entry["size"] for name, entry in cache_info().items()}
+
+
+def test_oracle_refuses_float_and_bool_points():
+    with pytest.raises(TypeError) as evaluate:
+        QTPoly.one().evaluate(0.5, F(1, 3))
+    p1 = {(1,): F(1)}
+    kostka_oracle((2,), (2,), Q0, T0)
+    sizes = _cache_sizes()
+    calls = [
+        lambda: scalar_qt(p1, p1, 0.5, F(1, 3)),
+        lambda: scalar_t(p1, p1, 0.5),
+        lambda: kostka_oracle((2,), (2,), 0.5, F(1, 3)),
+        lambda: macdonald_oracle((2,), 0.25, F(1, 3)),
+        lambda: scalar_qt(p1, p1, Q0, True),
+        lambda: kostka_oracle((2,), (2,), True, T0),
+        lambda: macdonald_oracle((2,), Q0, 0.5),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="is not an int or a Fraction"):
+            call()
+    with pytest.raises(TypeError) as refused:
+        calls[0]()
+    assert str(refused.value) == str(evaluate.value)
+    assert _cache_sizes() == sizes  # no float became a memo key
+    assert scalar_qt(p1, p1, 0, 2) == -1  # ints are points
+
+
+def test_oracle_refuses_non_partitions():
+    calls = [
+        lambda: character((1, 2), (3,)),
+        lambda: character((2, 1), (1, 1, 1.0)),
+        lambda: character((2, 1), (2, 1, 0)),
+        lambda: schur_to_power((1, 2)),
+        lambda: schur_to_power((True,)),
+        lambda: z_factor((1, 2)),
+        lambda: macdonald_oracle((1, 2), Q0, T0),
+        lambda: macdonald_oracle((True,), Q0, T0),
+        lambda: macdonald_oracle((1,), Q0, T0, order=((1.0,),)),
+        lambda: kostka_oracle((1,), (1,), Q0, T0, order=((True,),)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="is not a partition"):
+            call()
+    with pytest.raises(ValueError, match="character needs"):
+        character((2,), (1,))
+    assert len(cache_info()) == 22
+    assert character([2, 1], [3]) == -1
+    assert macdonald_oracle([1], Q0, T0) == {(1,): 1 - T0}
 
 
 def test_extension_is_validated():
