@@ -7,6 +7,7 @@ verification oracles); there is no floating point anywhere.
 """
 
 from ._cache import cache_info, clear_caches
+from ._checks import InputError
 from .partitions import Partition, conjugate, parse_partition, format_partition
 from .qtpoly import QTPoly
 from .tableaux import Tableau, Word, charge, parse_tableau, format_tableau
@@ -14,6 +15,7 @@ from .schur import SchurExpansion
 from .vertex import UnsupportedShapeError, macdonald, kostka
 
 __all__ = [
+    "InputError",
     "Partition",
     "QTPoly",
     "SchurExpansion",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from ._checks import as_int
 from ._series import series_hl_vertex
 from .oracle import (
     count_syt,
@@ -713,16 +714,10 @@ def run_battery(
     than exceptions.  Every argument is an int (not a bool), and n_points is
     at least 1.
     """
-    for name, value in (
-        ("max_n", max_n),
-        ("oracle_degree", oracle_degree),
-        ("n_points", n_points),
-        ("seed", seed),
-    ):
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an int, not {value!r}")
-    if n_points < 1:
-        raise ValueError(f"n_points must be at least 1, not {n_points}")
+    as_int(max_n, "max_n")
+    as_int(oracle_degree, "oracle_degree")
+    as_int(n_points, "n_points", 1)
+    as_int(seed, "seed")
     if max_n > 8:
         raise ValueError("run_battery is bounded at max_n <= 8")
     if oracle_degree > 6:

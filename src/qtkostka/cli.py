@@ -35,13 +35,10 @@ def _word(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         raise ValueError("empty word")
+    # charge refuses a letter below 1
     if "," in text:
-        letters = tuple(int(piece) for piece in text.split(","))
-    else:
-        letters = tuple(int(ch) for ch in text)
-    if any(x < 1 for x in letters):
-        raise ValueError(f"word letters must be positive: {text!r}")
-    return letters
+        return tuple(int(piece) for piece in text.split(","))
+    return tuple(int(ch) for ch in text)
 
 
 def _positive_int(text: str) -> int:

@@ -16,18 +16,11 @@ from types import MappingProxyType
 from typing import Mapping
 
 from ._cache import memo, memo_checked
-from .partitions import (
-    Partition,
-    arm_leg,
-    dominance_leq,
-    int_parts,
-    is_partition,
-    linear_extension,
-    partitions_of,
-)
-from .qtpoly import QTPoly, _coordinate
+from ._checks import as_int, as_partition, as_point, int_parts
+from .partitions import Partition, arm_leg, dominance_leq, linear_extension, partitions_of
+from .qtpoly import QTPoly
 from .schur import SchurExpansion, mul_e
-from .tableaux import column_strict_tableaux, shape, standard_tableaux, tableau_charge
+from .tableaux import charge, column_strict_tableaux, reading_word, shape, standard_tableaux
 from .vertex import gaussian_binomial, macdonald, stem_coefficient
 
 Rational = Fraction
@@ -37,14 +30,6 @@ NumericSchur = dict
 
 class DegeneratePointError(ValueError):
     """Raised when a specialization point kills a needed denominator."""
-
-
-def _partition(parts, name: str) -> Partition:
-    """parts as a tuple, once it is a partition; the error names the argument."""
-    lam = int_parts(parts)
-    if not is_partition(lam):
-        raise ValueError(f"{name} = {lam} is not a partition")
-    return lam
 
 
 def _extension(n: int, order) -> tuple[Partition, ...]:
@@ -59,7 +44,7 @@ def _extension(n: int, order) -> tuple[Partition, ...]:
 
 def z_factor(lam: Partition) -> int:
     """The centralizer order z_lam = prod_i i^{m_i} m_i!."""
-    lam = _partition(lam, "lam")
+    lam = as_partition(lam, "lam")
     out = 1
     mult: dict[int, int] = {}
     for p in lam:
@@ -76,7 +61,7 @@ def character(lam: Partition, mu: Partition) -> int:
     rows i..j forces nu_r = lam_{r+1} - 1 on the intermediate rows, which
     leaves exactly one candidate per row interval.
     """
-    lam, mu = _partition(lam, "lam"), _partition(mu, "mu")
+    lam, mu = as_partition(lam, "lam"), as_partition(mu, "mu")
     if sum(lam) != sum(mu):
         raise ValueError("character needs |lam| = |mu|")
     return _character(lam, mu)
@@ -111,7 +96,7 @@ def _character(lam: Partition, mu: Partition) -> int:
 @memo_checked(int_parts)
 def schur_to_power(lam: Partition) -> PowerExpansion:
     """Coordinates of s_lam in the power-sum basis: chi^lam(rho) / z_rho."""
-    lam = _partition(lam, "lam")  # the part order, on a miss
+    lam = as_partition(lam, "lam")  # the part order, on a miss
     out = {}
     for rho in partitions_of(sum(lam)):
         chi = _character(lam, rho)
@@ -155,7 +140,7 @@ def scalar_qt(f: PowerExpansion, g: PowerExpansion, q0: Rational, t0: Rational) 
     q0 and t0 are ints or Fractions; floats and bools are refused before any
     weight is looked up.
     """
-    q0, t0 = _coordinate(q0, "q0"), _coordinate(t0, "t0")
+    q0, t0 = as_point(q0, t0)
     total = Fraction(0)
     for rho, fv in f.items():
         gv = g.get(rho)
@@ -245,8 +230,8 @@ def macdonald_oracle(
     the hook product prod_{cells} (1 - q0^arm t0^(leg+1)).  q0 and t0 are
     ints or Fractions.
     """
-    q0, t0 = _coordinate(q0, "q0"), _coordinate(t0, "t0")
-    mu = _partition(mu, "mu")
+    q0, t0 = as_point(q0, t0)
+    mu = as_partition(mu, "mu")
     n = sum(mu)
     vecs = _orthogonal_basis(n, q0, t0, _extension(n, order))
     lead = Fraction(1)
@@ -267,8 +252,8 @@ def kostka_oracle(
     order: tuple[Partition, ...] | None = None,
 ) -> Fraction:
     """K_{lam,mu}(q0,t0) as <J_mu, s_lam> under the t-deformed pairing."""
-    q0, t0 = _coordinate(q0, "q0"), _coordinate(t0, "t0")
-    lam, mu = _partition(lam, "lam"), int_parts(mu)
+    q0, t0 = as_point(q0, t0)
+    lam, mu = as_partition(lam, "lam"), int_parts(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
     jmu = _power_macdonald(mu, q0, t0, _extension(sum(mu), order))
@@ -294,7 +279,7 @@ def _kostka_foulkes_row(mu: Partition) -> Mapping[Partition, QTPoly]:
     charges: dict[Partition, dict[tuple[int, int], int]] = {}
     for tab in column_strict_tableaux(mu):
         terms = charges.setdefault(shape(tab), {})
-        key = (0, tableau_charge(tab))
+        key = (0, charge(reading_word(tab)))  # generated, so not checked again
         terms[key] = terms.get(key, 0) + 1
     return MappingProxyType(
         {lam: QTPoly(charges[lam]) for lam in partitions_of(sum(mu)) if lam in charges}
@@ -311,14 +296,13 @@ def kostka_foulkes(lam: Partition, mu: Partition) -> QTPoly:
         return k
     # K_{lam,mu}(t) vanishes unless lam dominates mu, so a miss is no error
     # by itself
-    if not is_partition(lam):
-        raise ValueError(f"lam = {lam} is not a partition")
+    as_partition(lam, "lam")
     return QTPoly.zero()
 
 
 def count_syt(lam: Partition) -> int:
     """Number of standard tableaux of shape lam, by the hook-length product."""
-    lam = _partition(lam, "lam")
+    lam = as_partition(lam, "lam")
     den = 1
     for row in range(1, len(lam) + 1):
         for col in range(1, lam[row - 1] + 1):
@@ -349,10 +333,8 @@ def generic_points(count: int, seed: int, max_n: int = 8) -> list[tuple[Fraction
     (0, 1) that is the only way any factor (1 - q^i t^j), including the
     negative-j ones hiding in the rational coefficient tables, can vanish.
     """
-    if type(count) is not int or count < 0:
-        raise ValueError(f"count must be a nonnegative int, not {count!r}")
-    if type(max_n) is not int:
-        raise ValueError(f"max_n must be an int, not {max_n!r}")
+    as_int(count, "count", 0)
+    as_int(max_n, "max_n")
     rng = random.Random(seed)
     bound = 2 * max_n
     points: list[tuple[Fraction, Fraction]] = []

@@ -8,35 +8,13 @@ and cells are addressed by 1-based (row, column) pairs.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from ._cache import memo
+from ._checks import as_int, as_partition, is_partition
 
 Partition = tuple[int, ...]
 Cell = tuple[int, int]
-
-
-def is_partition(parts: Iterable[int]) -> bool:
-    """True when parts is weakly decreasing and every part is a positive int (not a bool)."""
-    seq = tuple(parts)
-    return all(type(p) is int and p > 0 for p in seq) and all(
-        seq[i] >= seq[i + 1] for i in range(len(seq) - 1)
-    )
-
-
-def int_parts(parts: Iterable[int]) -> Partition:
-    """parts as a tuple, once each part's type is exactly int.
-
-    True and 1.0 hash and compare like 1, so a cache keyed by partitions
-    would answer them as (1,).  Cached entry points call this before the
-    lookup; the order and positivity of the parts are left to the check on
-    a cache miss, so a warm call pays only this loop.
-    """
-    lam = tuple(parts)
-    for p in lam:
-        if type(p) is not int:
-            raise ValueError(f"{lam} is not a partition")
-    return lam
 
 
 def parse_partition(text: str) -> Partition:
@@ -48,13 +26,11 @@ def parse_partition(text: str) -> Partition:
         parts = tuple(int(piece) for piece in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse partition from {text!r}") from None
-    if not is_partition(parts):
-        raise ValueError(f"{parts} is not weakly decreasing and positive")
-    return parts
+    return as_partition(parts, "parts")
 
 
 def format_partition(lam: Partition) -> str:
-    return ",".join(str(p) for p in lam)
+    return ",".join(str(p) for p in as_partition(lam, "lam"))
 
 
 def part(lam: Partition, i: int) -> int:
@@ -63,6 +39,7 @@ def part(lam: Partition, i: int) -> int:
 
 
 def conjugate(lam: Partition) -> Partition:
+    lam = as_partition(lam, "lam")
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p >= c) for c in range(1, lam[0] + 1))
@@ -244,10 +221,13 @@ def snake_involution(lam: Partition, n: int, rho: Partition) -> Partition:
     return flipped
 
 
-@memo
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    """Partitions of n in descending lexicographic order."""
+    """Partitions of n in descending lexicographic order; none when n < 0."""
+    return _partitions_of(as_int(n, "n"))
 
+
+@memo
+def _partitions_of(n: int) -> tuple[Partition, ...]:
     def gen(m: int, cap: int):
         if m == 0:
             yield ()
@@ -266,6 +246,7 @@ def linear_extension(n: int) -> tuple[Partition, ...]:
 
 def dominance_leq(lam: Partition, mu: Partition) -> bool:
     """True when lam <= mu in dominance order (equal sizes required)."""
+    lam, mu = as_partition(lam, "lam"), as_partition(mu, "mu")
     if sum(lam) != sum(mu):
         raise ValueError("dominance compares partitions of equal size")
     total_l = total_m = 0

@@ -14,16 +14,9 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
+from ._checks import as_int, as_point
+
 TermKey = tuple[int, int]
-
-
-def _coordinate(value: Union[int, Fraction], name: str) -> Fraction:
-    """An evaluation point coordinate as a Fraction; floats and bools are refused."""
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return Fraction(value)
-    raise TypeError(f"{name} = {value!r} is not an int or a Fraction")
 
 
 def _coerce(value: Union["QTPoly", int]) -> "QTPoly":
@@ -42,13 +35,9 @@ class QTPoly:
     def __init__(self, terms: Mapping[TermKey, int] | None = None):
         clean: dict[TermKey, int] = {}
         for (dq, dt), coeff in (terms or {}).items():
-            if type(dq) is not int or type(dt) is not int:
-                raise TypeError(f"exponents ({dq!r}, {dt!r}) are not ints")
-            if dq < 0 or dt < 0:
-                raise ValueError(f"negative exponent in term q^{dq} t^{dt}")
-            if type(coeff) is not int:
-                raise TypeError(f"coefficient {coeff!r} of q^{dq} t^{dt} is not an int")
-            if coeff:
+            as_int(dq, "q exponent", 0)
+            as_int(dt, "t exponent", 0)
+            if as_int(coeff, "coefficient"):
                 clean[(dq, dt)] = coeff
         self._terms = clean
 
@@ -138,8 +127,7 @@ class QTPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "QTPoly":
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
+        as_int(exponent, "exponent", 0)
         result = QTPoly.one()
         for _ in range(exponent):
             result = result * self
@@ -147,7 +135,7 @@ class QTPoly:
 
     def evaluate(self, q0: Union[int, Fraction], t0: Union[int, Fraction]) -> Fraction:
         """Exact value at the point (q0, t0), as one integer sum over a common denominator."""
-        q0, t0 = _coordinate(q0, "q0"), _coordinate(t0, "t0")
+        q0, t0 = as_point(q0, t0)
         if not self._terms:
             return Fraction(0)
         a, b = q0.numerator, q0.denominator
@@ -174,8 +162,8 @@ class QTPoly:
 
     def reverse(self, bound_q: int, bound_t: int) -> "QTPoly":
         """q^A t^B P(1/q, 1/t) for A=bound_q, B=bound_t."""
-        if type(bound_q) is not int or type(bound_t) is not int:
-            raise TypeError(f"reversal bounds ({bound_q!r}, {bound_t!r}) are not ints")
+        as_int(bound_q, "bound_q")
+        as_int(bound_t, "bound_t")
         if bound_q < self.deg_q or bound_t < self.deg_t:
             raise ValueError("reversal bounds below the actual degrees")
         return QTPoly._trusted(
@@ -194,13 +182,11 @@ class QTPoly:
         """Inverse of to_terms: int exponents, each coefficient an int or a decimal string."""
         data: dict[TermKey, int] = {}
         for dq, dt, coeff in triples:
-            if type(dq) is not int or type(dt) is not int:
-                raise TypeError(f"exponents ({dq!r}, {dt!r}) are not ints")
+            as_int(dq, "q exponent", 0)
+            as_int(dt, "t exponent", 0)
             if isinstance(coeff, str) and re.fullmatch(r"-?[0-9]+", coeff):
                 coeff = int(coeff)
-            elif type(coeff) is not int:
-                raise TypeError(f"coefficient {coeff!r} is not an int or a decimal string")
-            data[(dq, dt)] = data.get((dq, dt), 0) + coeff
+            data[(dq, dt)] = data.get((dq, dt), 0) + as_int(coeff, "coefficient")
         return cls(data)
 
     def _render(self, mul: str, power) -> str:

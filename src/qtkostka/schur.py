@@ -24,13 +24,12 @@ from itertools import repeat
 from typing import Callable, Iterable, Mapping, Union
 
 from ._cache import memo
+from ._checks import as_int, as_partition, int_parts
 from .partitions import (
     Partition,
     conjugate,
     horizontal_strips,
     horizontal_strips_inside,
-    int_parts,
-    is_partition,
     remove_snake,
     snake_height,
     vertical_strips,
@@ -66,9 +65,7 @@ class SchurExpansion:
     def __init__(self, terms: Mapping[Partition, Coeff] | None = None):
         clean: dict[Partition, QTPoly] = {}
         for lam, coeff in (terms or {}).items():
-            lam = tuple(lam)
-            if not is_partition(lam):
-                raise ValueError(f"{lam} is not a partition")
+            lam = as_partition(lam, "lam")
             poly = _poly(coeff)
             if poly:
                 clean[lam] = poly
@@ -153,13 +150,13 @@ class SchurExpansion:
             raise ValueError(f"expected basis {cls.basis!r}, got {data.get('basis')!r}")
         terms = {}
         for entry in data["terms"]:
-            lam = tuple(entry["lambda"])
+            lam = as_partition(entry["lambda"], "lambda")
             if lam in terms:
                 raise ValueError(f"{lam} appears twice")
             terms[lam] = QTPoly.from_terms(entry["coeff"])
         f = cls(terms)
-        degree, given = (f.degree() if f else 0), data.get("degree")
-        if type(given) is not int or given != degree:
+        degree, given = (f.degree() if f else 0), as_int(data.get("degree"), "degree")
+        if given != degree:
             raise ValueError(f"degree {given!r} does not match the size {degree} of the terms")
         return f
 
@@ -203,14 +200,6 @@ def _schur_only(f: SchurExpansion) -> None:
         raise TypeError(f"the Schur operators take a SchurExpansion, not {type(f).__name__}")
 
 
-def _int_degree(k: int) -> int:
-    # (lam, 2.0) and (lam, True) hash like (lam, 2) and (lam, 1): a float or bool
-    # degree would reach the cached images and come back in their keys
-    if type(k) is not int:
-        raise ValueError(f"operator degree {k!r} is not an int")
-    return k
-
-
 def linear_combination(pairs: Iterable[tuple[Coeff, SchurExpansion]]) -> SchurExpansion:
     """The sum of c * F over the (c, F) pairs, each output coefficient built once."""
     acc: _RawExpansion = {}
@@ -225,9 +214,10 @@ def _apply(f: SchurExpansion, image: Callable[[Partition, int], object], k: int)
 
     image is either a strip enumerator, whose partitions each carry the
     coefficient 1, or a cached basis image mapping partitions to raw
-    coefficients.
+    coefficients.  (lam, 2.0) and (lam, True) hash like (lam, 2) and (lam, 1),
+    so k is checked before any image is looked up.
     """
-    _int_degree(k)
+    as_int(k, "operator degree")
     _schur_only(f)
     acc: _RawExpansion = {}
     for lam, coeff in f._terms.items():
@@ -239,22 +229,22 @@ def _apply(f: SchurExpansion, image: Callable[[Partition, int], object], k: int)
 
 def mul_h(k: int, f: SchurExpansion) -> SchurExpansion:
     """Multiplication by the homogeneous symmetric function h_k."""
-    return _apply(f, horizontal_strips, k) if _int_degree(k) else f
+    return _apply(f, horizontal_strips, k) if as_int(k, "operator degree") else f
 
 
 def mul_e(k: int, f: SchurExpansion) -> SchurExpansion:
     """Multiplication by the elementary symmetric function e_k."""
-    return _apply(f, vertical_strips, k) if _int_degree(k) else f
+    return _apply(f, vertical_strips, k) if as_int(k, "operator degree") else f
 
 
 def skew_h(k: int, f: SchurExpansion) -> SchurExpansion:
     """The adjoint of mul_h: removes horizontal k-strips."""
-    return _apply(f, horizontal_strips_inside, k) if _int_degree(k) else f
+    return _apply(f, horizontal_strips_inside, k) if as_int(k, "operator degree") else f
 
 
 def skew_e(k: int, f: SchurExpansion) -> SchurExpansion:
     """The adjoint of mul_e: removes vertical k-strips."""
-    return _apply(f, vertical_strips_inside, k) if _int_degree(k) else f
+    return _apply(f, vertical_strips_inside, k) if as_int(k, "operator degree") else f
 
 
 def _straighten(m: int, lam: Partition) -> tuple[int, Partition] | None:
@@ -330,9 +320,9 @@ def hl_vertex_snake(m: int, f: SchurExpansion, k: int | None = None) -> SchurExp
     skipping mu whose snake complement is not a partition.  Any k with
     m + k >= lam_1 gives the same answer; the default is the smallest.
     """
-    _int_degree(m)
+    as_int(m, "operator degree")
     if k is not None:
-        _int_degree(k)
+        as_int(k, "k", 0)
     _schur_only(f)
     total: dict[Partition, QTPoly] = {}
     for lam, coeff in f.terms():

@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from ._cache import memo, memo_checked
+from ._checks import as_int, as_standard, int_parts
 from .partitions import (
     Partition,
     conjugate,
     contains,
     first_column_removed,
     first_row_removed,
-    int_parts,
     is_horizontal_strip,
     is_vertical_strip,
     part,
@@ -34,20 +34,17 @@ from .qtpoly import QTPoly
 from .schur import SchurExpansion
 from .tableaux import (
     Tableau,
-    column_insert,
+    charge,
     column_insert_into,
     conjugate_tableau,
     format_tableau,
     is_standard,
     parse_tableau,
-    rectify,
     reading_word,
     reverse_column_insert,
     reverse_row_insert,
-    row_insert,
     row_insert_into,
     shape,
-    tableau_charge,
     all_standard_tableaux,
 )
 from .vertex import UnsupportedShapeError, classify_shape
@@ -140,11 +137,8 @@ def head_tableau(tab: Tableau, m: int) -> Tableau:
 def delete_prefix(h: int, tab: Tableau) -> Tableau:
     """Remove labels 1..h of a standard tableau and lower the rest, staying
     in the Knuth class."""
-    if type(h) is not int or h < 0:
-        raise ValueError(f"prefix length must be a nonnegative int, not {h!r}")
-    if not is_standard(tab):
-        raise ValueError(f"{tab} is not a standard tableau")
-    if _size(tab) < h:
+    as_int(h, "prefix length h", 0)
+    if _size(as_standard(tab, "tab")) < h:
         raise ValueError(f"tableau has fewer than {h} cells")
     return _delete_prefix(h, tab)
 
@@ -152,7 +146,11 @@ def delete_prefix(h: int, tab: Tableau) -> Tableau:
 def _delete_prefix(h: int, tab: Tableau) -> Tableau:
     if h == 0:
         return tab
-    return rectify(x - h for x in reading_word(tab) if x > h)
+    rows: list[list[int]] = []  # rectify, without checking a word built here
+    for x in reading_word(tab):
+        if x > h:
+            row_insert_into(rows, x - h)
+    return tuple(map(tuple, rows))
 
 
 def unbuild(m: int, tab: Tableau) -> Tableau:
@@ -200,12 +198,12 @@ def add_row_block(m: int, rho: Partition, tab: Tableau) -> Tableau:
         ejected.append(letter)
     if ejected != sorted(ejected):
         raise RuntimeError(f"evacuation of {tab} against {rho} not increasing")
-    out = tuple(tuple(x + m for x in row) for row in work)
+    rows = [[x + m for x in row] for row in work]
     for x in range(1, m + 1):
-        out = row_insert(out, x)
+        row_insert_into(rows, x)
     for x in ejected:
-        out = row_insert(out, x + m)
-    return out
+        row_insert_into(rows, x + m)
+    return tuple(map(tuple, rows))
 
 
 def inverse_row_block(m: int, rho: Partition, built: Tableau) -> Tableau:
@@ -226,10 +224,10 @@ def inverse_row_block(m: int, rho: Partition, built: Tableau) -> Tableau:
     letters = popped[::-1]
     if letters[:m] != list(range(1, m + 1)):
         raise ValueError(f"{built} was not built over {rho}: block 1..{m} missing")
-    rest = _lower(work, m)
-    for x in reversed([x - m for x in letters[m:]]):
-        rest = column_insert(rest, x)
-    return rest
+    rows = [list(row) for row in _lower(work, m)]
+    for x in reversed(letters[m:]):
+        column_insert_into(rows, x - m)
+    return tuple(map(tuple, rows))
 
 
 def add_col_block(m: int, rho: Partition, tab: Tableau) -> Tableau:
@@ -287,9 +285,8 @@ def _domino_tail(tab: Tableau, dominoes: int) -> tuple[str, ...]:
 
 def type_two_col(tab: Tableau, dominoes: int) -> TypeSequence:
     """The (2^a 1^b) type: one H/V letter per unbuilt domino, then singles."""
-    if not is_standard(tab):
-        raise ValueError("type is defined for standard tableaux")
-    if type(dominoes) is not int or not 0 <= 2 * dominoes <= _size(tab):
+    as_standard(tab, "tab")
+    if 2 * as_int(dominoes, "dominoes", 0) > _size(tab):
         raise ValueError(f"cannot take {dominoes!r} dominoes out of {_size(tab)} cells")
     return _type_sequence(None, _two_col_blocks(tab, dominoes))
 
@@ -309,8 +306,7 @@ def _checked(mu: Partition, tab: Tableau) -> tuple[int, int, int]:
     parts = _direct_parts(mu)  # checks the parts of mu before sum(mu) reads them
     if _size(tab) != sum(mu):
         raise ValueError(f"|T| = {_size(tab)} but |mu| = {sum(mu)}")
-    if not is_standard(tab):
-        raise ValueError(f"{tab} is not a standard tableau")
+    as_standard(tab, "tab")
     return parts
 
 
@@ -349,16 +345,16 @@ def _type_weights(a: int, b: int, ts: TypeSequence) -> tuple[int, int]:
     return alpha + beta * n + h_weight, ts.blocks.count("V") + gamma
 
 
-def _stats_of_type(a: int, b: int, ts: TypeSequence, charge: int) -> tuple[int, int]:
-    """(a_mu(T), b_mu(T)) from the type and charge of T, for mu = (m, 2^a, 1^b)."""
+def _stats_of_type(a: int, b: int, ts: TypeSequence, c: int) -> tuple[int, int]:
+    """(a_mu(T), b_mu(T)) from the type and the charge c of T, for mu = (m, 2^a, 1^b)."""
     shift, stat_b = _type_weights(a, b, ts)
-    return charge - shift, stat_b
+    return c - shift, stat_b
 
 
 def stat_pair(mu: Partition, tab: Tableau) -> tuple[int, int]:
     """(a_mu(T), b_mu(T)); q tracks b and t tracks a in the expansions."""
     m, a, b = _checked(tuple(mu), tab)
-    c = tableau_charge(tab)
+    c = charge(reading_word(tab))  # tab is standard, so no second tableau check
     return _stats_of_type(a, b, _type_of(m, a, tab), c)
 
 
@@ -446,7 +442,7 @@ def unimodal_profile(mu: Partition) -> dict[TypeSequence, tuple[int, ...]]:
     by_type: dict[TypeSequence, dict[int, int]] = {}
     for tab in all_standard_tableaux(sum(mu)):
         ts = full_type(mu, tab)
-        stat_a, _ = _stats_of_type(a, b, ts, tableau_charge(tab))
+        stat_a, _ = _stats_of_type(a, b, ts, charge(reading_word(tab)))
         bucket = by_type.setdefault(ts, {})
         bucket[stat_a] = bucket.get(stat_a, 0) + 1
     return {

@@ -9,17 +9,12 @@ top row, so the bottom row is read last.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ._cache import memo_checked
-from .partitions import (
-    Partition,
-    contains,
-    horizontal_strips,
-    int_parts,
-    is_partition,
-    partitions_of,
-)
+from ._checks import as_int, as_partition, as_standard, as_tableau, as_word, int_parts
+from ._checks import is_standard, is_tableau  # noqa: F401  (public names of this module)
+from .partitions import Partition, horizontal_strips, partitions_of
 
 Word = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
@@ -36,52 +31,15 @@ def parse_tableau(text: str) -> Tableau:
             rows.append(tuple(int(piece) for piece in chunk.split(",")))
         except ValueError:
             raise ValueError(f"cannot parse tableau row {chunk!r}") from None
-    result = tuple(rows)
-    if not is_tableau(result):
-        raise ValueError(f"{text!r} is not a column-strict tableau")
-    return result
+    return as_tableau(tuple(rows), "tableau")
 
 
 def format_tableau(tab: Tableau) -> str:
-    return "/".join(",".join(str(x) for x in row) for row in tab)
+    return "/".join(",".join(str(x) for x in row) for row in as_tableau(tab, "tab"))
 
 
 def shape(tab: Tableau) -> Partition:
     return tuple(len(row) for row in tab)
-
-
-def is_tableau(tab: Tableau) -> bool:
-    """Partition shape, rows weakly increasing, columns strictly increasing."""
-    if not is_partition(shape(tab)) and tab != ():
-        return False
-    for row in tab:
-        if any(x <= 0 for x in row):
-            return False
-        if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
-            return False
-    for r in range(len(tab) - 1):
-        upper, lower = tab[r + 1], tab[r]
-        if any(upper[c] <= lower[c] for c in range(len(upper))):
-            return False
-    return True
-
-
-def is_standard(tab: Tableau) -> bool:
-    """Partition shape, rows and columns increasing, letters exactly 1..n; one pass."""
-    n = sum(map(len, tab))
-    seen = [False] * (n + 1)
-    below: tuple[int, ...] = ()
-    for r, row in enumerate(tab):
-        if not row or (r and len(row) > len(below)):
-            return False
-        prev = 0
-        for c, x in enumerate(row):
-            if type(x) is not int or x <= prev or x > n or seen[x] or (r and x <= below[c]):
-                return False
-            seen[x] = True
-            prev = x
-        below = row
-    return True
 
 
 def reading_word(tab: Tableau) -> Word:
@@ -93,12 +51,10 @@ def reading_word(tab: Tableau) -> Word:
 
 def content(word: Iterable[int]) -> tuple[int, ...]:
     """Multiplicity vector of the letters 1..max(word)."""
-    letters = tuple(word)
+    letters = as_word(word, "word")
     if not letters:
         return ()
     top = max(letters)
-    if min(letters) < 1:
-        raise ValueError("letters must be positive")
     counts = [0] * top
     for x in letters:
         counts[x - 1] += 1
@@ -114,8 +70,7 @@ def standard_subwords(word: Word) -> list[Word]:
     is removed before repeating.
     """
     remaining = list(enumerate(word))
-    if remaining and not is_partition(content(word)):
-        raise ValueError(f"content of {word} is not a partition")
+    as_partition(content(word), "content")
     subwords: list[Word] = []
     while remaining:
         top = max(letter for _, letter in remaining)
@@ -154,7 +109,7 @@ def _standard_charge(word: Word) -> int:
 
 def charge(word: Iterable[int]) -> int:
     """Lascoux-Schutzenberger charge of a word with partition content."""
-    w = tuple(word)
+    w = as_word(word, "word")
     if not w:
         return 0
     if sorted(w) == list(range(1, len(w) + 1)):
@@ -164,7 +119,7 @@ def charge(word: Iterable[int]) -> int:
 
 
 def tableau_charge(tab: Tableau) -> int:
-    return charge(reading_word(tab))
+    return charge(reading_word(as_tableau(tab, "tab")))
 
 
 def row_insert_into(rows: list[list[int]], x: int) -> None:
@@ -200,15 +155,15 @@ def column_insert_into(rows: list[list[int]], x: int) -> None:
 
 def row_insert(tab: Tableau, x: int) -> Tableau:
     """Schensted row insertion: x bumps the leftmost entry strictly greater."""
-    rows = [list(row) for row in tab]
-    row_insert_into(rows, x)
+    rows = [list(row) for row in as_tableau(tab, "tab")]
+    row_insert_into(rows, as_int(x, "x", 1))
     return tuple(tuple(row) for row in rows)
 
 
 def column_insert(tab: Tableau, x: int) -> Tableau:
     """Column insertion: x bumps the lowest entry >= x of each column in turn."""
-    rows = [list(row) for row in tab]
-    column_insert_into(rows, x)
+    rows = [list(row) for row in as_tableau(tab, "tab")]
+    column_insert_into(rows, as_int(x, "x", 1))
     return tuple(tuple(row) for row in rows)
 
 
@@ -249,25 +204,21 @@ def reverse_column_insert(tab: Tableau, cell: tuple[int, int]) -> tuple[Tableau,
 def rectify(word: Iterable[int]) -> Tableau:
     """The unique tableau whose reading word is Knuth equivalent to word."""
     rows: list[list[int]] = []
-    for letter in word:
+    for letter in as_word(word, "word"):
         row_insert_into(rows, letter)
     return tuple(tuple(row) for row in rows)
 
 
 def conjugate_tableau(tab: Tableau) -> Tableau:
     """Rectify the reversed reading word; transposes standard tableaux."""
-    if not is_standard(tab):
-        raise ValueError("conjugation is defined for standard tableaux")
-    return rectify(tuple(reversed(reading_word(tab))))
+    return rectify(tuple(reversed(reading_word(as_standard(tab, "tab")))))
 
 
 @memo_checked(int_parts)
 def standard_tableaux(sh: Partition) -> tuple[Tableau, ...]:
     """All standard tableaux of the given shape, in a fixed order."""
-    if not sh:
+    if not as_partition(sh, "sh"):  # the part order, on a miss
         return ((),)
-    if not is_partition(sh):
-        raise ValueError(f"{sh} is not a partition")
     n = sum(sh)
     out: list[Tableau] = []
     for r in range(len(sh)):
@@ -290,26 +241,20 @@ def all_standard_tableaux(n: int) -> tuple[Tableau, ...]:
     return tuple(out)
 
 
-def column_strict_tableaux(
-    weight: Partition, final_shape: Optional[Partition] = None
-) -> tuple[Tableau, ...]:
-    """All column-strict tableaux of the given content, optionally of fixed shape.
+def column_strict_tableaux(weight: Partition) -> tuple[Tableau, ...]:
+    """All column-strict tableaux of the given content.
 
     Generated as chains of horizontal strips: the cells holding each letter
     form a horizontal strip over the cells of the smaller letters.
     """
-    if not is_partition(weight) and weight != ():
-        raise ValueError(f"content {weight} must be a partition")
+    weight = as_partition(weight, "weight")
     results: list[Tableau] = []
 
     def extend(level: int, current: Partition, rows: list[list[int]]) -> None:
         if level == len(weight):
-            if final_shape is None or current == final_shape:
-                results.append(tuple(tuple(row) for row in rows))
+            results.append(tuple(tuple(row) for row in rows))
             return
         for bigger in horizontal_strips(current, weight[level]):
-            if final_shape is not None and not contains(final_shape, bigger):
-                continue
             grown = [list(row) for row in rows]
             for i, length in enumerate(bigger):
                 if i >= len(grown):

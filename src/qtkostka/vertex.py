@@ -17,13 +17,8 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ._cache import memo, memo_checked
-from .partitions import (
-    Partition,
-    conjugate,
-    format_partition,
-    int_parts,
-    is_partition,
-)
+from ._checks import as_int, as_partition, int_parts
+from .partitions import Partition, conjugate, format_partition, is_partition
 from .qtpoly import QTPoly
 from .schur import (
     SchurExpansion,
@@ -48,9 +43,7 @@ def classify_shape(mu: Partition) -> tuple:
     (m, 2^a, 1^b).  A shape is conjugate-supported when its transpose is
     direct.  Everything else raises UnsupportedShapeError.
     """
-    mu = tuple(mu)
-    if mu and not is_partition(mu):
-        raise ValueError(f"{mu} is not a partition")
+    mu = as_partition(mu, "mu")
     direct = _direct_family(mu)
     if direct is not None:
         return ("direct",) + direct
@@ -147,7 +140,7 @@ def vertex4_second_form(f: SchurExpansion) -> SchurExpansion:
 
 
 def qt_vertex(m: int, f: SchurExpansion) -> SchurExpansion:
-    if m == 2:
+    if as_int(m, "m") == 2:
         return vertex2(f)
     if m == 3:
         return vertex3(f)
@@ -166,7 +159,7 @@ def component_groups(m: int) -> list[tuple[int, tuple[_T, ...], Operator]]:
     """The q-graded pieces of qt_vertex(m), keyed by the head tableaux whose
     statistics they generate.  Two size-4 groups carry a pair of heads that
     only occur combined."""
-    if m == 3:
+    if as_int(m, "m") == 3:
         return [
             (0, (((1, 2, 3),),), lambda f: hl_vertex(3, f)),
             (1, (((1, 3), (2,)),), lambda f: mul_e(1, hl_vertex(2, f)) - hl_vertex(3, f)),
@@ -269,8 +262,7 @@ def kostka(lam: Partition, mu: Partition) -> QTPoly:
     if not coeff:
         if sum(lam) != sum(mu):
             raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
-        if not is_partition(lam):
-            raise ValueError(f"lam = {lam} is not a partition")
+        as_partition(lam, "lam")
     return coeff
 
 
@@ -296,18 +288,26 @@ def _hl_to_schur(terms) -> SchurExpansion:
     return total
 
 
-@memo
 def gaussian_binomial(n: int, k: int) -> QTPoly:
-    """The t-binomial coefficient, by the Pascal recurrence (no division)."""
+    """The t-binomial coefficient [n choose k]_t, zero for k outside 0..n."""
+    return _gaussian_binomial(as_int(n, "n", 0), as_int(k, "k"))
+
+
+@memo
+def _gaussian_binomial(n: int, k: int) -> QTPoly:
+    """gaussian_binomial without the checks, by the Pascal recurrence (no division)."""
     if k < 0 or k > n:
         return QTPoly.zero()
     if k == 0 or k == n:
         return QTPoly.one()
-    return gaussian_binomial(n - 1, k - 1) + QTPoly.t(k) * gaussian_binomial(n - 1, k)
+    return _gaussian_binomial(n - 1, k - 1) + QTPoly.t(k) * _gaussian_binomial(n - 1, k)
 
 
 def t_pochhammer(dq: int, dt: int, length: int) -> QTPoly:
     """(x; t)_length for x = q^dq t^dt: the product of (1 - x t^j), j < length."""
+    as_int(dq, "dq", 0)
+    as_int(dt, "dt", 0)
+    as_int(length, "length", 0)
     out = QTPoly.one()
     for j in range(length):
         out = out * (QTPoly.one() - QTPoly.monomial(dq, dt + j))
@@ -315,8 +315,10 @@ def t_pochhammer(dq: int, dt: int, length: int) -> QTPoly:
 
 
 def stem_coefficient(a: int, b: int, i: int) -> QTPoly:
-    """Coefficient of H_(2^i 1^(b+2a-2i))[X;t] in H_(2^a 1^b)[X;q,t]."""
-    if i < 0 or i > a:
+    """Coefficient of H_(2^i 1^(b+2a-2i))[X;t] in H_(2^a 1^b)[X;q,t], zero for i not in 0..a."""
+    as_int(a, "a", 0)
+    as_int(b, "b", 0)
+    if as_int(i, "i") < 0 or i > a:
         return QTPoly.zero()
     return (
         QTPoly.q(a - i)
@@ -327,6 +329,8 @@ def stem_coefficient(a: int, b: int, i: int) -> QTPoly:
 
 def two_column_hl(a: int, b: int) -> HLExpansion:
     """H_(2^a 1^b)[X;q,t] expanded in the Hall-Littlewood basis."""
+    as_int(a, "a", 0)
+    as_int(b, "b", 0)
     return HLExpansion(
         {
             (2,) * i + (1,) * (b + 2 * a - 2 * i): stem_coefficient(a, b, i)
@@ -337,6 +341,8 @@ def two_column_hl(a: int, b: int) -> HLExpansion:
 
 def row3_hl(a: int, b: int) -> HLExpansion:
     """H_(3 2^a 1^b)[X;q,t] expanded in the Hall-Littlewood basis."""
+    as_int(a, "a", 0)
+    as_int(b, "b", 0)
     q, t, one = QTPoly.q, QTPoly.t, QTPoly.one()
     terms: dict[Partition, QTPoly] = {}
 
@@ -401,7 +407,7 @@ def _sh(*groups: tuple[int, int]) -> Optional[Partition]:
             return None
         rows.extend([value] * count)
     sh = tuple(rows)
-    return sh if is_partition(sh) or sh == () else None
+    return sh if is_partition(sh) else None
 
 
 def _identity_entry(name: str, params: dict, lhs: SchurExpansion, rhs_terms) -> dict:

@@ -133,3 +133,20 @@ def test_run_battery_refuses_bad_arguments(kwargs, monkeypatch):
 
 def _refuse_to_run(*args):
     raise AssertionError("a check ran before the arguments were checked")
+
+
+def test_extension_independence_compares_two_distinct_orders_at_degree_6():
+    # below degree 6 every pair of partitions is dominance-comparable, so the
+    # alternative order is the default one and the check compares it with itself
+    assert battery._alternative_extension(5) == battery.linear_extension(5)
+    assert battery._alternative_extension(6) != battery.linear_extension(6)
+    point = battery.generic_points(1, 0, 6)[0]
+    assert battery._check_extension_independence(6, *point) == (True, "distinct orders agree")
+
+
+def test_extension_independence_refuses_an_order_that_does_not_refine_dominance(monkeypatch):
+    descending = tuple(reversed(battery.linear_extension(6)))
+    monkeypatch.setattr(battery, "_alternative_extension", lambda n: descending)
+    point = battery.generic_points(1, 0, 6)[0]
+    with pytest.raises(ValueError, match="does not refine dominance"):
+        battery._check_extension_independence(6, *point)

@@ -1,3 +1,4 @@
+import inspect
 import random
 import sys
 from fractions import Fraction
@@ -27,7 +28,7 @@ from qtkostka.oracle import (
 )
 from qtkostka.partitions import linear_extension, partitions_of
 from qtkostka.qtpoly import QTPoly
-from qtkostka.tableaux import column_strict_tableaux, tableau_charge
+from qtkostka.tableaux import column_strict_tableaux, shape, tableau_charge
 from qtkostka.vertex import hall_littlewood, macdonald
 
 F = Fraction
@@ -366,7 +367,9 @@ def test_kostka_foulkes_rows_match_per_shape_enumeration():
             row = _kostka_foulkes_row(nu)
             for lam in partitions_of(n):
                 want = QTPoly.zero()
-                for tab in column_strict_tableaux(nu, lam):
+                for tab in column_strict_tableaux(nu):
+                    if shape(tab) != lam:
+                        continue
                     want = want + QTPoly.t(tableau_charge(tab))
                 assert row.get(lam, QTPoly.zero()) == want
                 assert (lam in row) == bool(want)
@@ -473,7 +476,7 @@ def test_generic_points_match_the_double_loop():
     "count, max_n", [(-1, 8), (True, 8), (2.0, 8), ("2", 8), (2, True), (2, 8.0), (2, None)]
 )
 def test_generic_points_refuse_a_bad_count_or_max_n(count, max_n):
-    with pytest.raises(ValueError, match="must be"):
+    with pytest.raises(ValueError, match="is not an int"):
         generic_points(count, 0, max_n=max_n)
     assert generic_points(0, 0) == []
 
@@ -490,3 +493,47 @@ def test_rational_tables_at_generic_points():
     entries = verify_rational_props(1, 0, generic_points(2, seed=7))
     assert entries
     assert all(e["status"] == "pass" for e in entries)
+
+
+def _reachable(*roots):
+    """Every qtkostka function and class the roots reach through the global
+    names their code reads, the closures of their wrappers and the functions
+    the wrappers cache or check."""
+    seen, stack = {}, list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or not getattr(obj, "__module__", "").startswith("qtkostka"):
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, type):
+            stack.extend(vars(obj).values())
+            continue
+        if hasattr(obj, "__wrapped__"):
+            stack.append(obj.__wrapped__)
+        stack.extend(cell.cell_contents for cell in getattr(obj, "__closure__", None) or ())
+        code = getattr(obj, "__code__", None)
+        codes = [code] if code else []
+        while codes:
+            code = codes.pop()
+            codes.extend(c for c in code.co_consts if inspect.iscode(c))
+            stack.extend(obj.__globals__[n] for n in code.co_names if n in obj.__globals__)
+    return {f"{obj.__module__}.{obj.__qualname__}" for obj in seen.values()}
+
+
+def test_the_gram_schmidt_oracle_reaches_no_vertex_schur_or_stats_code():
+    other_routes = ("qtkostka.schur.", "qtkostka.vertex.", "qtkostka.stats.")
+    reached = _reachable(macdonald_oracle, kostka_oracle)
+    assert not {name for name in reached if name.startswith(other_routes)}
+    # the walk follows memo tables, checked wrappers and helpers
+    for name in [
+        "qtkostka.oracle._orthogonal_basis",
+        "qtkostka.oracle._character",
+        "qtkostka.oracle._power_macdonald",
+        "qtkostka.oracle.schur_to_power",
+        "qtkostka.partitions.dominance_leq",
+        "qtkostka._checks.as_point",
+        "qtkostka._checks.int_parts",
+    ]:
+        assert name in reached
+    # and it sees a route crossing where one exists
+    assert "qtkostka.vertex.macdonald" in _reachable(verify_rational_props)

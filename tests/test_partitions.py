@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qtkostka._checks import int_parts
 from qtkostka.partitions import (
     add_snake,
     arm_leg,
@@ -12,7 +13,6 @@ from qtkostka.partitions import (
     first_row_removed,
     horizontal_strips,
     horizontal_strips_inside,
-    int_parts,
     is_partition,
     is_vertical_strip,
     linear_extension,

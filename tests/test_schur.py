@@ -90,8 +90,11 @@ def test_from_json_refuses_bad_shapes_and_degrees():
             SchurExpansion.from_json(blob(1, *lams))
     with pytest.raises(ValueError, match="appears twice"):
         SchurExpansion.from_json(blob(3, (2, 1), (2, 1)))
-    for bad in [blob(5, (2, 1)), blob(1), blob(True, (1,)), blob(3.0, (2, 1)), blob(None)]:
+    for bad in [blob(5, (2, 1)), blob(1)]:
         with pytest.raises(ValueError, match="does not match the size"):
+            SchurExpansion.from_json(bad)
+    for bad in [blob(True, (1,)), blob(3.0, (2, 1)), blob(None)]:
+        with pytest.raises(ValueError, match="degree = .* is not an int"):
             SchurExpansion.from_json(bad)
     with pytest.raises(ValueError, match="mixes degrees"):
         SchurExpansion.from_json(blob(3, (2, 1), (1,)))

@@ -168,13 +168,13 @@ def test_standard_tableaux_refuses_non_partitions_whether_or_not_cached(warm):
         "misses": info.misses,
         "size": info.currsize,
     }
-    with pytest.raises(ValueError, match="must be a partition"):
+    with pytest.raises(ValueError, match="is not a partition"):
         column_strict_tableaux((True, True))
 
 
 def test_column_strict_tableaux():
     # K_{(2,1),(1,1,1)} = 2 semistandard fillings
-    assert len(column_strict_tableaux((1, 1, 1), (2, 1))) == 2
+    assert len([t for t in column_strict_tableaux((1, 1, 1)) if shape(t) == (2, 1)]) == 2
     # weight (2,1): shapes (3) and (2,1) only
     tabs = column_strict_tableaux((2, 1))
     assert {shape(t) for t in tabs} == {(3,), (2, 1)}
