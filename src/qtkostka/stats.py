@@ -6,8 +6,10 @@ vertical dominoes plus a head offset.  The machinery here builds and
 unbuilds the block structure behind those statistics: row block insertion
 and its inverse (the column versions are their transposes), prefix
 deletion, types, and the sign-reversing pair involution used in the
-cancellation argument.  `stat_pair`, `full_type` and `delete_prefix` reject
-a tableau that is not standard.
+cancellation argument.  Every public function that takes a tableau rejects
+one that is not standard.  `stat_genfun`, `head_genfun` and
+`unimodal_profile` read one table per mu, filled by a single pass that types
+and charges each standard tableau once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from ._cache import memo, memo_checked
-from ._checks import as_int, as_standard, int_parts
+from ._checks import as_int, as_partition, as_standard, int_parts
 from .partitions import (
     Partition,
     conjugate,
@@ -112,6 +114,14 @@ def _size(tab: Tableau) -> int:
     return sum(map(len, tab))
 
 
+def _standard(tab: Tableau, name: str = "tab") -> Tableau:
+    """tab as a tuple of tuples, once it is a standard tableau."""
+    as_standard(tab, name)
+    if type(tab) is tuple and {tuple}.issuperset(map(type, tab)):
+        return tab
+    return tuple(map(tuple, tab))
+
+
 def _lower(rows: Iterable[Sequence[int]], m: int) -> Tableau:
     if min(map(min, filter(None, rows)), default=m + 1) <= m:
         raise ValueError(f"cannot lower labels by {m}: some label too small")
@@ -119,26 +129,30 @@ def _lower(rows: Iterable[Sequence[int]], m: int) -> Tableau:
 
 
 def head_tableau(tab: Tableau, m: int) -> Tableau:
-    """The sub-tableau on labels 1..m (always of partition shape)."""
+    """The sub-tableau on labels 1..m of a standard tableau (always of partition shape)."""
+    as_int(m, "m", 0)
+    tab = _standard(tab)
     if _size(tab) < m:
         raise ValueError(f"tableau has fewer than {m} cells")
+    return _head_tableau(tab, m)
+
+
+def _head_tableau(tab: Tableau, m: int) -> Tableau:
     sub = []
     for row in tab:
         k = bisect_right(row, m)  # rows increase, so the labels <= m are a prefix
         if not k:
             break
         sub.append(row[:k])
-    head = tuple(sub)
-    if _size(head) != m:
-        raise RuntimeError(f"labels 1..{m} of {tab} do not form a sub-tableau")
-    return head
+    return tuple(sub)
 
 
 def delete_prefix(h: int, tab: Tableau) -> Tableau:
     """Remove labels 1..h of a standard tableau and lower the rest, staying
     in the Knuth class."""
     as_int(h, "prefix length h", 0)
-    if _size(as_standard(tab, "tab")) < h:
+    tab = _standard(tab)
+    if _size(tab) < h:
         raise ValueError(f"tableau has fewer than {h} cells")
     return _delete_prefix(h, tab)
 
@@ -155,21 +169,29 @@ def _delete_prefix(h: int, tab: Tableau) -> Tableau:
 
 def unbuild(m: int, tab: Tableau) -> Tableau:
     """Strip the row block 1..m (or the column block) and close up the rest."""
-    if m < 2:
-        raise ValueError("block size must be at least 2")
+    as_int(m, "block size m", 2)
+    tab = _standard(tab)
     if _size(tab) < m:
         raise ValueError(f"tableau has fewer than {m} cells")
-    if len(tab[0]) >= m and tab[0][:m] == tuple(range(1, m + 1)):
-        rows = [list(row) for row in tab[1:]]
-        for x in reversed(tab[0][m:]):
-            column_insert_into(rows, x)
-    elif len(tab) >= m and all(tab[i][0] == i + 1 for i in range(m)):
-        rows = [list(row[1:]) for row in tab if len(row) > 1]
-        for i in range(len(tab) - 1, m - 1, -1):
-            row_insert_into(rows, tab[i][0])
+    return _unbuild(m, tab)
+
+
+def _unbuild(m: int, tab: Tableau) -> Tableau:
+    # Column-inserting x into P(w) gives P(x w) and row-inserting gives P(w x),
+    # so the insertions that close up the rest are one rectification.  In a
+    # standard tableau, m at the end of a block means 1..m fill the block.
+    first = tab[0]
+    if len(first) >= m and first[m - 1] == m:
+        word = first[m:] + reading_word(tab[1:])
+    elif len(tab) >= m and tab[m - 1][0] == m:
+        word = [x for row in reversed(tab) for x in row[1:]]
+        word += [tab[i][0] for i in range(len(tab) - 1, m - 1, -1)]
     else:
         raise ValueError(f"labels 1..{m} form neither a first-row nor first-column block")
-    return _lower(rows, m)
+    rows: list[list[int]] = []
+    for x in word:
+        row_insert_into(rows, x - m)
+    return tuple(map(tuple, rows))
 
 
 def _strip_cells(outer: Partition, inner: Partition) -> list[tuple[int, int]]:
@@ -180,10 +202,16 @@ def _strip_cells(outer: Partition, inner: Partition) -> list[tuple[int, int]]:
     ]
 
 
+def _block_args(m: int, rho: Partition, tab: Tableau, name: str) -> tuple[int, Partition, Tableau]:
+    """(m, rho, tab) once m is an int >= 1, rho a partition and tab a standard tableau,
+    as a tuple of tuples."""
+    return as_int(m, "block size m", 1), as_partition(rho, "rho"), _standard(tab, name)
+
+
 def add_row_block(m: int, rho: Partition, tab: Tableau) -> Tableau:
     """Build a bigger tableau whose smallest m labels form a first-row block,
     steered by the shape rho."""
-    rho = tuple(rho)
+    m, rho, tab = _block_args(m, rho, tab, "tab")
     n = _size(tab)
     lam = shape(tab)
     if sum(rho) != 2 * n + m:
@@ -208,7 +236,7 @@ def add_row_block(m: int, rho: Partition, tab: Tableau) -> Tableau:
 
 def inverse_row_block(m: int, rho: Partition, built: Tableau) -> Tableau:
     """Recover T from add_row_block(m, rho, T) = built."""
-    rho = tuple(rho)
+    m, rho, built = _block_args(m, rho, built, "built")
     size = _size(built)
     if sum(rho) != 2 * (size - m) + m:
         raise ValueError(f"|rho| must be {2 * (size - m) + m}, got {sum(rho)}")
@@ -233,7 +261,7 @@ def inverse_row_block(m: int, rho: Partition, built: Tableau) -> Tableau:
 def add_col_block(m: int, rho: Partition, tab: Tableau) -> Tableau:
     """Transpose of add_row_block: the smallest m labels end up as a
     first-column block."""
-    rho = tuple(rho)
+    m, rho, tab = _block_args(m, rho, tab, "tab")
     n = _size(tab)
     lam = shape(tab)
     if sum(rho) != 2 * n + m:
@@ -245,7 +273,7 @@ def add_col_block(m: int, rho: Partition, tab: Tableau) -> Tableau:
 
 def inverse_col_block(m: int, rho: Partition, built: Tableau) -> Tableau:
     """Recover T from add_col_block(m, rho, T) = built, by transposing inverse_row_block."""
-    rho = tuple(rho)
+    m, rho, built = _block_args(m, rho, built, "built")
     size = _size(built)
     if sum(rho) != 2 * (size - m) + m:
         raise ValueError(f"|rho| must be {2 * (size - m) + m}, got {sum(rho)}")
@@ -272,7 +300,7 @@ def _two_col_blocks(tab: Tableau, dominoes: int) -> tuple[str, ...]:
         letter = "V"
     else:
         raise ValueError(f"label 2 is not adjacent to label 1 in {tab}")
-    return (letter,) + _domino_tail(unbuild(2, tab), dominoes - 1)
+    return (letter,) + _domino_tail(_unbuild(2, tab), dominoes - 1)
 
 
 @memo
@@ -285,7 +313,7 @@ def _domino_tail(tab: Tableau, dominoes: int) -> tuple[str, ...]:
 
 def type_two_col(tab: Tableau, dominoes: int) -> TypeSequence:
     """The (2^a 1^b) type: one H/V letter per unbuilt domino, then singles."""
-    as_standard(tab, "tab")
+    tab = _standard(tab)
     if 2 * as_int(dominoes, "dominoes", 0) > _size(tab):
         raise ValueError(f"cannot take {dominoes!r} dominoes out of {_size(tab)} cells")
     return _type_sequence(None, _two_col_blocks(tab, dominoes))
@@ -301,29 +329,38 @@ def _direct_parts(mu: Partition) -> tuple[int, int, int]:
     return kind[1], kind[2], kind[3]
 
 
-def _checked(mu: Partition, tab: Tableau) -> tuple[int, int, int]:
-    """(m, a, b) for mu = (m, 2^a, 1^b), once tab is a standard tableau of size |mu|."""
-    parts = _direct_parts(mu)  # checks the parts of mu before sum(mu) reads them
+def _checked(mu: Partition, tab: Tableau) -> tuple[int, int, int, Tableau]:
+    """(m, a, b, tab) for mu = (m, 2^a, 1^b), once tab is a standard tableau of
+    size |mu|; tab comes back as a tuple of tuples."""
+    m, a, b = _direct_parts(mu)  # checks the parts of mu before sum(mu) reads them
     if _size(tab) != sum(mu):
         raise ValueError(f"|T| = {_size(tab)} but |mu| = {sum(mu)}")
-    as_standard(tab, "tab")
-    return parts
+    return m, a, b, _standard(tab)
+
+
+# (m, a, tab, type) of the last full_type call.  tab is a tuple of tuples of
+# ints, so one object always holds one tableau: stat_pair on the same object
+# and (m, a) reuses the type instead of typing the tableau again.
+_last_type: tuple = (None, None, None, None)
 
 
 def full_type(mu: Partition, tab: Tableau) -> TypeSequence:
     """type_mu(T): for m in {3,4} the head plus the type of the reduced tableau."""
-    m, a, _ = _checked(tuple(mu), tab)
-    return _type_of(m, a, tab)
+    global _last_type
+    m, a, _, tab = _checked(tuple(mu), tab)
+    ts = _type_of(m, a, tab)
+    _last_type = (m, a, tab, ts)
+    return ts
 
 
 def _type_of(m: int, a: int, tab: Tableau) -> TypeSequence:
     """The type of a standard tableau under the shape (m, 2^a, 1^b)."""
     if m == 2:
         return _type_sequence(None, _two_col_blocks(tab, a))
-    head = head_tableau(tab, m)
+    head = _head_tableau(tab, m)
     h, mm = HEAD_TABLE[head][2]
     # the reduced tableau has n - m cells, so its whole tail is one cache entry
-    return _type_sequence(head, _domino_tail(unbuild(mm, _delete_prefix(h, tab)), a))
+    return _type_sequence(head, _domino_tail(_unbuild(mm, _delete_prefix(h, tab)), a))
 
 
 @memo
@@ -345,33 +382,57 @@ def _type_weights(a: int, b: int, ts: TypeSequence) -> tuple[int, int]:
     return alpha + beta * n + h_weight, ts.blocks.count("V") + gamma
 
 
-def _stats_of_type(a: int, b: int, ts: TypeSequence, c: int) -> tuple[int, int]:
-    """(a_mu(T), b_mu(T)) from the type and the charge c of T, for mu = (m, 2^a, 1^b)."""
-    shift, stat_b = _type_weights(a, b, ts)
-    return c - shift, stat_b
-
-
 def stat_pair(mu: Partition, tab: Tableau) -> tuple[int, int]:
     """(a_mu(T), b_mu(T)); q tracks b and t tracks a in the expansions."""
-    m, a, b = _checked(tuple(mu), tab)
-    c = charge(reading_word(tab))  # tab is standard, so no second tableau check
-    return _stats_of_type(a, b, _type_of(m, a, tab), c)
+    m, a, b, tab = _checked(tuple(mu), tab)
+    last_m, last_a, last_tab, ts = _last_type
+    if last_tab is not tab or last_m != m or last_a != a:
+        ts = _type_of(m, a, tab)
+    shift, stat_b = _type_weights(a, b, ts)
+    return charge(reading_word(tab)) - shift, stat_b  # tab is standard: no second check
 
 
-def _expansion(counts: dict[Partition, dict[tuple[int, int], int]]) -> SchurExpansion:
-    return SchurExpansion({sh: QTPoly(terms) for sh, terms in counts.items()})
+Counts = dict[Partition, dict[tuple[int, int], int]]  # shape -> (b, a) -> number of T
+
+
+@memo_checked(int_parts)
+def _stat_counts(
+    mu: Partition,
+) -> tuple[dict[Optional[Tableau], Counts], dict[TypeSequence, dict[int, int]]]:
+    """One pass over the standard tableaux of size |mu|, each typed and charged
+    once: the number of T with each (b_mu, a_mu) by head and shape, and with
+    each a_mu by type.  Only these counts are kept."""
+    _direct_parts(mu)  # refuses mu before sum(mu) reads it
+    by_head: dict[Optional[Tableau], Counts] = {}
+    by_type: dict[TypeSequence, dict[int, int]] = {}
+    keys: dict[tuple[int, int], tuple[int, int]] = {}  # one (b, a) object per value
+    for tab in all_standard_tableaux(sum(mu)):
+        ts = full_type(mu, tab)
+        a, b = stat_pair(mu, tab)  # reuses ts
+        key = keys.setdefault((b, a), (b, a))
+        bucket = by_head.setdefault(ts.head, {}).setdefault(shape(tab), {})
+        bucket[key] = bucket.get(key, 0) + 1
+        bucket = by_type.setdefault(ts, {})
+        bucket[a] = bucket.get(a, 0) + 1
+    return by_head, by_type
+
+
+def _expansion(tables: Iterable[Counts], gamma: int = 0) -> SchurExpansion:
+    """The sum of q^(b - gamma) t^a s_shape over the counts in tables."""
+    total: Counts = {}
+    for counts in tables:
+        for sh, bucket in counts.items():
+            into = total.setdefault(sh, {})
+            for (b, a), k in bucket.items():
+                into[b - gamma, a] = into.get((b - gamma, a), 0) + k
+    return SchurExpansion({sh: QTPoly(terms) for sh, terms in total.items()})
 
 
 def stat_genfun(mu: Partition) -> SchurExpansion:
     """Sum of q^b_mu(T) t^a_mu(T) s_shape(T) over all standard T of size |mu|."""
     mu = tuple(mu)
     _direct_parts(mu)
-    counts: dict[Partition, dict[tuple[int, int], int]] = {}
-    for tab in all_standard_tableaux(sum(mu)):
-        a, b = stat_pair(mu, tab)
-        bucket = counts.setdefault(shape(tab), {})
-        bucket[b, a] = bucket.get((b, a), 0) + 1
-    return _expansion(counts)
+    return _expansion(_stat_counts(mu)[0].values())
 
 
 def head_genfun(mu: Partition, heads: tuple[Tableau, ...]) -> SchurExpansion:
@@ -388,22 +449,17 @@ def head_genfun(mu: Partition, heads: tuple[Tableau, ...]) -> SchurExpansion:
     gammas = {HEAD_TABLE[S][3] for S in heads}
     if len(gammas) != 1:
         raise ValueError("heads must share a single gamma offset")
-    gamma = gammas.pop()
-    counts: dict[Partition, dict[tuple[int, int], int]] = {}
-    for tab in all_standard_tableaux(sum(mu)):
-        if head_tableau(tab, m) not in heads:
-            continue
-        a, b = stat_pair(mu, tab)
-        bucket = counts.setdefault(shape(tab), {})
-        bucket[b - gamma, a] = bucket.get((b - gamma, a), 0) + 1
-    return _expansion(counts)
+    by_head = _stat_counts(mu)[0]
+    return _expansion((by_head[h] for h in by_head if h in heads), gammas.pop())
 
 
 def classify_pair(n: int, m: int, tab: Tableau, rho: Partition) -> str:
     """stable / unstable / immaterial status of a build pair (T, rho)."""
+    as_int(n, "n", 0)
+    m, rho, tab = _block_args(m, rho, tab, "tab")
     if _size(tab) != n:
         raise ValueError(f"|T| = {_size(tab)} but n = {n}")
-    core = remove_snake(tuple(rho), n)
+    core = remove_snake(rho, n)
     if core is None:
         return "immaterial"
     built = add_row_block(m, rho, tab)
@@ -416,7 +472,7 @@ def pair_involution(n: int, m: int, tab: Tableau, rho: Partition) -> tuple[Table
     status = classify_pair(n, m, tab, rho)
     if status != "unstable":
         raise ValueError(f"pair is {status}; the involution needs an unstable pair")
-    built = add_row_block(m, tuple(rho), tab)
+    built = add_row_block(m, rho, tab)
     flipped = snake_involution(shape(built), n, tuple(rho))
     return inverse_row_block(m, flipped, built), flipped
 
@@ -438,14 +494,8 @@ def unimodal_profile(mu: Partition) -> dict[TypeSequence, tuple[int, ...]]:
     """Counts of standard tableaux by full type and a_mu value: for each type
     the sequence (A^0, A^1, ..., A^max)."""
     mu = tuple(mu)
-    _, a, b = _direct_parts(mu)
-    by_type: dict[TypeSequence, dict[int, int]] = {}
-    for tab in all_standard_tableaux(sum(mu)):
-        ts = full_type(mu, tab)
-        stat_a, _ = _stats_of_type(a, b, ts, charge(reading_word(tab)))
-        bucket = by_type.setdefault(ts, {})
-        bucket[stat_a] = bucket.get(stat_a, 0) + 1
+    _direct_parts(mu)
     return {
         ts: tuple(counts.get(i, 0) for i in range(max(counts) + 1))
-        for ts, counts in by_type.items()
+        for ts, counts in _stat_counts(mu)[1].items()
     }

@@ -51,11 +51,13 @@ def reading_word(tab: Tableau) -> Word:
 
 def content(word: Iterable[int]) -> tuple[int, ...]:
     """Multiplicity vector of the letters 1..max(word)."""
-    letters = as_word(word, "word")
+    return _content(as_word(word, "word"))
+
+
+def _content(letters: Word) -> tuple[int, ...]:
     if not letters:
         return ()
-    top = max(letters)
-    counts = [0] * top
+    counts = [0] * max(letters)
     for x in letters:
         counts[x - 1] += 1
     return tuple(counts)
@@ -69,8 +71,12 @@ def standard_subwords(word: Word) -> list[Word]:
     end is passed; the marked letters form one standard subword, which
     is removed before repeating.
     """
+    return _standard_subwords(as_word(word, "word"))
+
+
+def _standard_subwords(word: Word) -> list[Word]:
+    as_partition(_content(word), "content")
     remaining = list(enumerate(word))
-    as_partition(content(word), "content")
     subwords: list[Word] = []
     while remaining:
         top = max(letter for _, letter in remaining)
@@ -115,7 +121,7 @@ def charge(word: Iterable[int]) -> int:
     if sorted(w) == list(range(1, len(w) + 1)):
         # a permutation is its own single standard subword
         return _standard_charge(w)
-    return sum(_standard_charge(sub) for sub in standard_subwords(w))
+    return sum(_standard_charge(sub) for sub in _standard_subwords(w))  # w is checked
 
 
 def tableau_charge(tab: Tableau) -> int:

@@ -28,6 +28,7 @@ TABLES = {
     "stats.direct_parts",
     "stats.type_sequence",
     "stats.type_weights",
+    "stats.stat_counts",
     "oracle.character",
     "oracle.schur_to_power",
     "oracle.orthogonal_basis",

@@ -26,7 +26,21 @@ from qtkostka.oracle import (
 )
 from qtkostka.partitions import conjugate, dominance_leq, partitions_of
 from qtkostka.schur import hl_vertex, hl_vertex_snake, mul_h
-from qtkostka.stats import delete_prefix, full_type, stat_genfun, stat_pair, type_two_col
+from qtkostka.stats import (
+    add_col_block,
+    add_row_block,
+    classify_pair,
+    delete_prefix,
+    full_type,
+    head_tableau,
+    inverse_col_block,
+    inverse_row_block,
+    pair_involution,
+    stat_genfun,
+    stat_pair,
+    type_two_col,
+    unbuild,
+)
 from qtkostka.tableaux import (
     charge,
     column_insert,
@@ -53,6 +67,8 @@ MU = (2, 1)
 TAB = ((1, 3), (2,))
 P21 = schur_to_power(MU)
 S21 = SchurExpansion.schur(MU)
+RHO = (5, 2, 1)  # TAB and RHO make a build pair for a block of size 2
+BUILT = add_row_block(2, RHO, TAB)
 
 
 def _not_a_partition(parts):
@@ -182,6 +198,15 @@ ENTRY_POINTS = [
     ("component_groups", NOT_INT, "int", component_groups),
     ("delete_prefix/h", NOT_NONNEGATIVE, "int", lambda x: delete_prefix(x, TAB)),
     ("type_two_col/dominoes", NOT_NONNEGATIVE, "int", lambda x: type_two_col(TAB, x)),
+    ("head_tableau/m", NOT_NONNEGATIVE, "int", lambda x: head_tableau(TAB, x)),
+    ("unbuild/m", NOT_NONNEGATIVE, "int", lambda x: unbuild(x, BUILT)),
+    ("add_row_block/m", NOT_NONNEGATIVE, "int", lambda x: add_row_block(x, RHO, TAB)),
+    ("inverse_col_block/m", NOT_NONNEGATIVE, "int", lambda x: inverse_col_block(x, RHO, BUILT)),
+    ("classify_pair/n", NOT_NONNEGATIVE, "int", lambda x: classify_pair(x, 2, TAB, RHO)),
+    ("add_row_block/rho", NOT_PARTITION, "partition", lambda x: add_row_block(2, x, TAB)),
+    ("add_col_block/rho", NOT_PARTITION, "partition", lambda x: add_col_block(2, x, TAB)),
+    ("classify_pair/rho", NOT_PARTITION, "partition", lambda x: classify_pair(3, 2, TAB, x)),
+    ("pair_involution/rho", NOT_PARTITION, "partition", lambda x: pair_involution(3, 2, TAB, x)),
     ("generic_points/count", NOT_NONNEGATIVE, "int", lambda x: generic_points(x, 0)),
     ("run_battery/n_points", NOT_NONNEGATIVE, "int", lambda x: run_battery(n_points=x)),
     ("run_battery/seed", NOT_INT, "int", lambda x: run_battery(seed=x)),
@@ -196,6 +221,12 @@ ENTRY_POINTS = [
     ("conjugate_tableau", NOT_STANDARD, "tableau", conjugate_tableau),
     ("delete_prefix/tab", NOT_STANDARD, "tableau", lambda x: delete_prefix(0, x)),
     ("type_two_col/tab", NOT_STANDARD, "tableau", lambda x: type_two_col(x, 0)),
+    ("head_tableau/tab", NOT_STANDARD, "tableau", lambda x: head_tableau(x, 1)),
+    ("unbuild/tab", NOT_STANDARD, "tableau", lambda x: unbuild(2, x)),
+    ("add_row_block/tab", NOT_STANDARD, "tableau", lambda x: add_row_block(2, RHO, x)),
+    ("inverse_row_block/built", NOT_STANDARD, "tableau", lambda x: inverse_row_block(2, RHO, x)),
+    ("add_col_block/tab", NOT_STANDARD, "tableau", lambda x: add_col_block(2, RHO, x)),
+    ("classify_pair/tab", NOT_STANDARD, "tableau", lambda x: classify_pair(3, 2, x, RHO)),
     ("tableau_charge", NOT_TABLEAU, "tableau", tableau_charge),
     ("row_insert", NOT_TABLEAU, "tableau", lambda x: row_insert(x, 1)),
     ("column_insert", NOT_TABLEAU, "tableau", lambda x: column_insert(x, 1)),
@@ -275,6 +306,11 @@ GAPS = {
     "hl_vertex_snake(2, s, -1) -> 0": lambda: hl_vertex_snake(2, S21, -1),
     "QTPoly.q(1) ** True -> q": lambda: QTPoly.q(1) ** True,
     "component_groups(3.0) answered": lambda: component_groups(3.0),
+    "head_tableau(((1, 2), (3,)), True) -> ((1,),)": lambda: head_tableau(((1, 2), (3,)), True),
+    "classify_pair(1, 2, ((1,),), (2, 1, True)) -> immaterial": (
+        lambda: classify_pair(1, 2, ((1,),), (2, 1, True))
+    ),
+    "unbuild(2.0, ((1, 2, 3),)) raised a bare TypeError": lambda: unbuild(2.0, ((1, 2, 3),)),
 }
 
 
@@ -301,3 +337,7 @@ def test_the_gaps_still_answer_good_input():
     assert hl_vertex_snake(2, S21, 1) == hl_vertex_snake(2, S21)
     assert QTPoly.q(1) ** 0 == QTPoly.one()
     assert len(component_groups(3)) == 4
+    assert head_tableau(((1, 2), (3,)), 1) == ((1,),)
+    assert classify_pair(1, 2, ((1,),), (3, 1)) == "stable"
+    assert classify_pair(3, 2, ((1, 2, 3),), (5, 3)) == "immaterial"
+    assert unbuild(2, ((1, 2, 3),)) == ((1,),)

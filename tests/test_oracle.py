@@ -290,7 +290,7 @@ def test_oracle_refuses_non_partitions():
             call()
     with pytest.raises(ValueError, match="character needs"):
         character((2,), (1,))
-    assert len(cache_info()) == 22
+    assert len(cache_info()) == 23
     assert character([2, 1], [3]) == -1
     assert macdonald_oracle([1], Q0, T0) == {(1,): 1 - T0}
 

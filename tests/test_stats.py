@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qtkostka import cache_info, clear_caches
+from qtkostka import InputError, cache_info, clear_caches
 from qtkostka.partitions import (
     contains,
     first_column_removed,
@@ -269,13 +269,16 @@ def _direct_shapes(n):
 
 
 def test_unbuild_matches_the_tuple_reference():
-    tabs = [tab for n in range(10) for tab in all_standard_tableaux(n)]
-    # not standard: labels left at or below m, and no block at all
-    tabs += [((1, 2, 2),), ((1, 2), (2,)), ((1, 2, 3), (3,)), ((1,), (2,), (2,)), ((2, 3), (4,))]
-    for tab in tabs:
+    # unbuild is one rectification now; the column-insertion body is the reference
+    for tab in (tab for n in range(10) for tab in all_standard_tableaux(n)):
         for m in (2, 3, 4):
             assert _outcome(unbuild, m, tab) == _outcome(_seed_unbuild, m, tab)
-    assert _outcome(unbuild, 2, ((1, 2, 2),)).startswith("ValueError: cannot lower labels by 2")
+    # not standard (labels left at or below m, or no block at all): these once
+    # reached the block code and failed there
+    for tab in [((1, 2, 2),), ((1, 2), (2,)), ((1, 2, 3), (3,)), ((1,), (2,), (2,)), ((2, 3), (4,))]:
+        for m in (2, 3, 4):
+            with pytest.raises(InputError, match="is not a standard tableau"):
+                unbuild(m, tab)
 
 
 def test_unimodal_profile_counts_match_stat_pair():
@@ -413,22 +416,81 @@ def test_head_genfun_refuses_heads_that_do_not_fit_mu():
 
 
 def test_a_cached_shape_never_answers_for_a_key_that_only_hashes_like_it():
-    tab = T("1,3/2,4")
+    tab, heads = T("1,3/2,4"), (T("1,2,3"),)
     assert stat_pair((2, 2), tab) == stat_pair((2, 2), tab)
-    stat_genfun((2, 2))
-    unimodal_profile((1, 1))
-    head_genfun((3, 1), (T("1,2,3"),))
-    for call in [
+    for mu in [(2, 2), (1, 1), (3, 1)]:
+        stat_genfun(mu)
+        unimodal_profile(mu)
+    head_genfun((3, 1), heads)
+    size = cache_info()["stats.stat_counts"]["size"]
+    calls = [
         lambda: stat_pair((2.0, 2), tab),
         lambda: stat_pair((True, True, True, True), tab),
         lambda: full_type((2.0, 2), tab),
-        lambda: stat_genfun((True, True)),
-        lambda: stat_genfun((2.0, 2)),
-        lambda: unimodal_profile((True, True)),
-        lambda: head_genfun((3.0, 1), (T("1,2,3"),)),
-    ]:
+    ]
+    # the three readers share one table, which holds (2, 2), (1, 1) and (3, 1)
+    for bad in [(2.0, 2), (True, True), (True,) * 4, (3.0, 1)]:
+        calls += [lambda bad=bad: stat_genfun(bad), lambda bad=bad: unimodal_profile(bad)]
+        calls += [lambda bad=bad: head_genfun(bad, heads)]
+    for call in calls:
         with pytest.raises(ValueError, match="is not a partition"):
             call()
+    assert cache_info()["stats.stat_counts"]["size"] == size
+
+
+def test_one_pass_per_mu_types_and_charges_each_tableau_once(monkeypatch):
+    from qtkostka import stats
+
+    calls = {"full_type": 0, "stat_pair": 0, "charge": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(stats, name, counted(name, getattr(stats, name)))
+    clear_caches()
+    mu = (3, 2, 1)
+    stat_genfun(mu)
+    unimodal_profile(mu)
+    head_genfun(mu, (T("1,2,3"),))
+    head_genfun(mu, (T("1,3/2"),))
+    syt = len(all_standard_tableaux(6))
+    assert calls == {"full_type": syt, "stat_pair": syt, "charge": syt}
+
+
+def test_stat_pair_reuses_a_type_only_for_the_same_immutable_tableau():
+    rows = [[1, 2], [3, 4]]
+    assert full_type((2, 2), rows) == full_type((2, 2), T("1,2/3,4"))
+    rows[0][1], rows[1][0] = 3, 2  # now 1,3/2,4, of another type
+    assert stat_pair((2, 2), rows) == stat_pair((2, 2), T("1,3/2,4")) == (2, 2)
+    full_type((2, 2), T("1,2/3,4"))
+    assert stat_pair((2, 2), T("1,3/2,4")) == (2, 2)
+    tab = T("1,3/2/4")
+    want = {mu: stat_pair(mu, tab) for mu in [(3, 1), (2, 2)]}
+    for mu in want:  # the same object under another (m, a)
+        full_type((2, 1, 1), tab)
+        assert stat_pair(mu, tab) == want[mu]
+
+
+def test_lists_of_lists_are_read_as_their_tuples():
+    # a standard tableau given as lists: full_type((2, 2), ...) once missed the
+    # block of 1,2/3,4 and full_type((3, 1), ...) raised "unhashable type"
+    for tab in all_standard_tableaux(4):
+        rows = [list(row) for row in tab]
+        for mu in [(2, 2), (3, 1), (4,), (2, 1, 1)]:
+            assert full_type(mu, rows) == full_type(mu, tab)
+            assert stat_pair(mu, rows) == stat_pair(mu, tab)
+        assert type_two_col(rows, 1) == type_two_col(tab, 1)
+        assert head_tableau(rows, 2) == head_tableau(tab, 2)
+        assert delete_prefix(0, rows) == delete_prefix(0, tab) == tab
+        for m in (2, 3, 4):
+            assert _outcome(unbuild, m, rows) == _outcome(unbuild, m, tab)
+        for rho in horizontal_strips(shape(tab), 6):  # |rho| = 2 * 4 + 2
+            assert add_row_block(2, rho, rows) == add_row_block(2, rho, tab)
 
 
 def _json_digest(h, f):

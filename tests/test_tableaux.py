@@ -234,6 +234,24 @@ def test_charge_of_a_permutation_is_its_standard_charge():
             assert charge(w) == sum(_standard_charge(s) for s in standard_subwords(w))
 
 
+def test_charge_checks_a_word_once(monkeypatch):
+    # a word that is not a permutation once went through as_word twice:
+    # in charge, then in content under standard_subwords
+    from qtkostka import tableaux
+
+    seen = []
+    real = tableaux.as_word
+    monkeypatch.setattr(tableaux, "as_word", lambda *args: seen.append(args) or real(*args))
+    assert charge((2, 1, 1, 2)) == charge((2, 1)) + charge((1, 2))
+    assert len(seen) == 3
+    with pytest.raises(ValueError, match="content = \\(1, 2\\) is not a partition"):
+        charge((1, 2, 2))
+    assert len(seen) == 4
+    assert standard_subwords((2, 1, 1, 2)) == [(2, 1), (1, 2)]
+    assert content((1, 1, 2)) == (2, 1)
+    assert len(seen) == 6
+
+
 def test_insertion_matches_the_tuple_reference():
     tabs = list(all_standard_tableaux(6))
     tabs += [tab for weight in ((2, 2, 1), (3, 2), (2, 1, 1, 1)) for tab in column_strict_tableaux(weight)]
