@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from ._cache import memo, memo_checked
-from ._checks import as_int, as_partition, as_standard, int_parts
+from ._checks import StandardTableau, as_int, as_partition, as_standard, int_parts
 from .partitions import (
     Partition,
     conjugate,
@@ -29,6 +29,7 @@ from .partitions import (
     is_horizontal_strip,
     is_vertical_strip,
     part,
+    partitions_of,
     remove_snake,
     snake_involution,
 )
@@ -47,7 +48,7 @@ from .tableaux import (
     reverse_row_insert,
     row_insert_into,
     shape,
-    all_standard_tableaux,
+    standard_tableaux,
 )
 from .vertex import UnsupportedShapeError, classify_shape
 
@@ -116,6 +117,8 @@ def _size(tab: Tableau) -> int:
 
 def _standard(tab: Tableau, name: str = "tab") -> Tableau:
     """tab as a tuple of tuples, once it is a standard tableau."""
+    if type(tab) is StandardTableau:  # generated, so checked and built of tuples
+        return tab
     as_standard(tab, name)
     if type(tab) is tuple and {tuple}.issuperset(map(type, tab)):
         return tab
@@ -177,20 +180,31 @@ def unbuild(m: int, tab: Tableau) -> Tableau:
 
 
 def _unbuild(m: int, tab: Tableau) -> Tableau:
+    # In a standard tableau, m at the end of a block means 1..m fill the block.
+    if len(tab[0]) >= m and tab[0][m - 1] == m:
+        return _close_up("row", m, tab)
+    if len(tab) >= m and tab[m - 1][0] == m:
+        return _close_up("col", m, tab)
+    raise ValueError(f"labels 1..{m} form neither a first-row nor first-column block")
+
+
+def _close_up(kind: str, m: int, tab: Tableau) -> Tableau:
+    """The row-insertion rectification, lowered by m, of the labels > m of tab
+    read as a "row" word (the first row, then the reading word of the rows
+    above it) or a "col" word (the reading word of tab without its first
+    column, then the first column from the top down)."""
     # Column-inserting x into P(w) gives P(x w) and row-inserting gives P(w x),
-    # so the insertions that close up the rest are one rectification.  In a
-    # standard tableau, m at the end of a block means 1..m fill the block.
-    first = tab[0]
-    if len(first) >= m and first[m - 1] == m:
-        word = first[m:] + reading_word(tab[1:])
-    elif len(tab) >= m and tab[m - 1][0] == m:
-        word = [x for row in reversed(tab) for x in row[1:]]
-        word += [tab[i][0] for i in range(len(tab) - 1, m - 1, -1)]
+    # so the insertions that close up the rest after a block is taken off are
+    # one rectification.
+    if kind == "row":
+        word = tab[0] + reading_word(tab[1:])
     else:
-        raise ValueError(f"labels 1..{m} form neither a first-row nor first-column block")
+        word = [x for row in reversed(tab) for x in row[1:]]
+        word += [row[0] for row in reversed(tab)]
     rows: list[list[int]] = []
     for x in word:
-        row_insert_into(rows, x - m)
+        if x > m:
+            row_insert_into(rows, x - m)
     return tuple(map(tuple, rows))
 
 
@@ -332,10 +346,11 @@ def _direct_parts(mu: Partition) -> tuple[int, int, int]:
 def _checked(mu: Partition, tab: Tableau) -> tuple[int, int, int, Tableau]:
     """(m, a, b, tab) for mu = (m, 2^a, 1^b), once tab is a standard tableau of
     size |mu|; tab comes back as a tuple of tuples."""
+    tab = _standard(tab)  # first, so a refused tab reaches no table
     m, a, b = _direct_parts(mu)  # checks the parts of mu before sum(mu) reads them
     if _size(tab) != sum(mu):
         raise ValueError(f"|T| = {_size(tab)} but |mu| = {sum(mu)}")
-    return m, a, b, _standard(tab)
+    return m, a, b, tab
 
 
 # (m, a, tab, type) of the last full_type call.  tab is a tuple of tuples of
@@ -357,10 +372,39 @@ def _type_of(m: int, a: int, tab: Tableau) -> TypeSequence:
     """The type of a standard tableau under the shape (m, 2^a, 1^b)."""
     if m == 2:
         return _type_sequence(None, _two_col_blocks(tab, a))
-    head = _head_tableau(tab, m)
-    h, mm = HEAD_TABLE[head][2]
+    head, reduced = _reduced(m, tab)
     # the reduced tableau has n - m cells, so its whole tail is one cache entry
-    return _type_sequence(head, _domino_tail(_unbuild(mm, _delete_prefix(h, tab)), a))
+    return _type_sequence(head, _domino_tail(reduced, a))
+
+
+# For T with one of these heads, the reduced tableau
+# _unbuild(mm, _delete_prefix(h, T)) is _close_up(kind, m, T): one
+# rectification instead of two.  The heads ((1, 2, 4), (3,)) and
+# ((1, 3), (2,), (4,)) have no such word and keep the two steps.
+_HEAD_WORD: dict[Tableau, str] = {
+    ((1, 2, 3),): "row",
+    ((1, 3), (2,)): "row",
+    ((1, 2), (3,)): "col",
+    ((1,), (2,), (3,)): "col",
+    ((1, 2, 3, 4),): "row",
+    ((1, 3, 4), (2,)): "row",
+    ((1, 2, 3), (4,)): "col",
+    ((1, 2), (3, 4)): "row",
+    ((1, 3), (2, 4)): "col",
+    ((1, 4), (2,), (3,)): "row",
+    ((1, 2), (3,), (4,)): "col",
+    ((1,), (2,), (3,), (4,)): "col",
+}
+
+
+def _reduced(m: int, tab: Tableau) -> tuple[Tableau, Tableau]:
+    """(head, reduced tableau) of a standard tableau under a head of size m."""
+    head = _head_tableau(tab, m)
+    kind = _HEAD_WORD.get(head)
+    if kind is not None:
+        return head, _close_up(kind, m, tab)
+    h, mm = HEAD_TABLE[head][2]
+    return head, _unbuild(mm, _delete_prefix(h, tab))
 
 
 @memo
@@ -406,14 +450,15 @@ def _stat_counts(
     by_head: dict[Optional[Tableau], Counts] = {}
     by_type: dict[TypeSequence, dict[int, int]] = {}
     keys: dict[tuple[int, int], tuple[int, int]] = {}  # one (b, a) object per value
-    for tab in all_standard_tableaux(sum(mu)):
-        ts = full_type(mu, tab)
-        a, b = stat_pair(mu, tab)  # reuses ts
-        key = keys.setdefault((b, a), (b, a))
-        bucket = by_head.setdefault(ts.head, {}).setdefault(shape(tab), {})
-        bucket[key] = bucket.get(key, 0) + 1
-        bucket = by_type.setdefault(ts, {})
-        bucket[a] = bucket.get(a, 0) + 1
+    for sh in partitions_of(sum(mu)):
+        for tab in standard_tableaux(sh):
+            ts = full_type(mu, tab)
+            a, b = stat_pair(mu, tab)  # reuses ts
+            key = keys.setdefault((b, a), (b, a))
+            bucket = by_head.setdefault(ts.head, {}).setdefault(sh, {})
+            bucket[key] = bucket.get(key, 0) + 1
+            bucket = by_type.setdefault(ts, {})
+            bucket[a] = bucket.get(a, 0) + 1
     return by_head, by_type
 
 
@@ -442,15 +487,17 @@ def head_genfun(mu: Partition, heads: tuple[Tableau, ...]) -> SchurExpansion:
     m, _, _ = _direct_parts(mu)
     if m == 2:
         raise ValueError(f"{mu} is of the form (2^a 1^b), which has no head")
+    normal = []
     for S in heads:
         # every standard tableau of size 3 or 4 is a head
         if not is_standard(S) or _size(S) != m:
             raise ValueError(f"{S} is not a head tableau of size {m}")
-    gammas = {HEAD_TABLE[S][3] for S in heads}
+        normal.append(_standard(S))  # a tuple of tuples, as HEAD_TABLE keys are
+    gammas = {HEAD_TABLE[S][3] for S in normal}
     if len(gammas) != 1:
         raise ValueError("heads must share a single gamma offset")
     by_head = _stat_counts(mu)[0]
-    return _expansion((by_head[h] for h in by_head if h in heads), gammas.pop())
+    return _expansion((by_head[h] for h in by_head if h in normal), gammas.pop())
 
 
 def classify_pair(n: int, m: int, tab: Tableau, rho: Partition) -> str:

@@ -9,11 +9,13 @@ top row, so the bottom row is read last.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from operator import gt
 from typing import Iterable
 
 from ._cache import memo_checked
-from ._checks import as_int, as_partition, as_standard, as_tableau, as_word, int_parts
-from ._checks import is_standard, is_tableau  # noqa: F401  (public names of this module)
+from ._checks import StandardTableau, as_int, as_partition, as_standard, as_tableau, as_word
+from ._checks import int_parts, is_standard, is_tableau  # noqa: F401  (public names)
 from .partitions import Partition, horizontal_strips, partitions_of
 
 Word = tuple[int, ...]
@@ -103,14 +105,10 @@ def _standard_subwords(word: Word) -> list[Word]:
 
 
 def _standard_charge(word: Word) -> int:
-    position = {letter: i for i, letter in enumerate(word)}
-    index = 0
-    total = 0
-    for letter in range(2, len(word) + 1):
-        if position[letter] > position[letter - 1]:
-            index += 1
-        total += index
-    return total
+    # inverse[k] is the position of letter k + 1; letter k + 1 raises the index
+    # when it stands right of letter k, and charge sums the running index
+    inverse = sorted(range(len(word)), key=word.__getitem__)
+    return sum(accumulate(map(gt, inverse[1:], inverse)))
 
 
 def charge(word: Iterable[int]) -> int:
@@ -221,22 +219,25 @@ def conjugate_tableau(tab: Tableau) -> Tableau:
 
 
 @memo_checked(int_parts)
-def standard_tableaux(sh: Partition) -> tuple[Tableau, ...]:
-    """All standard tableaux of the given shape, in a fixed order."""
+def standard_tableaux(sh: Partition) -> tuple[StandardTableau, ...]:
+    """All standard tableaux of the given shape, in a fixed order.
+
+    Each is a `StandardTableau` built from its parent (the tableau without n)
+    by replacing the one row that gains n, so every other row object is the
+    parent's own.
+    """
     if not as_partition(sh, "sh"):  # the part order, on a miss
-        return ((),)
+        return (StandardTableau._trusted(()),)
     n = sum(sh)
-    out: list[Tableau] = []
+    trusted = StandardTableau._trusted
+    out: list[StandardTableau] = []
     for r in range(len(sh)):
         if r + 1 < len(sh) and sh[r] == sh[r + 1]:
             continue
         smaller = tuple(p for p in (sh[:r] + (sh[r] - 1,) + sh[r + 1 :]) if p)
         for sub in standard_tableaux(smaller):
-            rows = [list(row) for row in sub]
-            while len(rows) <= r:
-                rows.append([])
-            rows[r].append(n)
-            out.append(tuple(tuple(row) for row in rows))
+            row = sub[r] + (n,) if r < len(sub) else (n,)
+            out.append(trusted(sub[:r] + (row,) + sub[r + 1 :]))
     return tuple(out)
 
 

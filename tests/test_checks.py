@@ -42,6 +42,7 @@ from qtkostka.stats import (
     unbuild,
 )
 from qtkostka.tableaux import (
+    StandardTableau,
     charge,
     column_insert,
     column_strict_tableaux,
@@ -216,6 +217,7 @@ ENTRY_POINTS = [
     ("kostka_oracle/t0", NOT_POINT, "point", lambda x: kostka_oracle(MU, MU, Q0, x)),
     ("scalar_qt/q0", NOT_POINT, "point", lambda x: scalar_qt(P21, P21, x, T0)),
     ("scalar_t/t0", NOT_POINT, "point", lambda x: scalar_t(P21, P21, x)),
+    ("StandardTableau", NOT_STANDARD, "tableau", StandardTableau),
     ("stat_pair/tab", NOT_STANDARD, "tableau", lambda x: stat_pair(MU, x)),
     ("full_type/tab", NOT_STANDARD, "tableau", lambda x: full_type(MU, x)),
     ("conjugate_tableau", NOT_STANDARD, "tableau", conjugate_tableau),
@@ -311,6 +313,10 @@ GAPS = {
         lambda: classify_pair(1, 2, ((1,),), (2, 1, True))
     ),
     "unbuild(2.0, ((1, 2, 3),)) raised a bare TypeError": lambda: unbuild(2.0, ((1, 2, 3),)),
+    "stat_pair((2, 1), 5) raised a bare TypeError": lambda: stat_pair((2, 1), 5),
+    "full_type((2, 1), ((1, 2), 3)) raised a bare TypeError": (
+        lambda: full_type((2, 1), ((1, 2), 3))
+    ),
 }
 
 
@@ -341,3 +347,5 @@ def test_the_gaps_still_answer_good_input():
     assert classify_pair(1, 2, ((1,),), (3, 1)) == "stable"
     assert classify_pair(3, 2, ((1, 2, 3),), (5, 3)) == "immaterial"
     assert unbuild(2, ((1, 2, 3),)) == ((1,),)
+    assert stat_pair((2, 1), ((1, 2), (3,))) == stat_pair((2, 1), StandardTableau([[1, 2], [3]]))
+    assert full_type((2, 1), ((1, 3), (2,))).text() == "V,S"

@@ -281,6 +281,36 @@ def test_unbuild_matches_the_tuple_reference():
                 unbuild(m, tab)
 
 
+def _two_step_reduced(m, tab):
+    # prefix deletion, then unbuild: the reference for the one-rectification form
+    head = head_tableau(tab, m)
+    h, mm = HEAD_TABLE[head][2]
+    return head, unbuild(mm, delete_prefix(h, tab))
+
+
+def test_heads_reduce_in_one_rectification():
+    from qtkostka.stats import _HEAD_WORD, _reduced
+
+    seen = set()
+    for n in range(3, 11):
+        for tab in all_standard_tableaux(n):
+            for m in [m for m in (3, 4) if m <= n]:
+                head, reduced = _reduced(m, tab)
+                assert (head, reduced) == _two_step_reduced(m, tab)
+                seen.add(head)
+    assert seen == set(HEAD_TABLE)
+    assert set(HEAD_TABLE) - set(_HEAD_WORD) == {T("1,2,4/3"), T("1,3/2/4")}
+
+
+def test_the_two_heads_without_a_word_need_both_steps():
+    from qtkostka.stats import _close_up
+
+    for head in [T("1,2,4/3"), T("1,3/2/4")]:
+        tabs = [tab for tab in all_standard_tableaux(7) if head_tableau(tab, 4) == head]
+        for kind in ("row", "col"):
+            assert any(_close_up(kind, 4, tab) != _two_step_reduced(4, tab)[1] for tab in tabs)
+
+
 def test_unimodal_profile_counts_match_stat_pair():
     for n in range(1, 9):
         for mu in _direct_shapes(n):
@@ -413,6 +443,16 @@ def test_head_genfun_refuses_heads_that_do_not_fit_mu():
             head_genfun((3, 1), (head,))
     with pytest.raises(ValueError, match="single gamma"):
         head_genfun((3, 1), (T("1,2,3"), T("1/2/3")))
+
+
+def test_head_genfun_reads_heads_given_as_lists():
+    # a head as lists once raised "unhashable type: 'list'"
+    want = head_genfun((3, 1), (T("1,2,3"),))
+    assert head_genfun((3, 1), ([[1, 2, 3]],)) == want
+    assert head_genfun((3, 1), [([1, 2, 3],)]) == want
+    assert head_genfun((3, 1), (h for h in [T("1,2,3")])) == want
+    pair = (T("1,2,4/3"), T("1,2/3,4"))  # both with gamma 2
+    assert head_genfun((4, 2), ([list(r) for r in h] for h in pair)) == head_genfun((4, 2), pair)
 
 
 def test_a_cached_shape_never_answers_for_a_key_that_only_hashes_like_it():

@@ -1,10 +1,14 @@
+import json
 from bisect import bisect_right
+from functools import cache
 from itertools import permutations, product
 
 import pytest
 
-from qtkostka import cache_info
+from qtkostka import InputError, cache_info
+from qtkostka.partitions import partitions_of
 from qtkostka.tableaux import (
+    StandardTableau,
     _standard_charge,
     all_standard_tableaux,
     charge,
@@ -234,6 +238,24 @@ def test_charge_of_a_permutation_is_its_standard_charge():
             assert charge(w) == sum(_standard_charge(s) for s in standard_subwords(w))
 
 
+def _seed_standard_charge(word):
+    # the per-letter position dict that the sorted inverse replaced
+    position = {letter: i for i, letter in enumerate(word)}
+    index = 0
+    total = 0
+    for letter in range(2, len(word) + 1):
+        if position[letter] > position[letter - 1]:
+            index += 1
+        total += index
+    return total
+
+
+def test_standard_charge_matches_the_dict_form():
+    for n in range(8):
+        for w in permutations(range(1, n + 1)):
+            assert _standard_charge(w) == _seed_standard_charge(w)
+
+
 def test_charge_checks_a_word_once(monkeypatch):
     # a word that is not a permutation once went through as_word twice:
     # in charge, then in content under standard_subwords
@@ -310,3 +332,98 @@ def test_is_standard_rejects_non_integer_letters():
     assert not is_standard(((0.5,),))
     assert not is_standard(((True,),))  # True == 1, but it is a bool
     assert not is_standard(((True, 2),))
+
+
+@cache
+def _seed_standard_tableaux(sh):
+    # the list-of-lists body that rebuilt every row of each tableau, as a reference
+    if not sh:
+        return ((),)
+    n = sum(sh)
+    out = []
+    for r in range(len(sh)):
+        if r + 1 < len(sh) and sh[r] == sh[r + 1]:
+            continue
+        smaller = tuple(p for p in (sh[:r] + (sh[r] - 1,) + sh[r + 1 :]) if p)
+        for sub in _seed_standard_tableaux(smaller):
+            rows = [list(row) for row in sub]
+            while len(rows) <= r:
+                rows.append([])
+            rows[r].append(n)
+            out.append(tuple(tuple(row) for row in rows))
+    return tuple(out)
+
+
+def test_standard_tableaux_match_the_list_reference_as_json_in_order():
+    for n in range(11):
+        want = [tab for sh in partitions_of(n) for tab in _seed_standard_tableaux(sh)]
+        got = all_standard_tableaux(n)
+        assert json.dumps(got) == json.dumps(want)
+        assert {type(tab) for tab in got} == {StandardTableau}
+
+
+def test_standard_tableaux_share_every_row_that_n_leaves_alone():
+    for n in range(1, 9):
+        for sh in partitions_of(n):
+            for tab in standard_tableaux(sh):
+                r = next(i for i, row in enumerate(tab) if row[-1] == n)
+                smaller = tuple(p for p in (sh[:r] + (sh[r] - 1,) + sh[r + 1 :]) if p)
+                parents = standard_tableaux(smaller)
+                without_n = tuple(filter(None, (tuple(x for x in row if x != n) for row in tab)))
+                parent = parents[parents.index(without_n)]
+                assert all(tab[i] is parent[i] for i in range(len(parent)) if i != r)
+
+
+def test_a_standard_tableau_is_its_tuple_of_rows():
+    tab = standard_tableaux((3, 2, 1))[7]
+    plain = tuple(map(tuple, tab))
+    assert type(tab) is StandardTableau and type(plain) is tuple
+    assert tab == plain and plain == tab and not tab != plain
+    assert hash(tab) == hash(plain) and {tab: 1}[plain] == 1
+    assert repr(tab) == repr(plain) and str(tab) == str(plain)
+    assert json.dumps(tab) == json.dumps(plain) and json.dumps([tab]) == json.dumps([plain])
+    assert sorted(standard_tableaux((3, 2, 1))) == sorted(map(tuple, standard_tableaux((3, 2, 1))))
+    assert (tab < plain + ((7,),)) and not (tab < plain)
+    assert StandardTableau([[1, 3], [2]]) == ((1, 3), (2,))
+    assert type(StandardTableau([[1, 3], [2]])[0]) is tuple
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((1, 1),),
+        ((2, 1),),
+        ((1, 2), (1,)),
+        ((1,), (2, 3)),
+        ((True,),),
+        ((True, 2),),
+        ((1, 2), (True,)),
+        ((1.0,),),
+        ((1,), ()),
+        ((1, 3),),
+        5,
+        None,
+        ((1,), 2),
+    ],
+)
+def test_the_standard_tableau_constructor_refuses_what_is_standard_refuses(rows):
+    before = cache_info()
+    with pytest.raises(InputError, match="is not a standard tableau"):
+        StandardTableau(rows)
+    assert cache_info() == before
+
+
+def test_a_subclass_of_standard_tableau_is_checked_like_any_value():
+    from qtkostka.stats import full_type
+
+    class Loose(StandardTableau):
+        __slots__ = ()
+
+    bad = tuple.__new__(Loose, ((1, 1),))  # past the constructor's check
+    good = tuple.__new__(Loose, ((1, 2),))
+    assert not is_standard(bad) and is_standard(good)
+    with pytest.raises(InputError, match="is not a standard tableau"):
+        conjugate_tableau(bad)
+    with pytest.raises(InputError, match="is not a standard tableau"):
+        full_type((2,), bad)
+    assert is_standard(tuple.__new__(StandardTableau, ((1, 1),)))  # the exact type is trusted
