@@ -83,10 +83,16 @@ def as_word(word: Iterable[int], name: str) -> tuple[int, ...]:
     return w
 
 
+def _one_shot(tab) -> bool:
+    """True when tab is its own iterator, which the shape pass would consume and
+    the row pass then see empty; a tuple is never one and costs no call."""
+    return type(tab) is not tuple and iter(tab) is tab
+
+
 def is_tableau(tab) -> bool:
     """Partition shape, positive int entries, rows weakly and columns strictly increasing."""
     try:
-        if not is_partition(map(len, tab)):
+        if _one_shot(tab) or not is_partition(map(len, tab)):
             return False
         below: tuple = ()
         for r, row in enumerate(tab):
@@ -114,6 +120,8 @@ def is_standard(tab) -> bool:
     if type(tab) is StandardTableau:
         return True
     try:
+        if _one_shot(tab):
+            return False
         n = sum(map(len, tab))
         seen = [False] * (n + 1)
         below: tuple = ()

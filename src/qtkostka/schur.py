@@ -16,6 +16,17 @@ straightens s_(m, lam) (`_straighten`), and the vertex operators are Jing's
 sums of Bernstein images of h_k-perp s_lam, on the conjugate for the dual.
 `hl_vertex_snake` shares neither the rules nor the cached images, and
 `_series` keeps the series definitions as a reference for the checks.
+
+A coefficient of H_mu with |mu| = n has q- and t-degrees at most n(n-1)/2,
+so an expansion holds many monomials but few distinct exponent pairs.  Every
+coefficient the kernel outputs, every cached Jing image and every polynomial
+`map_coefficients` returns keys its monomials by one shared tuple per pair,
+taken from the module table `_KEYS` by `_interned`.  `_KEYS` gains an entry
+per distinct pair ever produced and stores no answers: building every
+supported H_mu up to size n leaves at most (n(n-1)/2 + 1)^2 entries (548 up
+to n = 11).  `_accumulate` still makes a tuple per product term; `_interned`
+swaps it for the shared one once the sum is complete.  `QTPoly` arithmetic,
+and so the Gram-Schmidt oracle, never reads the table.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ Coeff = Union[QTPoly, int]
 _RawPoly = Mapping[TermKey, int]
 _RawExpansion = dict[Partition, dict[TermKey, int]]
 _UNIT: _RawPoly = {(0, 0): 1}
+_KEYS: dict[TermKey, TermKey] = {}  # each exponent pair to its one shared tuple
 
 
 def _poly(value: Coeff) -> QTPoly:
@@ -122,7 +134,9 @@ class SchurExpansion:
         return self._trusted({lam: c * factor for lam, c in self._terms.items()})
 
     def map_coefficients(self, fn: Callable[[QTPoly], QTPoly]) -> "SchurExpansion":
-        return self._trusted({lam: _poly(fn(c)) for lam, c in self._terms.items()})
+        """The expansion with each coefficient c replaced by fn(c), re-keyed by `_KEYS`."""
+        terms = self._terms.items()
+        return self._trusted({lam: _interned(_poly(fn(c))._terms) for lam, c in terms})
 
     def degree(self) -> int | None:
         """Common size of the indexing partitions; None when empty."""
@@ -186,8 +200,17 @@ def _accumulate(
                 slot[key] = get(key, 0) + ac * bc
 
 
+def _interned(raw: _RawPoly) -> QTPoly:
+    """The QTPoly of raw, whose exponents and coefficients are already valid,
+    keyed by the shared tuples of `_KEYS`; zeros are dropped."""
+    shared = _KEYS.setdefault
+    out = QTPoly.__new__(QTPoly)
+    out._terms = {shared(key, key): c for key, c in raw.items() if c}
+    return out
+
+
 def _expansion(acc: _RawExpansion) -> SchurExpansion:
-    return SchurExpansion._trusted({mu: QTPoly._trusted(raw) for mu, raw in acc.items()})
+    return SchurExpansion._trusted({mu: _interned(raw) for mu, raw in acc.items()})
 
 
 def _pieces(f: SchurExpansion) -> Iterable[tuple[Partition, _RawPoly]]:
@@ -283,7 +306,7 @@ def _jing_sum(lam: Partition, m: int, dual: bool) -> _RawExpansion:
     for k in range((lam[0] if lam else 0) + 1):
         image = bernstein(m + k, skew_h(k, s_lam))
         _accumulate(acc, _pieces(image), {(0, n - k if dual else k): 1})
-    return {mu: raw for mu, slot in acc.items() if (raw := {e: c for e, c in slot.items() if c})}
+    return {mu: raw for mu, slot in acc.items() if (raw := _interned(slot)._terms)}
 
 
 @memo

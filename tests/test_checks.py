@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import qtkostka
 from qtkostka import InputError, QTPoly, SchurExpansion, cache_info
+from qtkostka._checks import as_standard, as_tableau, is_standard, is_tableau
 from qtkostka.battery import run_battery
 from qtkostka.oracle import (
     character,
@@ -317,6 +318,11 @@ GAPS = {
     "full_type((2, 1), ((1, 2), 3)) raised a bare TypeError": (
         lambda: full_type((2, 1), ((1, 2), 3))
     ),
+    # a one-shot iterator: the shape pass consumed it and the row pass saw no rows
+    "as_standard(iter([(5,)])) passed": lambda: as_standard(iter([(5,)]), "tab"),
+    "as_tableau(iter([(5, 3)])) passed": lambda: as_tableau(iter([(5, 3)]), "tab"),
+    "head_tableau(iter([(5, 7)]), 0) -> ()": lambda: head_tableau(iter([(5, 7)]), 0),
+    "delete_prefix(0, iter([(3,)])) -> ()": lambda: delete_prefix(0, iter([(3,)])),
 }
 
 
@@ -349,3 +355,11 @@ def test_the_gaps_still_answer_good_input():
     assert unbuild(2, ((1, 2, 3),)) == ((1,),)
     assert stat_pair((2, 1), ((1, 2), (3,))) == stat_pair((2, 1), StandardTableau([[1, 2], [3]]))
     assert full_type((2, 1), ((1, 3), (2,))).text() == "V,S"
+    assert is_standard([[1, 2], [3]]) and is_tableau([[1, 1], [2]])
+
+
+def test_a_tableau_that_is_its_own_iterator_is_refused():
+    # checking it would consume it, valid or not
+    for rows in ([(5,)], [(1,)], [(1, 2), (3,)]):
+        assert not is_standard(iter(rows)) and not is_tableau(iter(rows))
+        assert not is_standard(row for row in rows)

@@ -498,11 +498,14 @@ def test_rational_tables_at_generic_points():
 def _reachable(*roots):
     """Every qtkostka function and class the roots reach through the global
     names their code reads, the closures of their wrappers and the functions
-    the wrappers cache or check."""
+    the wrappers cache or check; an instance is named by its class.  A global
+    whose __module__ is not a str (a bound builtin method such as a table's
+    setdefault has None) is skipped."""
     seen, stack = {}, list(roots)
     while stack:
         obj = stack.pop()
-        if id(obj) in seen or not getattr(obj, "__module__", "").startswith("qtkostka"):
+        module = getattr(obj, "__module__", None)
+        if id(obj) in seen or not isinstance(module, str) or not module.startswith("qtkostka"):
             continue
         seen[id(obj)] = obj
         if isinstance(obj, type):
@@ -517,7 +520,16 @@ def _reachable(*roots):
             code = codes.pop()
             codes.extend(c for c in code.co_consts if inspect.iscode(c))
             stack.extend(obj.__globals__[n] for n in code.co_names if n in obj.__globals__)
-    return {f"{obj.__module__}.{obj.__qualname__}" for obj in seen.values()}
+    named = (obj if hasattr(obj, "__qualname__") else type(obj) for obj in seen.values())
+    return {f"{obj.__module__}.{obj.__qualname__}" for obj in named}
+
+
+def test_the_walk_skips_builtin_methods_and_names_instances_by_class():
+    # a module-level bound builtin has __module__ None, and an instance no __qualname__
+    one = schur.SchurExpansion.unit()
+    scope = {"__name__": "qtkostka.probe", "key": {}.setdefault, "one": one}
+    exec("def root():\n    return key, one", scope)
+    assert _reachable(scope["root"]) == {"qtkostka.probe.root", "qtkostka.schur.SchurExpansion"}
 
 
 def test_the_gram_schmidt_oracle_reaches_no_vertex_schur_or_stats_code():

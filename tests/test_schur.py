@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtkostka import cache_info, clear_caches
+from qtkostka import cache_info, clear_caches, schur
 from qtkostka._series import series_bernstein, series_hl_vertex, series_hl_vertex_dual
 from qtkostka.partitions import partitions_of
 from qtkostka.qtpoly import QTPoly
@@ -21,7 +21,7 @@ from qtkostka.schur import (
     skew_e,
     skew_h,
 )
-from qtkostka.vertex import HLExpansion, macdonald
+from qtkostka.vertex import HLExpansion, UnsupportedShapeError, classify_shape, macdonald
 
 one = QTPoly.one()
 t = QTPoly.t(1)
@@ -325,3 +325,26 @@ def test_non_int_degrees_never_reach_the_cached_images(warm):
     assert json.dumps(cache_info(), sort_keys=True) == before
     h1 = '{"degree": 1, "terms": [{"lambda": [1], "coeff": [[0, 0, "1"]]}]}'
     assert json.dumps(macdonald((1,)).to_json()) == h1
+
+
+def test_outputs_and_cached_images_share_one_key_per_exponent_pair():
+    # every exponent pair the kernel outputs is one tuple object, held in _KEYS
+    clear_caches()
+    schur._KEYS.clear()
+    raws = []
+    for n in range(1, 11):
+        for mu in partitions_of(n):
+            try:
+                classify_shape(mu)
+            except UnsupportedShapeError:
+                continue
+            raws += [c._terms for _, c in macdonald(mu).terms()]
+    # every Jing image the builds above cached, and the others of those sizes
+    for n in range(10):
+        for lam in partitions_of(n):
+            for m in range(1, min(4, 10 - n) + 1):
+                raws += schur._hl_vertex_image(lam, m).values()
+                raws += schur._hl_vertex_dual_image(lam, m).values()
+    keys = [key for raw in raws for key in raw]
+    assert len(keys) > 70_000
+    assert len({id(key) for key in keys}) == len(set(keys)) == len(schur._KEYS)
