@@ -4,9 +4,10 @@
 "module.name", with the function's leading underscore dropped.
 `memo_checked(check)` does the same for a public function whose key must
 pass `check` first: the key is the checked value, so a key that only hashes
-like a valid one never reaches the table.  A table registers when its module
-is imported; `cache_info()` imports the two that `import qtkostka` leaves
-out, so it lists every table.
+like a valid one never reaches the table; a function of two arguments takes
+one check for each.  A table registers when its module is imported;
+`cache_info()` imports the two that `import qtkostka` leaves out, so it
+lists every table.
 """
 
 from __future__ import annotations
@@ -24,14 +25,22 @@ def memo(fn: Callable) -> Callable:
     return table
 
 
-def memo_checked(check: Callable) -> Callable[[Callable], Callable]:
+def memo_checked(*checks: Callable) -> Callable[[Callable], Callable]:
     def decorate(fn: Callable) -> Callable:
         table = memo(fn)
+        if len(checks) == 1:
+            (check,) = checks
 
-        @wraps(fn)
-        def checked(key):
-            return table(check(key))
+            def checked(key):
+                return table(check(key))
 
+        else:
+            first, second = checks
+
+            def checked(x, y):
+                return table(first(x), second(y))
+
+        checked = wraps(fn)(checked)
         checked.cache_info = table.cache_info
         checked.cache_clear = table.cache_clear
         return checked

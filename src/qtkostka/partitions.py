@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._cache import memo
-from ._checks import as_int, as_partition, is_partition
+from ._cache import memo, memo_checked
+from ._checks import as_int, as_partition, int_parts, is_partition
 
 Partition = tuple[int, ...]
 Cell = tuple[int, int]
@@ -85,9 +85,19 @@ def is_vertical_strip(outer: Partition, inner: Partition) -> bool:
     return all(part(outer, i + 1) - part(inner, i + 1) <= 1 for i in range(len(outer)))
 
 
-@memo
+def _strip_size(k: int) -> int:
+    return as_int(k, "strip size k")
+
+
+# The strip enumerators run int_parts on lam and check k before their table
+# lookup, and check that lam is a partition on a miss (conjugate checks it
+# for the vertical ones).
+
+
+@memo_checked(int_parts, _strip_size)
 def horizontal_strips(lam: Partition, k: int) -> tuple[Partition, ...]:
     """All mu with mu/lam a horizontal strip of size k, lexicographic order."""
+    as_partition(lam, "lam")
     if k < 0:
         return ()
     rows = len(lam) + 1
@@ -111,15 +121,16 @@ def horizontal_strips(lam: Partition, k: int) -> tuple[Partition, ...]:
     return tuple(sorted(found))
 
 
-@memo
+@memo_checked(int_parts, _strip_size)
 def vertical_strips(lam: Partition, k: int) -> tuple[Partition, ...]:
     """All mu with mu/lam a vertical strip of size k, lexicographic order."""
     return tuple(sorted(conjugate(mu) for mu in horizontal_strips(conjugate(lam), k)))
 
 
-@memo
+@memo_checked(int_parts, _strip_size)
 def horizontal_strips_inside(mu: Partition, k: int) -> tuple[Partition, ...]:
     """All lam with mu/lam a horizontal strip of size k, lexicographic order."""
+    as_partition(mu, "mu")
     if k < 0:
         return ()
     found: list[Partition] = []
@@ -139,7 +150,7 @@ def horizontal_strips_inside(mu: Partition, k: int) -> tuple[Partition, ...]:
     return tuple(sorted(found))
 
 
-@memo
+@memo_checked(int_parts, _strip_size)
 def vertical_strips_inside(mu: Partition, k: int) -> tuple[Partition, ...]:
     """All lam with mu/lam a vertical strip of size k, lexicographic order."""
     return tuple(sorted(conjugate(lam) for lam in horizontal_strips_inside(conjugate(mu), k)))

@@ -7,9 +7,15 @@ unbuilds the block structure behind those statistics: row block insertion
 and its inverse (the column versions are their transposes), prefix
 deletion, types, and the sign-reversing pair involution used in the
 cancellation argument.  Every public function that takes a tableau rejects
-one that is not standard.  `stat_genfun`, `head_genfun` and
-`unimodal_profile` read one table per mu, filled by a single pass that types
-and charges each standard tableau once.
+one that is not standard.
+
+`stat_genfun`, `head_genfun` and `unimodal_profile` read one table of counts
+per mu, filled by one walk over the Young lattice (`_stat_counts`).  The
+walk adds labels 1..n a cell at a time and carries each tableau's charge
+and its reduced tableau, which grows a cell a step by one row insertion
+into a small key tableau, so no tableau is enumerated, stored, rectified or
+charged on its own.  `full_type` and `stat_pair` type and charge one given
+tableau; the walk calls them once per shape to check itself.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ from .tableaux import (
     reverse_row_insert,
     row_insert_into,
     shape,
-    standard_tableaux,
 )
 from .vertex import UnsupportedShapeError, classify_shape
 
@@ -353,19 +358,10 @@ def _checked(mu: Partition, tab: Tableau) -> tuple[int, int, int, Tableau]:
     return m, a, b, tab
 
 
-# (m, a, tab, type) of the last full_type call.  tab is a tuple of tuples of
-# ints, so one object always holds one tableau: stat_pair on the same object
-# and (m, a) reuses the type instead of typing the tableau again.
-_last_type: tuple = (None, None, None, None)
-
-
 def full_type(mu: Partition, tab: Tableau) -> TypeSequence:
     """type_mu(T): for m in {3,4} the head plus the type of the reduced tableau."""
-    global _last_type
     m, a, _, tab = _checked(tuple(mu), tab)
-    ts = _type_of(m, a, tab)
-    _last_type = (m, a, tab, ts)
-    return ts
+    return _type_of(m, a, tab)
 
 
 def _type_of(m: int, a: int, tab: Tableau) -> TypeSequence:
@@ -429,36 +425,201 @@ def _type_weights(a: int, b: int, ts: TypeSequence) -> tuple[int, int]:
 def stat_pair(mu: Partition, tab: Tableau) -> tuple[int, int]:
     """(a_mu(T), b_mu(T)); q tracks b and t tracks a in the expansions."""
     m, a, b, tab = _checked(tuple(mu), tab)
-    last_m, last_a, last_tab, ts = _last_type
-    if last_tab is not tab or last_m != m or last_a != a:
-        ts = _type_of(m, a, tab)
-    shift, stat_b = _type_weights(a, b, ts)
+    shift, stat_b = _type_weights(a, b, _type_of(m, a, tab))
     return charge(reading_word(tab)) - shift, stat_b  # tab is standard: no second check
 
 
 Counts = dict[Partition, dict[tuple[int, int], int]]  # shape -> (b, a) -> number of T
 
 
+def _insert_key(keys: Tableau, x: int) -> tuple[Tableau, int]:
+    """Row-insert x into the key tableau keys: (the grown key tableau, the row,
+    from index 0, where its new cell lands)."""
+    rows = list(keys)
+    for r, row in enumerate(keys):
+        j = bisect_right(row, x)
+        if j == len(row):
+            rows[r] = row + (x,)
+            return tuple(rows), r
+        rows[r] = row[:j] + (x,) + row[j + 1 :]
+        x = row[j]
+    rows.append((x,))
+    return tuple(rows), len(keys)
+
+
+def _word_key(word: str, r: int, c: int, width: int) -> int:
+    """A number that orders the cell in row r, column c (both from 0) as a word
+    of that kind reads it, for fewer than width cells: "read" is the reading
+    word, and "row" and "col" are the words of `_close_up`."""
+    if word == "col":  # each row less its first cell from the top down, then the first column
+        return width * (width - 1 - r) + c if c else width * width + width - r
+    if word == "row" and r == 0:  # row 0 first, then the rows above it from the top down
+        return c
+    return width * (width - r) + c
+
+
+def _head_words(head: Tableau) -> tuple[tuple[str, int], ...]:
+    """(word, labels dropped) for each row-insertion that takes the labels of a
+    standard tableau with this head to its reduced tableau, one after another."""
+    m = _size(head)
+    if m == 2:  # the first domino of a (2^a 1^b) shape, taken off by _unbuild
+        return (("row" if len(head) == 1 else "col", 2),)
+    word = _HEAD_WORD.get(head)
+    if word is not None:
+        return ((word, m),)
+    h, mm = HEAD_TABLE[head][2]  # _unbuild(mm, _delete_prefix(h, T))
+    return (("read", h), ("row" if len(_delete_prefix(h, head)) == 1 else "col", mm))
+
+
+def _feed(words, keys: tuple, reduced: Tableau, k: int, r: int, c: int, width: int):
+    """(keys, reduced) once label k of T has gone into row r, column c: each
+    word inserts the cell's key into its key tableau, and the cell that grows
+    there is the cell the next word reads, or the one R gives its next label."""
+    grown = list(keys)
+    for i, (word, drop) in enumerate(words):
+        if k <= drop:
+            return tuple(grown), reduced
+        k -= drop
+        grown[i], r = _insert_key(keys[i], _word_key(word, r, c, width))
+        c = len(grown[i][r]) - 1
+    row = reduced[r] + (k,) if r < len(reduced) else (k,)
+    return tuple(grown), reduced[:r] + (row,) + reduced[r + 1 :]
+
+
+def _check_walk(mu: Partition, tab: Tableau, ts: TypeSequence, a: int, b: int) -> None:
+    """Raise unless the public full_type and stat_pair give tab what the walk carried."""
+    if full_type(mu, tab) != ts or stat_pair(mu, tab) != (a, b):
+        raise RuntimeError(
+            f"the statistics walk gave {tab} the type {ts.text()} and (a, b) = {(a, b)} "
+            f"under {mu}, but full_type and stat_pair disagree"
+        )
+
+
 @memo_checked(int_parts)
 def _stat_counts(
     mu: Partition,
 ) -> tuple[dict[Optional[Tableau], Counts], dict[TypeSequence, dict[int, int]]]:
-    """One pass over the standard tableaux of size |mu|, each typed and charged
-    once: the number of T with each (b_mu, a_mu) by head and shape, and with
-    each a_mu by type.  Only these counts are kept."""
-    _direct_parts(mu)  # refuses mu before sum(mu) reads it
+    """The number of standard T of size |mu| with each (b_mu, a_mu) by head and
+    shape, and with each a_mu by type, from one depth-first walk over the
+    Young lattice.  Only these counts are kept.
+
+    The walk places labels 1, 2, ..., n one cell at a time.  Down each path
+    it carries:
+    - the charge of T: the index of k is that of k - 1, plus one when k sits
+      in a row at or below the row of k - 1 (rows from index 0), and charge
+      is the sum of the indices;
+    - the place of T in `standard_tableaux` order, sum row(k) (n+1)^(k-1),
+      so that types keep the order in which the per-tableau loop met them;
+    - the head (labels 1..m, or the first domino of a (2^a 1^b) shape), and
+      from it the words of `_head_words`;
+    - the reduced tableau R, grown a cell a step.  R is P(w) for the word w
+      of the labels of T past the head, read in the head's `_close_up`
+      order.  Since P(w) restricted to labels below k is P of w so
+      restricted, and P(w) = Q(w^-1) for a standard word, R's next label
+      lands in the row where row-inserting the new cell's position in that
+      word (`_word_key`) into the carried key tableau ends.  The two heads
+      with no single word chain two words, as `_reduced` chains two
+      rectifications.
+    At each leaf R types T through the `_domino_tail` memo and
+    `_type_weights`, so no tableau is enumerated, stored, rectified or
+    charged on its own.
+
+    Once per shape the walk hands one tableau to the public `full_type` and
+    `stat_pair` and raises if they disagree with what it carried.  They find
+    the charge from the reading word and R by rectification, so a fault in
+    the carried charge, keys or words shows, and the benchmark's tracer
+    still sees calls to them and to `charge`.
+    """
+    m, a, b = _direct_parts(mu)  # refuses mu before sum(mu) reads it
+    n = sum(mu)
+    cut = m if m > 2 else 2 * (a > 0)  # labels 1..cut are the head
+    width = n + 1
+    powers = [width**k for k in range(n)]
+    places = {sh: i * width**n for i, sh in enumerate(partitions_of(n))}
+    unchecked = set(places)
     by_head: dict[Optional[Tableau], Counts] = {}
-    by_type: dict[TypeSequence, dict[int, int]] = {}
-    keys: dict[tuple[int, int], tuple[int, int]] = {}  # one (b, a) object per value
-    for sh in partitions_of(sum(mu)):
-        for tab in standard_tableaux(sh):
-            ts = full_type(mu, tab)
-            a, b = stat_pair(mu, tab)  # reuses ts
-            key = keys.setdefault((b, a), (b, a))
-            bucket = by_head.setdefault(ts.head, {}).setdefault(sh, {})
-            bucket[key] = bucket.get(key, 0) + 1
-            bucket = by_type.setdefault(ts, {})
-            bucket[a] = bucket.get(a, 0) + 1
+    records: dict[TypeSequence, list] = {}  # type -> [first place, {a: number of T}]
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}  # one (b, a) object per value
+    rows: list[list[int]] = []  # T, grown and shrunk in place
+    # set when label cut is placed, for the tableaux below that head
+    head: Tableau = ()
+    words: tuple = ()
+    typed: dict[Tableau, tuple] = {}  # R -> (type, shift, b, record)
+    shapes: Counts = by_head.setdefault(None, {}) if m == 2 else {}
+
+    def take_head() -> tuple[tuple, Tableau]:
+        nonlocal head, words, typed, shapes
+        head = tuple(map(tuple, rows))
+        words = _head_words(head)
+        typed = {}
+        if m > 2:
+            shapes = by_head.setdefault(head, {})
+        keys, reduced = ((),) * len(words), ()
+        for x, r, c in sorted((x, r, c) for r, row in enumerate(head) for c, x in enumerate(row)):
+            keys, reduced = _feed(words, keys, reduced, x, r, c, width)
+        return keys, reduced
+
+    def classify(reduced: Tableau) -> tuple:
+        if m > 2:
+            ts = _type_sequence(head, _domino_tail(reduced, a))
+        elif a:
+            letter = "H" if len(head) == 1 else "V"
+            ts = _type_sequence(None, (letter,) + _domino_tail(reduced, a - 1))
+        else:
+            ts = _type_sequence(None, ("S",) * n)
+        return (ts, *_type_weights(a, b, ts), records.setdefault(ts, [float("inf"), {}]))
+
+    def leaf(total: int, order: int, reduced: Tableau) -> None:
+        sh = tuple(map(len, rows))
+        entry = typed.get(reduced)
+        if entry is None:
+            entry = typed[reduced] = classify(reduced)
+        ts, shift, stat_b, record = entry
+        stat_a = total - shift
+        if sh in unchecked:
+            unchecked.discard(sh)
+            _check_walk(mu, tuple(map(tuple, rows)), ts, stat_a, stat_b)
+        key = pairs.setdefault((stat_b, stat_a), (stat_b, stat_a))
+        bucket = shapes.setdefault(sh, {})
+        bucket[key] = bucket.get(key, 0) + 1
+        place = places[sh] + order
+        if place < record[0]:
+            record[0] = place
+        counts = record[1]
+        counts[stat_a] = counts.get(stat_a, 0) + 1
+
+    def grow(k: int, last: int, index: int, total: int, order: int, keys, reduced) -> None:
+        height = len(rows)
+        for r in range(height + 1):
+            if r == height:
+                c = 0
+                rows.append([k])
+            elif r and len(rows[r]) == len(rows[r - 1]):
+                continue
+            else:
+                c = len(rows[r])
+                rows[r].append(k)
+            step = index + (r <= last)
+            if k == cut:
+                grown, fuller = take_head()
+            elif k > cut and words:
+                grown, fuller = _feed(words, keys, reduced, k, r, c, width)
+            else:
+                grown, fuller = keys, reduced
+            if k == n:
+                leaf(total + step, order + r * powers[k - 1], fuller)
+            else:
+                grow(k + 1, r, step, total + step, order + r * powers[k - 1], grown, fuller)
+            if c:
+                rows[r].pop()
+            else:
+                rows.pop()
+
+    if n:
+        grow(1, -1, 0, 0, 0, (), ())
+    else:
+        leaf(0, 0, ())
+    by_type = {ts: record[1] for ts, record in sorted(records.items(), key=lambda kv: kv[1][0])}
     return by_head, by_type
 
 

@@ -25,7 +25,15 @@ from qtkostka.oracle import (
     schur_to_power,
     z_factor,
 )
-from qtkostka.partitions import conjugate, dominance_leq, partitions_of
+from qtkostka.partitions import (
+    conjugate,
+    dominance_leq,
+    horizontal_strips,
+    horizontal_strips_inside,
+    partitions_of,
+    vertical_strips,
+    vertical_strips_inside,
+)
 from qtkostka.schur import hl_vertex, hl_vertex_snake, mul_h
 from qtkostka.stats import (
     add_col_block,
@@ -152,6 +160,24 @@ ENTRY_POINTS = [
     ),
     ("format_partition", NOT_PARTITION, "partition", qtkostka.format_partition),
     ("dominance_leq", NOT_PARTITION, "partition", lambda x: dominance_leq(x, MU)),
+    ("horizontal_strips/lam", NOT_PARTITION, "partition", lambda x: horizontal_strips(x, 1)),
+    ("vertical_strips/lam", NOT_PARTITION, "partition", lambda x: vertical_strips(x, 1)),
+    (
+        "horizontal_strips_inside/mu",
+        NOT_PARTITION,
+        "partition",
+        lambda x: horizontal_strips_inside(x, 1),
+    ),
+    (
+        "vertical_strips_inside/mu",
+        NOT_PARTITION,
+        "partition",
+        lambda x: vertical_strips_inside(x, 1),
+    ),
+    ("horizontal_strips/k", NOT_INT, "int", lambda x: horizontal_strips(MU, x)),
+    ("vertical_strips/k", NOT_INT, "int", lambda x: vertical_strips(MU, x)),
+    ("horizontal_strips_inside/k", NOT_INT, "int", lambda x: horizontal_strips_inside(MU, x)),
+    ("vertical_strips_inside/k", NOT_INT, "int", lambda x: vertical_strips_inside(MU, x)),
     ("macdonald", NOT_PARTITION, "partition", qtkostka.macdonald),
     ("kostka/lam", NOT_PARTITION, "partition", lambda x: qtkostka.kostka(x, MU)),
     ("kostka/mu", NOT_PARTITION, "partition", lambda x: qtkostka.kostka(MU, x)),
@@ -323,6 +349,11 @@ GAPS = {
     "as_tableau(iter([(5, 3)])) passed": lambda: as_tableau(iter([(5, 3)]), "tab"),
     "head_tableau(iter([(5, 7)]), 0) -> ()": lambda: head_tableau(iter([(5, 7)]), 0),
     "delete_prefix(0, iter([(3,)])) -> ()": lambda: delete_prefix(0, iter([(3,)])),
+    # the strip enumerators once checked nothing before their table lookup
+    "horizontal_strips((True,), 1) stored a bool key": lambda: horizontal_strips((True,), 1),
+    "vertical_strips((2,), 1.0) stored a float key": lambda: vertical_strips((2,), 1.0),
+    "horizontal_strips_inside((2.0,), 1) answered": lambda: horizontal_strips_inside((2.0,), 1),
+    "vertical_strips_inside((2,), True) answered": lambda: vertical_strips_inside((2,), True),
 }
 
 
@@ -332,6 +363,24 @@ def test_each_gap_now_raises_and_leaves_the_caches_alone(probe):
     with pytest.raises(InputError):
         GAPS[probe]()
     assert cache_info() == before
+
+
+def test_a_strip_enumerator_refuses_parts_out_of_order_on_a_miss():
+    # horizontal_strips((1, 2), 1) once answered (); the ints reach the table
+    # lookup, and the full check on the miss refuses them before anything is stored
+    calls = [
+        lambda: horizontal_strips((1, 2), 1),
+        lambda: vertical_strips((1, 2), 1),
+        lambda: horizontal_strips_inside((1, 2), 1),
+        lambda: vertical_strips_inside((2, 0), 1),
+    ]
+    for call in calls:
+        before = cache_info()
+        with pytest.raises(InputError, match="is not a partition"):
+            call()
+        assert {k: v["size"] for k, v in cache_info().items()} == {
+            k: v["size"] for k, v in before.items()
+        }
 
 
 def test_the_gaps_still_answer_good_input():
@@ -356,6 +405,9 @@ def test_the_gaps_still_answer_good_input():
     assert stat_pair((2, 1), ((1, 2), (3,))) == stat_pair((2, 1), StandardTableau([[1, 2], [3]]))
     assert full_type((2, 1), ((1, 3), (2,))).text() == "V,S"
     assert is_standard([[1, 2], [3]]) and is_tableau([[1, 1], [2]])
+    assert horizontal_strips((1,), 1) == ((1, 1), (2,)) == vertical_strips([1], 1)
+    assert horizontal_strips((2, 1), -1) == () == vertical_strips_inside((2,), 3)
+    assert horizontal_strips_inside((2, 1), 1) == ((1, 1), (2,))
 
 
 def test_a_tableau_that_is_its_own_iterator_is_refused():

@@ -478,7 +478,9 @@ def test_a_cached_shape_never_answers_for_a_key_that_only_hashes_like_it():
     assert cache_info()["stats.stat_counts"]["size"] == size
 
 
-def test_one_pass_per_mu_types_and_charges_each_tableau_once(monkeypatch):
+def test_one_walk_per_mu_calls_the_public_statistics_once_per_shape(monkeypatch):
+    # the walk types and charges every tableau itself; full_type, stat_pair and
+    # charge run only in its self-check, on one tableau of each shape
     from qtkostka import stats
 
     calls = {"full_type": 0, "stat_pair": 0, "charge": 0}
@@ -498,11 +500,16 @@ def test_one_pass_per_mu_types_and_charges_each_tableau_once(monkeypatch):
     unimodal_profile(mu)
     head_genfun(mu, (T("1,2,3"),))
     head_genfun(mu, (T("1,3/2"),))
-    syt = len(all_standard_tableaux(6))
-    assert calls == {"full_type": syt, "stat_pair": syt, "charge": syt}
+    shapes = len(partitions_of(6))
+    assert calls == {"full_type": shapes, "stat_pair": shapes, "charge": shapes}
 
 
-def test_stat_pair_reuses_a_type_only_for_the_same_immutable_tableau():
+def test_stat_pair_types_the_tableau_it_is_given():
+    # stat_pair once reused the type of the last full_type call, held in a
+    # module global; each call now types its own tableau
+    from qtkostka import stats
+
+    assert not hasattr(stats, "_last_type")
     rows = [[1, 2], [3, 4]]
     assert full_type((2, 2), rows) == full_type((2, 2), T("1,2/3,4"))
     rows[0][1], rows[1][0] = 3, 2  # now 1,3/2,4, of another type
@@ -514,6 +521,84 @@ def test_stat_pair_reuses_a_type_only_for_the_same_immutable_tableau():
     for mu in want:  # the same object under another (m, a)
         full_type((2, 1, 1), tab)
         assert stat_pair(mu, tab) == want[mu]
+
+
+def _reference_counts(mu):
+    # the per-tableau loop the walk replaced: every standard tableau from
+    # standard_tableaux, typed by full_type and charged by stat_pair
+    by_head, by_type = {}, {}
+    for sh in partitions_of(sum(mu)):
+        for tab in standard_tableaux(sh):
+            ts = full_type(mu, tab)
+            a, b = stat_pair(mu, tab)
+            bucket = by_head.setdefault(ts.head, {}).setdefault(sh, {})
+            bucket[b, a] = bucket.get((b, a), 0) + 1
+            bucket = by_type.setdefault(ts, {})
+            bucket[a] = bucket.get(a, 0) + 1
+    return by_head, by_type
+
+
+def test_the_walk_matches_the_per_tableau_reference():
+    from qtkostka.stats import _stat_counts
+
+    shapes = 0
+    for n in range(10):
+        for mu in _direct_shapes(n):
+            by_head, by_type = _stat_counts(mu)
+            want_head, want_type = _reference_counts(mu)
+            assert by_head == want_head, mu
+            # unimodal_profile and the CLI print types in this order
+            assert list(by_type.items()) == list(want_type.items()), mu
+            shapes += 1
+    assert shapes == 58
+
+
+def _swapped_words(original):
+    def faulty(word, r, c, width):
+        return original({"row": "col", "col": "row"}.get(word, word), r, c, width)
+
+    return faulty
+
+
+def _reversed_keys(original):
+    def faulty(keys, x):
+        return original(keys, -x)
+
+    return faulty
+
+
+@pytest.mark.parametrize(
+    "name, fault", [("_word_key", _swapped_words), ("_insert_key", _reversed_keys)]
+)
+@pytest.mark.parametrize("mu", [(2, 2, 1, 1), (3, 2, 1), (4, 2, 1)])
+def test_a_fault_in_what_the_walk_carries_raises(monkeypatch, name, fault, mu):
+    from qtkostka import stats
+
+    clear_caches()
+    monkeypatch.setattr(stats, name, fault(getattr(stats, name)))
+    disagree = "the statistics walk gave .* but full_type and stat_pair disagree"
+    with pytest.raises(RuntimeError, match=disagree):
+        stat_genfun(mu)
+    assert cache_info()["stats.stat_counts"]["size"] == 0
+    monkeypatch.undo()
+    assert stat_genfun(mu) == macdonald(mu)
+
+
+def test_the_walk_caches_no_tableau_and_stays_small():
+    import tracemalloc
+
+    mu = (4, 2, 2, 2, 1)
+    clear_caches()
+    size = cache_info()["tableaux.standard_tableaux"]["size"]
+    tracemalloc.start()
+    try:
+        stat_genfun(mu)
+        unimodal_profile(mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cache_info()["tableaux.standard_tableaux"]["size"] == size
+    assert peak < 4 * 2**20  # the per-tableau loop peaked near 9 MiB
 
 
 def test_lists_of_lists_are_read_as_their_tuples():
