@@ -3,10 +3,10 @@
 Each kind of argument (int, partition, point, word, tableau, standard
 tableau) has one rule and one message, and every refusal is an `InputError`,
 which is both a `TypeError` and a `ValueError`.  Cached entry points run only
-`int_parts` before the lookup, and the full check on a miss.  Values the
-library builds itself are not checked again: a `StandardTableau` carries its
-check, so `is_standard` passes one at once.  This module imports nothing from
-the package, so every route can use it without sharing other code.
+`int_parts` before the lookup, and the full check on a miss.  No value is
+trusted by its type: a tableau the library built is checked like any other.
+This module imports nothing from the package, so every route can use it
+without sharing other code.
 """
 
 from __future__ import annotations
@@ -115,10 +115,7 @@ def as_tableau(tab, name: str):
 
 
 def is_standard(tab) -> bool:
-    """Partition shape, rows and columns increasing, letters exactly 1..n; one pass.
-    A `StandardTableau` passes at once; a subclass of it is checked like any value."""
-    if type(tab) is StandardTableau:
-        return True
+    """Partition shape, rows and columns increasing, letters exactly 1..n; one pass."""
     try:
         if _one_shot(tab):
             return False
@@ -146,27 +143,3 @@ def as_standard(tab, name: str):
         raise _refuse(name, tab, "a standard tableau")
     return tab
 
-
-class StandardTableau(tuple):
-    """A standard tableau as a tuple of row tuples that carries its check.
-
-    The constructor refuses anything `is_standard` refuses.  Equality, hash,
-    repr, ordering and JSON are the tuple's own.  `tableaux.standard_tableaux`
-    builds its tableaux through the unchecked `_trusted`.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, rows):
-        try:
-            tab = tuple(rows)
-        except TypeError:
-            raise _refuse("tab", rows, "a standard tableau") from None
-        if not is_standard(tab):
-            raise _refuse("tab", tab, "a standard tableau")
-        return tuple.__new__(cls, map(tuple, tab))
-
-    @classmethod
-    def _trusted(cls, rows: tuple) -> "StandardTableau":
-        """rows, a tuple of int tuples already known to be a standard tableau."""
-        return tuple.__new__(cls, rows)

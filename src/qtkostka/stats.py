@@ -15,7 +15,8 @@ walk adds labels 1..n a cell at a time and carries each tableau's charge
 and its reduced tableau, which grows a cell a step by one row insertion
 into a small key tableau, so no tableau is enumerated, stored, rectified or
 charged on its own.  `full_type` and `stat_pair` type and charge one given
-tableau; the walk calls them once per shape to check itself.
+tableau by Table 1's rule; the walk calls them once per shape to check
+itself.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from ._cache import memo, memo_checked
-from ._checks import StandardTableau, as_int, as_partition, as_standard, int_parts
+from ._checks import as_int, as_partition, as_standard, int_parts
 from .partitions import (
     Partition,
     conjugate,
@@ -122,8 +123,6 @@ def _size(tab: Tableau) -> int:
 
 def _standard(tab: Tableau, name: str = "tab") -> Tableau:
     """tab as a tuple of tuples, once it is a standard tableau."""
-    if type(tab) is StandardTableau:  # generated, so checked and built of tuples
-        return tab
     as_standard(tab, name)
     if type(tab) is tuple and {tuple}.issuperset(map(type, tab)):
         return tab
@@ -373,10 +372,11 @@ def _type_of(m: int, a: int, tab: Tableau) -> TypeSequence:
     return _type_sequence(head, _domino_tail(reduced, a))
 
 
-# For T with one of these heads, the reduced tableau
-# _unbuild(mm, _delete_prefix(h, T)) is _close_up(kind, m, T): one
-# rectification instead of two.  The heads ((1, 2, 4), (3,)) and
-# ((1, 3), (2,), (4,)) have no such word and keep the two steps.
+# The walk's shortcut: for T with one of these heads, the reduced tableau
+# _unbuild(mm, _delete_prefix(h, T)) is _close_up(kind, m, T), so the walk
+# follows one word instead of two.  The heads ((1, 2, 4), (3,)) and
+# ((1, 3), (2,), (4,)) have no such word.  `_reduced` keeps Table 1's two
+# steps for every head, so the walk's self-check does not share this table.
 _HEAD_WORD: dict[Tableau, str] = {
     ((1, 2, 3),): "row",
     ((1, 3), (2,)): "row",
@@ -394,11 +394,9 @@ _HEAD_WORD: dict[Tableau, str] = {
 
 
 def _reduced(m: int, tab: Tableau) -> tuple[Tableau, Tableau]:
-    """(head, reduced tableau) of a standard tableau under a head of size m."""
+    """(head, reduced tableau) of a standard tableau under a head of size m, by
+    Table 1: delete the prefix h, then take off the block mm."""
     head = _head_tableau(tab, m)
-    kind = _HEAD_WORD.get(head)
-    if kind is not None:
-        return head, _close_up(kind, m, tab)
     h, mm = HEAD_TABLE[head][2]
     return head, _unbuild(mm, _delete_prefix(h, tab))
 
@@ -526,9 +524,10 @@ def _stat_counts(
 
     Once per shape the walk hands one tableau to the public `full_type` and
     `stat_pair` and raises if they disagree with what it carried.  They find
-    the charge from the reading word and R by rectification, so a fault in
-    the carried charge, keys or words shows, and the benchmark's tracer
-    still sees calls to them and to `charge`.
+    the charge from the reading word and R by Table 1's two rectifications,
+    not by `_HEAD_WORD`, so the check shares neither the carried charge nor
+    the walk's words, and the benchmark's tracer still sees calls to them
+    and to `charge`.
     """
     m, a, b = _direct_parts(mu)  # refuses mu before sum(mu) reads it
     n = sum(mu)

@@ -14,7 +14,7 @@ from operator import gt
 from typing import Iterable
 
 from ._cache import memo_checked
-from ._checks import StandardTableau, as_int, as_partition, as_standard, as_tableau, as_word
+from ._checks import as_int, as_partition, as_standard, as_tableau, as_word
 from ._checks import int_parts, is_standard, is_tableau  # noqa: F401  (public names)
 from .partitions import Partition, horizontal_strips, partitions_of
 
@@ -219,25 +219,24 @@ def conjugate_tableau(tab: Tableau) -> Tableau:
 
 
 @memo_checked(int_parts)
-def standard_tableaux(sh: Partition) -> tuple[StandardTableau, ...]:
+def standard_tableaux(sh: Partition) -> tuple[Tableau, ...]:
     """All standard tableaux of the given shape, in a fixed order.
 
-    Each is a `StandardTableau` built from its parent (the tableau without n)
-    by replacing the one row that gains n, so every other row object is the
-    parent's own.
+    Each is a tuple of row tuples built from its parent (the tableau without
+    n) by replacing the one row that gains n, so every other row object is
+    the parent's own.
     """
     if not as_partition(sh, "sh"):  # the part order, on a miss
-        return (StandardTableau._trusted(()),)
+        return ((),)
     n = sum(sh)
-    trusted = StandardTableau._trusted
-    out: list[StandardTableau] = []
+    out: list[Tableau] = []
     for r in range(len(sh)):
         if r + 1 < len(sh) and sh[r] == sh[r + 1]:
             continue
         smaller = tuple(p for p in (sh[:r] + (sh[r] - 1,) + sh[r + 1 :]) if p)
         for sub in standard_tableaux(smaller):
             row = sub[r] + (n,) if r < len(sub) else (n,)
-            out.append(trusted(sub[:r] + (row,) + sub[r + 1 :]))
+            out.append(sub[:r] + (row,) + sub[r + 1 :])
     return tuple(out)
 
 

@@ -8,6 +8,7 @@ relevant slice of the verification battery; there is no tolerance anywhere.
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -276,3 +277,9 @@ def test_default_report_is_byte_identical(report):
     assert all(e["status"] == "pass" for e in report)
     canonical = json.dumps(report, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == DEFAULT_REPORT_SHA256
+
+
+def test_the_benchmark_reference_pins_the_same_report():
+    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    pinned = json.loads(reference.read_text(encoding="utf-8"))["battery_seed0"]
+    assert pinned == DEFAULT_REPORT_SHA256

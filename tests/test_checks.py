@@ -23,6 +23,7 @@ from qtkostka.oracle import (
     scalar_qt,
     scalar_t,
     schur_to_power,
+    verify_rational_props,
     z_factor,
 )
 from qtkostka.partitions import (
@@ -51,7 +52,6 @@ from qtkostka.stats import (
     unbuild,
 )
 from qtkostka.tableaux import (
-    StandardTableau,
     charge,
     column_insert,
     column_strict_tableaux,
@@ -244,7 +244,14 @@ ENTRY_POINTS = [
     ("kostka_oracle/t0", NOT_POINT, "point", lambda x: kostka_oracle(MU, MU, Q0, x)),
     ("scalar_qt/q0", NOT_POINT, "point", lambda x: scalar_qt(P21, P21, x, T0)),
     ("scalar_t/t0", NOT_POINT, "point", lambda x: scalar_t(P21, P21, x)),
-    ("StandardTableau", NOT_STANDARD, "tableau", StandardTableau),
+    ("verify_rational_props/a", NOT_NONNEGATIVE, "int", lambda x: verify_rational_props(x, 0, [])),
+    ("verify_rational_props/b", NOT_NONNEGATIVE, "int", lambda x: verify_rational_props(0, x, [])),
+    (
+        "verify_rational_props/q0",
+        NOT_POINT,
+        "point",
+        lambda x: verify_rational_props(0, 0, [(Q0, T0), (x, T0)]),
+    ),
     ("stat_pair/tab", NOT_STANDARD, "tableau", lambda x: stat_pair(MU, x)),
     ("full_type/tab", NOT_STANDARD, "tableau", lambda x: full_type(MU, x)),
     ("conjugate_tableau", NOT_STANDARD, "tableau", conjugate_tableau),
@@ -402,7 +409,7 @@ def test_the_gaps_still_answer_good_input():
     assert classify_pair(1, 2, ((1,),), (3, 1)) == "stable"
     assert classify_pair(3, 2, ((1, 2, 3),), (5, 3)) == "immaterial"
     assert unbuild(2, ((1, 2, 3),)) == ((1,),)
-    assert stat_pair((2, 1), ((1, 2), (3,))) == stat_pair((2, 1), StandardTableau([[1, 2], [3]]))
+    assert stat_pair((2, 1), ((1, 2), (3,))) == stat_pair((2, 1), [[1, 2], [3]])
     assert full_type((2, 1), ((1, 3), (2,))).text() == "V,S"
     assert is_standard([[1, 2], [3]]) and is_tableau([[1, 1], [2]])
     assert horizontal_strips((1,), 1) == ((1, 1), (2,)) == vertical_strips([1], 1)

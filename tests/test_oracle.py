@@ -283,7 +283,7 @@ def test_oracle_refuses_non_partitions():
         lambda: macdonald_oracle((1, 2), Q0, T0),
         lambda: macdonald_oracle((True,), Q0, T0),
         lambda: macdonald_oracle((1,), Q0, T0, order=((1.0,),)),
-        lambda: kostka_oracle((1,), (1,), Q0, T0, order=((True,),)),
+        lambda: macdonald_oracle((1,), Q0, T0, order=((True,),)),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="is not a partition"):
@@ -310,10 +310,9 @@ def test_extension_independence():
     i = base.index((2, 2, 2))
     assert base[i + 1] == (3, 1, 1, 1)
     swapped = base[:i] + (base[i + 1], base[i]) + base[i + 2 :]
-    for lam in ((3, 2, 1), (2, 2, 2)):
-        a = kostka_oracle(lam, (2, 2, 1, 1), Q0, T0)
-        b = kostka_oracle(lam, (2, 2, 1, 1), Q0, T0, order=swapped)
-        assert a == b
+    assert macdonald_oracle((2, 2, 1, 1), Q0, T0) == macdonald_oracle(
+        (2, 2, 1, 1), Q0, T0, order=swapped
+    )
 
 
 def test_kostka_oracle_column():
@@ -493,6 +492,12 @@ def test_rational_tables_at_generic_points():
     entries = verify_rational_props(1, 0, generic_points(2, seed=7))
     assert entries
     assert all(e["status"] == "pass" for e in entries)
+
+
+def test_rational_tables_refuse_a_degree_past_8():
+    for a, b in [(3, 0), (0, 6), (2, 2)]:
+        with pytest.raises(ValueError, match="3 \\+ 2a \\+ b <= 8"):
+            verify_rational_props(a, b, [(Q0, T0)])
 
 
 def _reachable(*roots):

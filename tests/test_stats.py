@@ -14,8 +14,11 @@ from qtkostka.partitions import (
     vertical_strips,
 )
 from qtkostka.stats import (
+    _HEAD_WORD,
     HEAD_TABLE,
     TypeSequence,
+    _close_up,
+    _reduced,
     add_col_block,
     add_row_block,
     classify_pair,
@@ -281,34 +284,36 @@ def test_unbuild_matches_the_tuple_reference():
                 unbuild(m, tab)
 
 
-def _two_step_reduced(m, tab):
-    # prefix deletion, then unbuild: the reference for the one-rectification form
-    head = head_tableau(tab, m)
-    h, mm = HEAD_TABLE[head][2]
-    return head, unbuild(mm, delete_prefix(h, tab))
-
-
 def test_heads_reduce_in_one_rectification():
-    from qtkostka.stats import _HEAD_WORD, _reduced
-
+    # the walk's one-word shortcut against _reduced, Table 1's two steps
     seen = set()
-    for n in range(3, 11):
+    for n in range(3, 9):
         for tab in all_standard_tableaux(n):
             for m in [m for m in (3, 4) if m <= n]:
-                head, reduced = _reduced(m, tab)
-                assert (head, reduced) == _two_step_reduced(m, tab)
-                seen.add(head)
-    assert seen == set(HEAD_TABLE)
+                head = head_tableau(tab, m)
+                if head in _HEAD_WORD:
+                    assert _close_up(_HEAD_WORD[head], m, tab) == _reduced(m, tab)[1]
+                    seen.add(head)
+    assert seen == set(_HEAD_WORD)
     assert set(HEAD_TABLE) - set(_HEAD_WORD) == {T("1,2,4/3"), T("1,3/2/4")}
 
 
 def test_the_two_heads_without_a_word_need_both_steps():
-    from qtkostka.stats import _close_up
-
     for head in [T("1,2,4/3"), T("1,3/2/4")]:
         tabs = [tab for tab in all_standard_tableaux(7) if head_tableau(tab, 4) == head]
         for kind in ("row", "col"):
-            assert any(_close_up(kind, 4, tab) != _two_step_reduced(4, tab)[1] for tab in tabs)
+            assert any(_close_up(kind, 4, tab) != _reduced(4, tab)[1] for tab in tabs)
+
+
+def test_a_wrong_head_word_stops_the_walk(monkeypatch):
+    # the walk's self-check reduces by Table 1, so it does not share _HEAD_WORD
+    monkeypatch.setitem(_HEAD_WORD, ((1, 2, 3),), "col")
+    clear_caches()
+    try:
+        with pytest.raises(RuntimeError, match="the statistics walk gave"):
+            stat_genfun((3, 2, 1))
+    finally:
+        clear_caches()
 
 
 def test_unimodal_profile_counts_match_stat_pair():
