@@ -430,19 +430,10 @@ def _skew_size(tab, rho: Partition) -> int:
     return sum(shape(tab)) - sum(first_row_removed(rho))
 
 
-def _check_row_round_trip(n: int, m: int) -> tuple[bool, str]:
+def _check_round_trip(n: int, m: int, strips, build, inverse) -> tuple[bool, str]:
     count = 0
-    for tab, rho in _pairs(n, m, horizontal_strips):
-        if inverse_row_block(m, rho, add_row_block(m, rho, tab)) != tab:
-            return False, f"tab={format_tableau(tab)} rho={rho}"
-        count += 1
-    return True, f"{count} pairs"
-
-
-def _check_col_round_trip(n: int, m: int) -> tuple[bool, str]:
-    count = 0
-    for tab, rho in _pairs(n, m, vertical_strips):
-        if inverse_col_block(m, rho, add_col_block(m, rho, tab)) != tab:
+    for tab, rho in _pairs(n, m, strips):
+        if inverse(m, rho, build(m, rho, tab)) != tab:
             return False, f"tab={format_tableau(tab)} rho={rho}"
         count += 1
     return True, f"{count} pairs"
@@ -689,17 +680,19 @@ def _report(max_n: int, oracle_degree: int, n_points: int, seed: int):
         yield _entry("vertex/fourth-operator-forms", {"n": n}, _check_fourth_forms, n)
     yield _entry("vertex/fourth-operator-misprint", {}, _check_fourth_misprint)
 
+    row_blocks = (horizontal_strips, add_row_block, inverse_row_block)
+    col_blocks = (vertical_strips, add_col_block, inverse_col_block)
     for n in range(1, small + 1):
         for m in (2, 3, 4):
-            for check, fn in (
-                ("pairs/row-round-trip", _check_row_round_trip),
-                ("pairs/col-round-trip", _check_col_round_trip),
+            for check, fn, *more in (
+                ("pairs/row-round-trip", _check_round_trip, *row_blocks),
+                ("pairs/col-round-trip", _check_round_trip, *col_blocks),
                 ("pairs/charge-shift", _check_charge_shift),
                 ("pairs/type-preserved", _check_type_preserved),
                 ("pairs/stability", _check_stability),
                 ("pairs/involution", _check_involution),
             ):
-                yield _entry(check, {"n": n, "m": m}, fn, n, m)
+                yield _entry(check, {"n": n, "m": m}, fn, n, m, *more)
 
 
 def run_battery(

@@ -3,7 +3,8 @@
 Partitions are tuples of weakly decreasing positive integers with no
 trailing zeros; the empty tuple is the unique partition of 0.  Diagrams
 are drawn in French notation (row 1 is the longest row, at the bottom)
-and cells are addressed by 1-based (row, column) pairs.
+and cells are addressed by 1-based (row, column) pairs.  `classify_shape`
+sorts a partition into the supported shape families.
 """
 
 from __future__ import annotations
@@ -230,6 +231,38 @@ def snake_involution(lam: Partition, n: int, rho: Partition) -> Partition:
     if flipped is None:
         raise RuntimeError(f"snake flip failed for lam={lam}, n={n}, rho={rho}")
     return flipped
+
+
+class UnsupportedShapeError(ValueError):
+    """Raised for partitions outside the supported shape families."""
+
+
+def classify_shape(mu: Partition) -> tuple:
+    """Sort mu into a direct family ("direct", m, a, b) or ("conjugate", nu).
+
+    Direct families: m=2 covers mu = (2^a 1^b); m=3 and m=4 cover
+    (m, 2^a, 1^b).  A shape is conjugate-supported when its transpose is
+    direct.  Everything else raises UnsupportedShapeError.
+    """
+    mu = as_partition(mu, "mu")
+    direct = _direct_family(mu)
+    if direct is not None:
+        return ("direct",) + direct
+    nu = conjugate(mu)
+    if _direct_family(nu) is not None:
+        return ("conjugate", nu)
+    raise UnsupportedShapeError(
+        f"shape ({format_partition(mu)}) has no vertex-operator route"
+    )
+
+
+def _direct_family(mu: Partition) -> Optional[tuple[int, int, int]]:
+    if all(p <= 2 for p in mu):
+        return (2, mu.count(2), mu.count(1))
+    rest = mu[1:]
+    if mu[0] in (3, 4) and all(p <= 2 for p in rest):
+        return (mu[0], rest.count(2), rest.count(1))
+    return None
 
 
 def partitions_of(n: int) -> tuple[Partition, ...]:

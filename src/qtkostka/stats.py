@@ -17,6 +17,9 @@ into a small key tableau, so no tableau is enumerated, stored, rectified or
 charged on its own.  `full_type` and `stat_pair` type and charge one given
 tableau by Table 1's rule; the walk calls them once per shape to check
 itself.
+
+Table 1 (`HEAD_TABLE`) is the one source of the head rule: `_steps` reads
+its prefix h and block mm, and the walk's words and `_reduced` follow them.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from ._cache import memo, memo_checked
 from ._checks import as_int, as_partition, as_standard, int_parts
 from .partitions import (
     Partition,
+    UnsupportedShapeError,
+    classify_shape,
     conjugate,
     contains,
     first_column_removed,
@@ -51,12 +56,12 @@ from .tableaux import (
     is_standard,
     parse_tableau,
     reading_word,
+    rectify_lowered,
     reverse_column_insert,
     reverse_row_insert,
     row_insert_into,
     shape,
 )
-from .vertex import UnsupportedShapeError, classify_shape
 
 # (alpha, beta, (prefix h, block mm), gamma) per head.  The size-4 block is
 # Table 1 verbatim; the two size-3 bent heads carry the alpha values forced
@@ -161,17 +166,7 @@ def delete_prefix(h: int, tab: Tableau) -> Tableau:
     tab = _standard(tab)
     if _size(tab) < h:
         raise ValueError(f"tableau has fewer than {h} cells")
-    return _delete_prefix(h, tab)
-
-
-def _delete_prefix(h: int, tab: Tableau) -> Tableau:
-    if h == 0:
-        return tab
-    rows: list[list[int]] = []  # rectify, without checking a word built here
-    for x in reading_word(tab):
-        if x > h:
-            row_insert_into(rows, x - h)
-    return tuple(map(tuple, rows))
+    return _close_up("read", h, tab)
 
 
 def unbuild(m: int, tab: Tableau) -> Tableau:
@@ -194,22 +189,23 @@ def _unbuild(m: int, tab: Tableau) -> Tableau:
 
 def _close_up(kind: str, m: int, tab: Tableau) -> Tableau:
     """The row-insertion rectification, lowered by m, of the labels > m of tab
-    read as a "row" word (the first row, then the reading word of the rows
-    above it) or a "col" word (the reading word of tab without its first
-    column, then the first column from the top down)."""
+    read as a "read" word (the reading word: this deletes the prefix m), a
+    "row" word (the first row, then the reading word of the rows above it) or
+    a "col" word (the reading word of tab without its first column, then the
+    first column from the top down)."""
     # Column-inserting x into P(w) gives P(x w) and row-inserting gives P(w x),
     # so the insertions that close up the rest after a block is taken off are
     # one rectification.
-    if kind == "row":
+    if kind == "read":
+        if not m:  # a tableau is the rectification of its own reading word
+            return tab
+        word = reading_word(tab)
+    elif kind == "row":
         word = tab[0] + reading_word(tab[1:])
     else:
         word = [x for row in reversed(tab) for x in row[1:]]
         word += [row[0] for row in reversed(tab)]
-    rows: list[list[int]] = []
-    for x in word:
-        if x > m:
-            row_insert_into(rows, x - m)
-    return tuple(map(tuple, rows))
+    return rectify_lowered(word, m)
 
 
 def _strip_cells(outer: Partition, inner: Partition) -> list[tuple[int, int]]:
@@ -308,25 +304,17 @@ def inverse_col_block(m: int, rho: Partition, built: Tableau) -> Tableau:
     return conjugate_tableau(rest)
 
 
-def _two_col_blocks(tab: Tableau, dominoes: int) -> tuple[str, ...]:
-    """One H/V letter per unbuilt domino, then one S per remaining cell."""
-    if not dominoes:
-        return ("S",) * _size(tab)
-    if len(tab[0]) >= 2 and tab[0][1] == 2:
-        letter = "H"
-    elif len(tab) >= 2 and tab[1][0] == 2:
-        letter = "V"
-    else:
-        raise ValueError(f"label 2 is not adjacent to label 1 in {tab}")
-    return (letter,) + _domino_tail(_unbuild(2, tab), dominoes - 1)
-
-
 @memo
 def _domino_tail(tab: Tableau, dominoes: int) -> tuple[str, ...]:
+    """One H/V letter per unbuilt domino of a standard tableau, then one S per
+    remaining cell."""
     # Keys are what is left after the first domino or the head is taken off,
     # so the cache holds only tableaux two or more cells smaller than the
     # ones being typed, and many tableaux of one size share each entry.
-    return _two_col_blocks(tab, dominoes)
+    if not dominoes:
+        return ("S",) * _size(tab)
+    letter = "H" if tab[0][1:2] == (2,) else "V"  # 2 sits right of 1 or above it
+    return (letter,) + _domino_tail(_unbuild(2, tab), dominoes - 1)
 
 
 def type_two_col(tab: Tableau, dominoes: int) -> TypeSequence:
@@ -334,10 +322,9 @@ def type_two_col(tab: Tableau, dominoes: int) -> TypeSequence:
     tab = _standard(tab)
     if 2 * as_int(dominoes, "dominoes", 0) > _size(tab):
         raise ValueError(f"cannot take {dominoes!r} dominoes out of {_size(tab)} cells")
-    return _type_sequence(None, _two_col_blocks(tab, dominoes))
+    return _type_of(2, dominoes, tab)
 
 
-@memo_checked(int_parts)
 def _direct_parts(mu: Partition) -> tuple[int, int, int]:
     kind = classify_shape(mu)
     if kind[0] != "direct":
@@ -351,7 +338,7 @@ def _checked(mu: Partition, tab: Tableau) -> tuple[int, int, int, Tableau]:
     """(m, a, b, tab) for mu = (m, 2^a, 1^b), once tab is a standard tableau of
     size |mu|; tab comes back as a tuple of tuples."""
     tab = _standard(tab)  # first, so a refused tab reaches no table
-    m, a, b = _direct_parts(mu)  # checks the parts of mu before sum(mu) reads them
+    m, a, b = _direct_parts(mu)  # classify_shape checks mu before sum(mu) reads it
     if _size(tab) != sum(mu):
         raise ValueError(f"|T| = {_size(tab)} but |mu| = {sum(mu)}")
     return m, a, b, tab
@@ -363,42 +350,50 @@ def full_type(mu: Partition, tab: Tableau) -> TypeSequence:
     return _type_of(m, a, tab)
 
 
+def _head_size(m: int, a: int) -> int:
+    """Labels 1..this are the head under (m, 2^a, 1^b); none when m = 2 and a = 0."""
+    return m if m > 2 else 2 * (a > 0)
+
+
 def _type_of(m: int, a: int, tab: Tableau) -> TypeSequence:
     """The type of a standard tableau under the shape (m, 2^a, 1^b)."""
-    if m == 2:
-        return _type_sequence(None, _two_col_blocks(tab, a))
-    head, reduced = _reduced(m, tab)
-    # the reduced tableau has n - m cells, so its whole tail is one cache entry
-    return _type_sequence(head, _domino_tail(reduced, a))
+    cut = _head_size(m, a)
+    head, reduced = _reduced(cut, tab) if cut else ((), ())
+    return _typed(m, a, _size(tab), head, reduced)
 
 
-# The walk's shortcut: for T with one of these heads, the reduced tableau
-# _unbuild(mm, _delete_prefix(h, T)) is _close_up(kind, m, T), so the walk
-# follows one word instead of two.  The heads ((1, 2, 4), (3,)) and
-# ((1, 3), (2,), (4,)) have no such word.  `_reduced` keeps Table 1's two
-# steps for every head, so the walk's self-check does not share this table.
-_HEAD_WORD: dict[Tableau, str] = {
-    ((1, 2, 3),): "row",
-    ((1, 3), (2,)): "row",
-    ((1, 2), (3,)): "col",
-    ((1,), (2,), (3,)): "col",
-    ((1, 2, 3, 4),): "row",
-    ((1, 3, 4), (2,)): "row",
-    ((1, 2, 3), (4,)): "col",
-    ((1, 2), (3, 4)): "row",
-    ((1, 3), (2, 4)): "col",
-    ((1, 4), (2,), (3,)): "row",
-    ((1, 2), (3,), (4,)): "col",
-    ((1,), (2,), (3,), (4,)): "col",
-}
+def _typed(m: int, a: int, n: int, head: Tableau, reduced: Tableau) -> TypeSequence:
+    """The type of a standard T of size n under (m, 2^a, 1^b), from its head
+    (labels 1.._head_size(m, a)) and its reduced tableau."""
+    if m > 2:
+        # the reduced tableau has n - m cells, so its whole tail is one cache entry
+        return _type_sequence(head, _domino_tail(reduced, a))
+    if a:
+        letter = "H" if len(head) == 1 else "V"
+        return _type_sequence(None, (letter,) + _domino_tail(reduced, a - 1))
+    return _type_sequence(None, ("S",) * n)
+
+
+# The two heads whose reduced tableau, after Table 1's two steps, is no one
+# close-up of T: the walk chains the two words for them.
+_TWO_STEP_HEADS = {((1, 2, 4), (3,)), ((1, 3), (2,), (4,))}
+
+
+def _steps(head: Tableau) -> tuple[int, str, int]:
+    """(h, kind, mm) for a head, from Table 1: delete the prefix h, then take off
+    the block mm, a first "row" when what is left of the head is one row, else a
+    first "col".  The first domino of a (2^a 1^b) shape is (0, kind, 2)."""
+    h, mm = HEAD_TABLE[head][2] if _size(head) > 2 else (0, 2)
+    return h, "row" if len(_close_up("read", h, head)) == 1 else "col", mm
 
 
 def _reduced(m: int, tab: Tableau) -> tuple[Tableau, Tableau]:
     """(head, reduced tableau) of a standard tableau under a head of size m, by
-    Table 1: delete the prefix h, then take off the block mm."""
+    Table 1: delete the prefix h, then take off the block mm.  `_unbuild` finds
+    where the block lies in the tableau, so this does not read `_steps`' kind."""
     head = _head_tableau(tab, m)
-    h, mm = HEAD_TABLE[head][2]
-    return head, _unbuild(mm, _delete_prefix(h, tab))
+    h, _, mm = _steps(head)
+    return head, _unbuild(mm, _close_up("read", h, tab))
 
 
 @memo
@@ -458,15 +453,12 @@ def _word_key(word: str, r: int, c: int, width: int) -> int:
 
 def _head_words(head: Tableau) -> tuple[tuple[str, int], ...]:
     """(word, labels dropped) for each row-insertion that takes the labels of a
-    standard tableau with this head to its reduced tableau, one after another."""
-    m = _size(head)
-    if m == 2:  # the first domino of a (2^a 1^b) shape, taken off by _unbuild
-        return (("row" if len(head) == 1 else "col", 2),)
-    word = _HEAD_WORD.get(head)
-    if word is not None:
-        return ((word, m),)
-    h, mm = HEAD_TABLE[head][2]  # _unbuild(mm, _delete_prefix(h, T))
-    return (("read", h), ("row" if len(_delete_prefix(h, head)) == 1 else "col", mm))
+    standard tableau with this head to its reduced tableau, one after another:
+    the block word of `_steps`, after the reading word for a two-step head."""
+    h, kind, mm = _steps(head)
+    if head in _TWO_STEP_HEADS:
+        return (("read", h), (kind, mm))
+    return ((kind, h + mm),)
 
 
 def _feed(words, keys: tuple, reduced: Tableau, k: int, r: int, c: int, width: int):
@@ -509,29 +501,30 @@ def _stat_counts(
     - the place of T in `standard_tableaux` order, sum row(k) (n+1)^(k-1),
       so that types keep the order in which the per-tableau loop met them;
     - the head (labels 1..m, or the first domino of a (2^a 1^b) shape), and
-      from it the words of `_head_words`;
+      from it the words of `_head_words`, which `_steps` reads off Table 1;
     - the reduced tableau R, grown a cell a step.  R is P(w) for the word w
       of the labels of T past the head, read in the head's `_close_up`
       order.  Since P(w) restricted to labels below k is P of w so
       restricted, and P(w) = Q(w^-1) for a standard word, R's next label
       lands in the row where row-inserting the new cell's position in that
       word (`_word_key`) into the carried key tableau ends.  The two heads
-      with no single word chain two words, as `_reduced` chains two
+      in `_TWO_STEP_HEADS` chain two words, as `_reduced` chains two
       rectifications.
-    At each leaf R types T through the `_domino_tail` memo and
+    At each leaf R types T through `_typed` (the `_domino_tail` memo) and
     `_type_weights`, so no tableau is enumerated, stored, rectified or
     charged on its own.
 
     Once per shape the walk hands one tableau to the public `full_type` and
     `stat_pair` and raises if they disagree with what it carried.  They find
     the charge from the reading word and R by Table 1's two rectifications,
-    not by `_HEAD_WORD`, so the check shares neither the carried charge nor
-    the walk's words, and the benchmark's tracer still sees calls to them
+    with the block found in the tableau by `_unbuild` rather than taken from
+    the word kind of `_steps`, so the check shares neither the carried charge
+    nor the walk's words, and the benchmark's tracer still sees calls to them
     and to `charge`.
     """
     m, a, b = _direct_parts(mu)  # refuses mu before sum(mu) reads it
     n = sum(mu)
-    cut = m if m > 2 else 2 * (a > 0)  # labels 1..cut are the head
+    cut = _head_size(m, a)
     width = n + 1
     powers = [width**k for k in range(n)]
     places = {sh: i * width**n for i, sh in enumerate(partitions_of(n))}
@@ -559,13 +552,7 @@ def _stat_counts(
         return keys, reduced
 
     def classify(reduced: Tableau) -> tuple:
-        if m > 2:
-            ts = _type_sequence(head, _domino_tail(reduced, a))
-        elif a:
-            letter = "H" if len(head) == 1 else "V"
-            ts = _type_sequence(None, (letter,) + _domino_tail(reduced, a - 1))
-        else:
-            ts = _type_sequence(None, ("S",) * n)
+        ts = _typed(m, a, n, head, reduced)
         return (ts, *_type_weights(a, b, ts), records.setdefault(ts, [float("inf"), {}]))
 
     def leaf(total: int, order: int, reduced: Tableau) -> None:

@@ -207,10 +207,16 @@ def reverse_column_insert(tab: Tableau, cell: tuple[int, int]) -> tuple[Tableau,
 
 def rectify(word: Iterable[int]) -> Tableau:
     """The unique tableau whose reading word is Knuth equivalent to word."""
+    return rectify_lowered(as_word(word, "word"), 0)
+
+
+def rectify_lowered(word: Iterable[int], m: int) -> Tableau:
+    """rectify of the letters of word above m, each lowered by m; word is not checked."""
     rows: list[list[int]] = []
-    for letter in as_word(word, "word"):
-        row_insert_into(rows, letter)
-    return tuple(tuple(row) for row in rows)
+    for x in word:
+        if x > m:
+            row_insert_into(rows, x - m)
+    return tuple(map(tuple, rows))
 
 
 def conjugate_tableau(tab: Tableau) -> Tableau:

@@ -18,7 +18,8 @@ from typing import Callable, Optional
 
 from ._cache import memo, memo_checked
 from ._checks import as_int, as_partition, int_parts
-from .partitions import Partition, conjugate, format_partition, is_partition
+from .partitions import Partition, classify_shape, is_partition
+from .partitions import UnsupportedShapeError  # noqa: F401  (re-exported from partitions)
 from .qtpoly import QTPoly
 from .schur import (
     SchurExpansion,
@@ -30,38 +31,6 @@ from .schur import (
     omega,
 )
 from .tableaux import Tableau, column_strict_tableaux, reading_word, charge, shape
-
-
-class UnsupportedShapeError(ValueError):
-    """Raised for partitions outside the supported shape families."""
-
-
-def classify_shape(mu: Partition) -> tuple:
-    """Sort mu into a direct family ("direct", m, a, b) or ("conjugate", nu).
-
-    Direct families: m=2 covers mu = (2^a 1^b); m=3 and m=4 cover
-    (m, 2^a, 1^b).  A shape is conjugate-supported when its transpose is
-    direct.  Everything else raises UnsupportedShapeError.
-    """
-    mu = as_partition(mu, "mu")
-    direct = _direct_family(mu)
-    if direct is not None:
-        return ("direct",) + direct
-    nu = conjugate(mu)
-    if _direct_family(nu) is not None:
-        return ("conjugate", nu)
-    raise UnsupportedShapeError(
-        f"shape ({format_partition(mu)}) has no vertex-operator route"
-    )
-
-
-def _direct_family(mu: Partition) -> Optional[tuple[int, int, int]]:
-    if all(p <= 2 for p in mu):
-        return (2, mu.count(2), mu.count(1))
-    rest = mu[1:]
-    if mu[0] in (3, 4) and all(p <= 2 for p in rest):
-        return (mu[0], rest.count(2), rest.count(1))
-    return None
 
 
 def vertex2(f: SchurExpansion) -> SchurExpansion:

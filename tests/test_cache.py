@@ -26,7 +26,6 @@ TABLES = {
     "vertex.macdonald",
     "vertex.gaussian_binomial",
     "stats.domino_tail",
-    "stats.direct_parts",
     "stats.type_sequence",
     "stats.type_weights",
     "stats.stat_counts",

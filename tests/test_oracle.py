@@ -1,5 +1,6 @@
 import inspect
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -290,7 +291,7 @@ def test_oracle_refuses_non_partitions():
             call()
     with pytest.raises(ValueError, match="character needs"):
         character((2,), (1,))
-    assert len(cache_info()) == 23
+    assert len(cache_info()) == 22
     assert character([2, 1], [3]) == -1
     assert macdonald_oracle([1], Q0, T0) == {(1,): 1 - T0}
 
@@ -492,6 +493,14 @@ def test_rational_tables_at_generic_points():
     entries = verify_rational_props(1, 0, generic_points(2, seed=7))
     assert entries
     assert all(e["status"] == "pass" for e in entries)
+
+
+@pytest.mark.parametrize("point", [(1, Fraction(1, 3)), (2, Fraction(1, 2)), (Fraction(1, 3), 1)])
+def test_rational_tables_name_a_point_that_kills_a_denominator(point):
+    # these raised a bare ZeroDivisionError: Fraction(0, 0)
+    named = re.escape("a = 0, b = 0, (q0, t0) = ({}, {})".format(*point))
+    with pytest.raises(DegeneratePointError, match=named):
+        verify_rational_props(0, 0, [point])
 
 
 def test_rational_tables_refuse_a_degree_past_8():

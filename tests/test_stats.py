@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qtkostka import InputError, cache_info, clear_caches
+from qtkostka import InputError, cache_info, clear_caches, stats
 from qtkostka.partitions import (
     contains,
     first_column_removed,
@@ -14,11 +14,12 @@ from qtkostka.partitions import (
     vertical_strips,
 )
 from qtkostka.stats import (
-    _HEAD_WORD,
+    _TWO_STEP_HEADS,
     HEAD_TABLE,
     TypeSequence,
     _close_up,
     _reduced,
+    _steps,
     add_col_block,
     add_row_block,
     classify_pair,
@@ -41,9 +42,11 @@ from qtkostka.tableaux import (
     all_standard_tableaux,
     column_insert,
     parse_tableau,
+    reading_word,
     reverse_column_insert,
     reverse_row_insert,
     row_insert,
+    row_insert_into,
     shape,
     standard_tableaux,
 )
@@ -82,6 +85,24 @@ def test_delete_prefix():
     assert delete_prefix(1, T("1,2,4/3")) == T("1,3/2")
     assert delete_prefix(0, T("1,3/2")) == T("1,3/2")
     assert delete_prefix(3, T("1,2,3")) == ()
+
+
+def _seed_delete_prefix(h, tab):
+    # the body that delete_prefix had before it became one _close_up("read", h, .)
+    if h == 0:
+        return tab
+    rows = []
+    for x in reading_word(tab):
+        if x > h:
+            row_insert_into(rows, x - h)
+    return tuple(map(tuple, rows))
+
+
+def test_delete_prefix_matches_the_seed_reference():
+    for n in range(9):
+        for tab in all_standard_tableaux(n):
+            for h in range(n + 1):
+                assert delete_prefix(h, tab) == _seed_delete_prefix(h, tab)
 
 
 @pytest.mark.parametrize("tab", [((2,),), ((1, 1),), ((1, 3), (2, 4, 5)), ((True, 2),)])
@@ -285,29 +306,44 @@ def test_unbuild_matches_the_tuple_reference():
 
 
 def test_heads_reduce_in_one_rectification():
-    # the walk's one-word shortcut against _reduced, Table 1's two steps
-    seen = set()
+    # Table 1's block word, from _steps, against _reduced's two steps: it must
+    # agree on every tableau exactly when the head is not in _TWO_STEP_HEADS
+    agrees = {}
     for n in range(3, 9):
         for tab in all_standard_tableaux(n):
             for m in [m for m in (3, 4) if m <= n]:
                 head = head_tableau(tab, m)
-                if head in _HEAD_WORD:
-                    assert _close_up(_HEAD_WORD[head], m, tab) == _reduced(m, tab)[1]
-                    seen.add(head)
-    assert seen == set(_HEAD_WORD)
-    assert set(HEAD_TABLE) - set(_HEAD_WORD) == {T("1,2,4/3"), T("1,3/2/4")}
+                kind = _steps(head)[1]
+                same = _close_up(kind, m, tab) == _reduced(m, tab)[1]
+                agrees[head] = agrees.get(head, True) and same
+    assert set(agrees) == set(HEAD_TABLE)
+    assert {head for head, ok in agrees.items() if not ok} == _TWO_STEP_HEADS
+    assert _TWO_STEP_HEADS == {T("1,2,4/3"), T("1,3/2/4")}
 
 
 def test_the_two_heads_without_a_word_need_both_steps():
-    for head in [T("1,2,4/3"), T("1,3/2/4")]:
+    for head in _TWO_STEP_HEADS:
         tabs = [tab for tab in all_standard_tableaux(7) if head_tableau(tab, 4) == head]
-        for kind in ("row", "col"):
+        for kind in ("read", "row", "col"):
             assert any(_close_up(kind, 4, tab) != _reduced(4, tab)[1] for tab in tabs)
+        # the two words the walk chains for them, the second of kind from _steps
+        h, kind, mm = _steps(head)
+        for tab in tabs:
+            assert _close_up(kind, mm, _close_up("read", h, tab)) == _reduced(4, tab)[1]
 
 
 def test_a_wrong_head_word_stops_the_walk(monkeypatch):
-    # the walk's self-check reduces by Table 1, so it does not share _HEAD_WORD
-    monkeypatch.setitem(_HEAD_WORD, ((1, 2, 3),), "col")
+    # the walk's self-check finds the block in the tableau (_unbuild), so it
+    # does not read the kind that _steps gives the walk's words
+    real = stats._steps
+
+    def flipped(head):
+        h, kind, mm = real(head)
+        if head == ((1, 2, 3),):
+            kind = {"row": "col", "col": "row"}[kind]
+        return h, kind, mm
+
+    monkeypatch.setattr(stats, "_steps", flipped)
     clear_caches()
     try:
         with pytest.raises(RuntimeError, match="the statistics walk gave"):
