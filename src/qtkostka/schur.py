@@ -21,12 +21,13 @@ A coefficient of H_mu with |mu| = n has q- and t-degrees at most n(n-1)/2,
 so an expansion holds many monomials but few distinct exponent pairs.  Every
 coefficient the kernel outputs, every cached Jing image and every polynomial
 `map_coefficients` returns keys its monomials by one shared tuple per pair,
-taken from the module table `_KEYS` by `_interned`.  `_KEYS` gains an entry
-per distinct pair ever produced and stores no answers: building every
-supported H_mu up to size n leaves at most (n(n-1)/2 + 1)^2 entries (548 up
-to n = 11).  `_accumulate` still makes a tuple per product term; `_interned`
-swaps it for the shared one once the sum is complete.  `QTPoly` arithmetic,
-and so the Gram-Schmidt oracle, never reads the table.
+taken from the module table `_KEYS`.  `_KEYS` gains an entry per distinct
+pair ever produced and stores no answers: building every supported H_mu up
+to size n leaves at most (n(n-1)/2 + 1)^2 entries (548 up to n = 11).
+`_accumulate` makes a tuple per product term to look it up, and a key enters
+a slot as its shared tuple the first time; the finished slots, less their
+zeros, become the output coefficients themselves, so no sum is copied.
+`QTPoly` arithmetic, and so the Gram-Schmidt oracle, never reads the table.
 """
 
 from __future__ import annotations
@@ -135,8 +136,10 @@ class SchurExpansion:
 
     def map_coefficients(self, fn: Callable[[QTPoly], QTPoly]) -> "SchurExpansion":
         """The expansion with each coefficient c replaced by fn(c), re-keyed by `_KEYS`."""
-        terms = self._terms.items()
-        return self._trusted({lam: _interned(_poly(fn(c))._terms) for lam, c in terms})
+        shared, acc = _KEYS.setdefault, {}
+        for lam, c in self._terms.items():
+            acc[lam] = {shared(key, key): v for key, v in _poly(fn(c))._terms.items()}
+        return self._trusted(_expansion(acc)._terms)
 
     def degree(self) -> int | None:
         """Common size of the indexing partitions; None when empty."""
@@ -182,7 +185,9 @@ class SchurExpansion:
 def _accumulate(
     acc: _RawExpansion, pieces: Iterable[tuple[Partition, _RawPoly]], coeff: _RawPoly
 ) -> None:
-    """Add coeff times every (mu, piece) into acc, in place; pieces are only read."""
+    """Add coeff times every (mu, piece) into acc, in place; pieces are only read.
+    Each key enters a slot as its shared tuple from `_KEYS`."""
+    shared = _KEYS.setdefault
     for mu, piece in pieces:
         slot = acc.get(mu)
         if slot is None:
@@ -190,27 +195,27 @@ def _accumulate(
         get = slot.get
         if piece is _UNIT:  # a Pieri image: coeff itself, unshifted
             for key, ac in coeff.items():
-                slot[key] = get(key, 0) + ac
+                slot[shared(key, key)] = get(key, 0) + ac
             continue
         # the shorter factor in the outer loop: fewer inner loops to start
         outer, inner = (piece, coeff) if len(piece) <= len(coeff) else (coeff, piece)
         for (bq, bt), bc in outer.items():
             for (aq, at), ac in inner.items():
                 key = (aq + bq, at + bt)
-                slot[key] = get(key, 0) + ac * bc
-
-
-def _interned(raw: _RawPoly) -> QTPoly:
-    """The QTPoly of raw, whose exponents and coefficients are already valid,
-    keyed by the shared tuples of `_KEYS`; zeros are dropped."""
-    shared = _KEYS.setdefault
-    out = QTPoly.__new__(QTPoly)
-    out._terms = {shared(key, key): c for key, c in raw.items() if c}
-    return out
+                c = get(key)  # None: the key is new to the slot and enters shared
+                slot[shared(key, key) if c is None else key] = (c or 0) + ac * bc
 
 
 def _expansion(acc: _RawExpansion) -> SchurExpansion:
-    return SchurExpansion._trusted({mu: _interned(raw) for mu, raw in acc.items()})
+    """The expansion whose coefficients own the slots of acc, once the zero
+    entries are deleted from each in place; emptied slots are dropped."""
+    terms = {}
+    for mu, slot in acc.items():
+        for key in [key for key, c in slot.items() if not c]:
+            del slot[key]
+        terms[mu] = out = QTPoly.__new__(QTPoly)
+        out._terms = slot
+    return SchurExpansion._trusted(terms)
 
 
 def _pieces(f: SchurExpansion) -> Iterable[tuple[Partition, _RawPoly]]:
@@ -224,11 +229,14 @@ def _schur_only(f: SchurExpansion) -> None:
 
 
 def linear_combination(pairs: Iterable[tuple[Coeff, SchurExpansion]]) -> SchurExpansion:
-    """The sum of c * F over the (c, F) pairs, each output coefficient built once."""
+    """The sum of c * F over the (c, F) pairs, each output coefficient built once.
+    pairs may be any iterable; it is consumed once, in order, each F let go
+    before the next pair is drawn."""
     acc: _RawExpansion = {}
     for coeff, f in pairs:
         _schur_only(f)
         _accumulate(acc, _pieces(f), _poly(coeff)._terms)
+        del f
     return _expansion(acc)
 
 
@@ -306,7 +314,7 @@ def _jing_sum(lam: Partition, m: int, dual: bool) -> _RawExpansion:
     for k in range((lam[0] if lam else 0) + 1):
         image = bernstein(m + k, skew_h(k, s_lam))
         _accumulate(acc, _pieces(image), {(0, n - k if dual else k): 1})
-    return {mu: raw for mu, slot in acc.items() if (raw := _interned(slot)._terms)}
+    return {mu: c._terms for mu, c in _expansion(acc)._terms.items()}
 
 
 @memo

@@ -18,8 +18,8 @@ charged on its own.  `full_type` and `stat_pair` type and charge one given
 tableau by Table 1's rule; the walk calls them once per shape to check
 itself.
 
-Table 1 (`HEAD_TABLE`) is the one source of the head rule: `_steps` reads
-its prefix h and block mm, and the walk's words and `_reduced` follow them.
+Table 1 (`HEAD_TABLE`) is the one source of the head rule: `_reduced` and
+`_steps` read its prefix h and block mm, and the walk's words follow `_steps`.
 """
 
 from __future__ import annotations
@@ -389,10 +389,10 @@ def _steps(head: Tableau) -> tuple[int, str, int]:
 
 def _reduced(m: int, tab: Tableau) -> tuple[Tableau, Tableau]:
     """(head, reduced tableau) of a standard tableau under a head of size m, by
-    Table 1: delete the prefix h, then take off the block mm.  `_unbuild` finds
-    where the block lies in the tableau, so this does not read `_steps`' kind."""
+    Table 1: delete the prefix h, then take off the block mm ((0, 2) for a first
+    domino).  `_unbuild` finds where the block lies, so no word kind is needed."""
     head = _head_tableau(tab, m)
-    h, _, mm = _steps(head)
+    h, mm = HEAD_TABLE[head][2] if m > 2 else (0, 2)
     return head, _unbuild(mm, _close_up("read", h, tab))
 
 

@@ -35,45 +35,51 @@ from .tableaux import Tableau, column_strict_tableaux, reading_word, charge, sha
 
 def vertex2(f: SchurExpansion) -> SchurExpansion:
     """The operator H_2^t + q Hbar_2^t prepending a column of height <= 2."""
-    return linear_combination([(1, hl_vertex(2, f)), (QTPoly.q(1), hl_vertex_dual(2, f))])
+    ops = ((1, hl_vertex), (QTPoly.q(1), hl_vertex_dual))
+    return linear_combination((c, op(2, f)) for c, op in ops)
 
 
 def vertex3(f: SchurExpansion) -> SchurExpansion:
     """The row-3 creation operator, expanded in powers of q:
     h3 + q (e_1 h2 - h3) + q^2 (e_1 b2 - b3) + q^3 b3, with hm, bm the
-    vertex operator and its dual at row size m."""
+    vertex operator and its dual at row size m.  Each term is summed as it
+    is built and then dropped."""
     q, one = QTPoly.q, QTPoly.one()
-    h3, b3 = hl_vertex(3, f), hl_vertex_dual(3, f)
-    h2, b2 = hl_vertex(2, f), hl_vertex_dual(2, f)
-    return linear_combination(
-        [(one - q(1), h3), (q(3) - q(2), b3), (q(1), mul_e(1, h2)), (q(2), mul_e(1, b2))]
-    )
+
+    def terms():
+        yield one - q(1), hl_vertex(3, f)
+        yield q(3) - q(2), hl_vertex_dual(3, f)
+        yield q(1), mul_e(1, hl_vertex(2, f))
+        yield q(2), mul_e(1, hl_vertex_dual(2, f))
+
+    return linear_combination(terms())
 
 
 def vertex4(f: SchurExpansion) -> SchurExpansion:
     """The row-4 creation operator, expanded in powers of q:
     h4 + q (h_1 h3 - h4) + q^2 (h_2 h2 - h4) + q^3 (e_2 h2 - e_1 h3 + h4)
     + q^3 (h_2 b2 - h_1 b3 + b4) + q^4 (e_2 b2 - b4) + q^5 (e_1 b3 - b4) + q^6 b4,
-    collected by operator; h4 and b4 carry (1 - q)(1 - q^2) and q^3 times it."""
+    collected by operator; h4 and b4 carry (1 - q)(1 - q^2) and q^3 times it.
+    Each term is summed as it is built and then dropped; h3, b3, h2 and b2
+    live only until both of their Pieri terms are summed."""
     q, one = QTPoly.q, QTPoly.one()
-    h4, b4 = hl_vertex(4, f), hl_vertex_dual(4, f)
-    h3, b3 = hl_vertex(3, f), hl_vertex_dual(3, f)
-    h2, b2 = hl_vertex(2, f), hl_vertex_dual(2, f)
-    top = (one - q(1)) * (one - q(2))
-    return linear_combination(
-        [
-            (top, h4),
-            (top * q(3), b4),
-            (q(1), mul_h(1, h3)),
-            (-q(3), mul_e(1, h3)),
-            (-q(3), mul_h(1, b3)),
-            (q(5), mul_e(1, b3)),
-            (q(2), mul_h(2, h2)),
-            (q(3), mul_e(2, h2)),
-            (q(3), mul_h(2, b2)),
-            (q(4), mul_e(2, b2)),
-        ]
-    )
+
+    def terms():
+        top = (one - q(1)) * (one - q(2))
+        yield top, hl_vertex(4, f)
+        yield top * q(3), hl_vertex_dual(4, f)
+        for op, m, c_h, c_e in (
+            (hl_vertex, 3, q(1), -q(3)),
+            (hl_vertex_dual, 3, -q(3), q(5)),
+            (hl_vertex, 2, q(2), q(3)),
+            (hl_vertex_dual, 2, q(3), q(4)),
+        ):
+            g = op(m, f)
+            yield c_h, mul_h(4 - m, g)
+            yield c_e, mul_e(4 - m, g)
+            del g
+
+    return linear_combination(terms())
 
 
 def vertex4_third_form(f: SchurExpansion) -> SchurExpansion:

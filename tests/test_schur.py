@@ -289,6 +289,58 @@ def test_linear_combination_is_the_sum_of_scaled_terms(pair, a, b):
     assert linear_combination([]) == SchurExpansion()
 
 
+def test_linear_combination_consumes_a_one_shot_generator_once():
+    f, g = s((2, 1)), s((3,)) + s((1, 1, 1)).scaled(t)
+    pairs = [(QTPoly.q(1), f), (2, g), (-1, f)]
+    assert linear_combination(pair for pair in pairs) == linear_combination(pairs)
+    assert linear_combination(iter(pairs)) == f.scaled(QTPoly.q(1) - one) + g.scaled(2)
+    assert linear_combination(pair for pair in []) == SchurExpansion()
+
+
+def _holds_no_zero(f: SchurExpansion) -> bool:
+    return all(c._terms and all(c._terms.values()) for c in f._terms.values())
+
+
+def test_no_kernel_output_holds_a_zero_after_cancellation():
+    # the accumulators become the output coefficients, so a cancelled entry
+    # must be deleted from them, and a slot that cancels entirely dropped
+    q = QTPoly.q(1)
+    f = s((2,)).scaled(one + q) - s((1, 1))  # s(2,1) in mul_h(1, f) keeps only q
+    g = s((2,)) - s((1, 1))  # s(2,1) in mul_h(1, g) cancels entirely
+    outputs = {
+        "full": linear_combination([(one + q, f), (-one - q, f)]),
+        "partial": linear_combination([(1, f), (-1, s((2,)))]),
+        "pieri": mul_h(1, f),
+        "pieri, full": mul_h(1, g),
+        "skew": skew_h(1, f),
+        "map": macdonald((2, 2)).map_coefficients(lambda c: c.q_zero()),
+    }
+    assert outputs["full"] == SchurExpansion()
+    assert outputs["partial"] == s((2,)).scaled(q) - s((1, 1))
+    assert outputs["pieri"].coefficient((2, 1)) == q and (2, 1) not in outputs["pieri, full"]._terms
+    assert (1, 1, 1, 1) not in outputs["map"]._terms
+    for name, out in outputs.items():
+        assert _holds_no_zero(out), name
+    # the Jing operators: weight two basis images so that a shared term cancels
+    cancelled = 0
+    for op in (hl_vertex, hl_vertex_dual):
+        for m in (1, 2, 3):
+            for lam in partitions_of(4):
+                for nu in partitions_of(4):
+                    a, b = op(m, s(lam)), op(m, s(nu))
+                    for mu in set(a._terms) & set(b._terms) if lam < nu else ():
+                        f = s(lam).scaled(b.coefficient(mu)) - s(nu).scaled(a.coefficient(mu))
+                        out = op(m, f)
+                        assert mu not in out._terms and _holds_no_zero(out), (op, m, lam, nu)
+                        cancelled += 1
+    assert cancelled >= 50
+    for n in range(8):
+        for lam in partitions_of(n):
+            for m in range(1, 4):
+                for image in (schur._hl_vertex_image(lam, m), schur._hl_vertex_dual_image(lam, m)):
+                    assert all(raw and all(raw.values()) for raw in image.values()), (lam, m)
+
+
 def test_linear_combination_takes_schur_expansions_only():
     with pytest.raises(TypeError, match="take a SchurExpansion, not HLExpansion"):
         linear_combination([(1, s((1,))), (1, HLExpansion({(1,): 1}))])
@@ -348,3 +400,28 @@ def test_outputs_and_cached_images_share_one_key_per_exponent_pair():
     keys = [key for raw in raws for key in raw]
     assert len(keys) > 70_000
     assert len({id(key) for key in keys}) == len(set(keys)) == len(schur._KEYS)
+
+
+def test_inputs_keyed_by_fresh_tuples_still_give_shared_keys():
+    # a key that enters the kernel from outside, or that a Pieri image passes
+    # through unshifted, must leave as the one tuple of _KEYS
+    macdonald((2, 1))  # puts the pairs below into _KEYS
+    pairs = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert all(pair in schur._KEYS for pair in pairs)
+    coeff = QTPoly({(i, j): i - 2 * j - 1 for i, j in pairs})  # keyed by fresh tuples
+    assert all(schur._KEYS[key] is not key for key in coeff._terms)
+    f = SchurExpansion({(2, 1): coeff, (3,): 1, (1, 1, 1): t})
+    assert f.coefficient((2, 1)) is coeff
+    outputs = [
+        op(k, f)
+        for k in (1, 2)
+        for op in (mul_h, mul_e, skew_h, skew_e, bernstein, hl_vertex, hl_vertex_dual)
+    ]
+    outputs += [
+        linear_combination([(coeff, s((2,))), (1, f)]),
+        linear_combination(iter([(1, f)])),
+        f.map_coefficients(lambda c: c),
+    ]
+    for out in outputs:
+        for c in out._terms.values():
+            assert all(schur._KEYS[key] is key for key in c._terms)

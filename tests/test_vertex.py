@@ -1,11 +1,13 @@
+import gc
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtkostka import cache_info, clear_caches
+from qtkostka import cache_info, clear_caches, vertex
 from qtkostka.partitions import partitions_of
 from qtkostka.qtpoly import QTPoly
 from qtkostka.schur import SchurExpansion, hl_vertex, hl_vertex_dual, mul_e, mul_h, omega
@@ -418,3 +420,57 @@ def test_macdonald_matches_the_pinned_digest():
     for mu in shapes:
         h.update(json.dumps(macdonald(mu).to_json(), sort_keys=True).encode())
     assert h.hexdigest() == MACDONALD_DIGEST
+
+
+# --- the row operators stream their terms -------------------------------------
+
+JING, DUAL = "hl_vertex", "hl_vertex_dual"
+STREAMS = {
+    vertex2: [JING, "used", DUAL, "used"],
+    vertex3: [JING, "used", DUAL, "used", JING, "mul_e", "used", DUAL, "mul_e", "used"],
+    vertex4: [JING, "used", DUAL, "used"]
+    + [op for g in (JING, DUAL, JING, DUAL) for op in (g, "mul_h", "used", "mul_e", "used")],
+}
+
+
+@pytest.mark.parametrize("op", STREAMS, ids=["vertex2", "vertex3", "vertex4"])
+def test_each_term_is_summed_before_the_next_operator_output_is_made(op, monkeypatch):
+    # a term built ahead of its turn would be held while others are built; each
+    # Jing image that feeds two Pieri terms is the only output made before a use
+    f = macdonald((2, 2, 1))
+    expected = op(f)
+    log = []
+
+    def made(name, fn):
+        def logged(*args):
+            log.append(name)
+            return fn(*args)
+
+        return logged
+
+    for name in ("hl_vertex", "hl_vertex_dual", "mul_h", "mul_e"):
+        monkeypatch.setattr(vertex, name, made(name, getattr(vertex, name)))
+    summed = vertex.linear_combination
+
+    def pulled(pairs):
+        for pair in pairs:
+            log.append("used")
+            yield pair
+
+    monkeypatch.setattr(vertex, "linear_combination", lambda pairs: summed(pulled(pairs)))
+    assert op(f) == expected
+    assert log == STREAMS[op]
+
+
+def test_the_fourth_operator_peaks_below_twice_what_it_keeps():
+    # building all ten terms before summing them peaked at 2.4 times
+    clear_caches()
+    f = macdonald((2, 2, 2, 1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = qt_vertex(4, f)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g and peak <= 2 * retained, (peak, retained)
