@@ -4,35 +4,39 @@ A SchurExpansion is a finite linear combination of Schur functions, keyed by
 partitions only, with QTPoly coefficients.  The operators below are linear;
 `bernstein`, `hl_vertex` and `hl_vertex_dual` require a homogeneous argument.
 
-Every operator except the snake rule runs through one kernel, `_apply`: it
-looks up the image of each basis function s_lam, multiplies it by the
-coefficient of s_lam, and accumulates in place into raw integer
-dictionaries, building each output QTPoly once at the end;
-`linear_combination` sums expansions with QTPoly weights the same way.  The Pieri
-operators take their images from the strip enumerators in `partitions`.
-The other three compute the image of s_lam by a closed rule the first time
-(lam, m) is seen and cache it as raw dictionaries: Bernstein's operator
-straightens s_(m, lam) (`_straighten`), and the vertex operators are Jing's
-sums of Bernstein images of h_k-perp s_lam, on the conjugate for the dual.
+Every operator except the snake rule runs through one kernel, `_apply`, and
+`linear_combination` sums expansions with QTPoly weights.  Both work on
+Kronecker-packed coefficients: q^i t^j is the d-bit digit i*w + j of one
+Python int, with the stride w a power of two above a t-degree bound and d a
+multiple of `_DIGIT` above an L1 bound, both carried with the expansion.  A
+weight's term or an image's t^e shifts a packed coefficient by whole digits
+or rows and multiplies it by a small int, so each image term costs a few
+bigint operations in C.  An operator's output stays packed, and the next
+operator reads it as it is; its QTPolys are unpacked on the first read of a
+coefficient.  The Pieri operators take their images from the strip
+enumerators in `partitions`.  The other three compute the image of s_lam by
+a closed rule the first time (lam, m) is seen and cache it as
+(t-exponent, coefficient) pairs: Bernstein's operator straightens
+s_(m, lam) (`_straighten`), and the vertex operators are Jing's sums of
+Bernstein images of h_k-perp s_lam, on the conjugate for the dual.
 `hl_vertex_snake` shares neither the rules nor the cached images, and
 `_series` keeps the series definitions as a reference for the checks.
 
 A coefficient of H_mu with |mu| = n has q- and t-degrees at most n(n-1)/2,
 so an expansion holds many monomials but few distinct exponent pairs.  Every
-coefficient the kernel outputs, every cached Jing image and every polynomial
-`map_coefficients` returns keys its monomials by one shared tuple per pair,
-taken from the module table `_KEYS`.  `_KEYS` gains an entry per distinct
-pair ever produced and stores no answers: building every supported H_mu up
-to size n leaves at most (n(n-1)/2 + 1)^2 entries (548 up to n = 11).
-`_accumulate` makes a tuple per product term to look it up, and a key enters
-a slot as its shared tuple the first time; the finished slots, less their
-zeros, become the output coefficients themselves, so no sum is copied.
+unpacked coefficient and every polynomial `map_coefficients` returns is a
+fresh dict keying its monomials by one shared tuple per pair, taken from the
+module table `_KEYS`, which stores no answers: building every supported H_mu
+up to size n leaves at most (n(n-1)/2 + 1)^2 entries (548 up to n = 11).
 `QTPoly` arithmetic, and so the Gram-Schmidt oracle, never reads the table.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+import sys
+from array import array
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Union
 
 from ._cache import memo
@@ -50,14 +54,59 @@ from .partitions import (
 from .qtpoly import QTPoly, TermKey
 
 Coeff = Union[QTPoly, int]
-_RawPoly = Mapping[TermKey, int]
-_RawExpansion = dict[Partition, dict[TermKey, int]]
-_UNIT: _RawPoly = {(0, 0): 1}
+_Image = dict[Partition, tuple[tuple[int, int], ...]]  # mu -> its (t-exponent, coefficient) pairs
 _KEYS: dict[TermKey, TermKey] = {}  # each exponent pair to its one shared tuple
+_DIGIT = 64  # the narrowest packed digit, in bits; widths are multiples of it
 
 
 def _poly(value: Coeff) -> QTPoly:
     return value if isinstance(value, QTPoly) else QTPoly({(0, 0): value})
+
+
+def _qtpoly(terms: dict[TermKey, int]) -> QTPoly:
+    out = QTPoly.__new__(QTPoly)
+    out._terms = terms
+    return out
+
+
+def _layout(t: int, b: int) -> tuple[int, int]:
+    """The narrowest (digit width, row stride) holding t-degrees up to t and
+    digits up to b in size: a stride above t, a signed digit above b."""
+    return _DIGIT * (b.bit_length() // _DIGIT + 1), 1 << t.bit_length()
+
+
+def _bias(d: int, n: int) -> int:
+    """2^(d-1) in each of n d-bit digits: adding it offsets each signed digit,
+    and a xor with it then leaves each digit in d-bit two's complement."""
+    return int.from_bytes((bytes(d // 8 - 1) + b"\x80") * n, "little")
+
+
+def _pack(terms: Mapping[TermKey, int], d: int, w: int) -> int:
+    """The int whose d-bit signed digit dq*w + dt is the coefficient of q^dq t^dt."""
+    size, (dq, dt) = d // 8, max(terms, default=(0, 0))  # dt < w: the last digit
+    raw = bytearray((dq * w + dt + 1) * size)
+    for (dq, dt), c in terms.items():
+        i = (dq * w + dt) * size
+        raw[i : i + size] = c.to_bytes(size, "little", signed=True)
+    bias = _bias(d, len(raw) // size)
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def _unpack(v: int, d: int, w: int) -> dict[TermKey, int]:
+    """The nonzero digits of v by exponent pair, each key the tuple of `_KEYS`."""
+    size, n, key = d // 8, v.bit_length() // d + 1, _KEYS.setdefault
+    bias = _bias(d, n)
+    raw = ((v + bias) ^ bias).to_bytes(n * size, "little")
+    if d == 64 and sys.byteorder == "little":
+        digits = array("q", raw)  # the usual width, read in C
+    else:
+        cut = range(0, len(raw), size)
+        digits = [int.from_bytes(raw[i : i + size], "little", signed=True) for i in cut]
+    return {key(k := divmod(i, w), k): c for i, c in enumerate(digits) if c}
+
+
+def _relaid(packed: dict[Partition, int], old: tuple[int, int], d: int, w: int) -> dict:
+    return {lam: _pack(_unpack(v, *old), d, w) for lam, v in packed.items()}
 
 
 def _sort_key(lam: Partition) -> tuple:
@@ -69,9 +118,11 @@ class SchurExpansion:
 
     Subclasses name another basis; expansions of different types never
     compare equal or add, and the operators below take only this class.
+    An operator's output holds packed ints, with _packing (digit width, row
+    stride, t-degree bound, L1 bound), until a coefficient is read (`_coeffs`).
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_packing")
     basis: str | None = None  # written to and checked in JSON when set
     _letter = "s"
 
@@ -82,30 +133,43 @@ class SchurExpansion:
             poly = _poly(coeff)
             if poly:
                 clean[lam] = poly
-        self._terms = clean
+        self._terms, self._packing = clean, None
+
+    @classmethod
+    def _of(cls, terms: dict, packing: tuple | None = None) -> "SchurExpansion":
+        """The expansion of terms as given: nonzero QTPolys, or ints packed as packing says."""
+        out = cls.__new__(cls)
+        out._terms, out._packing = terms, packing
+        return out
 
     @classmethod
     def _trusted(cls, terms: Mapping[Partition, QTPoly]) -> "SchurExpansion":
         """The expansion of terms, whose keys are already partitions; zeros are dropped."""
-        out = cls.__new__(cls)
-        out._terms = {lam: c for lam, c in terms.items() if c}
-        return out
+        return cls._of({lam: c for lam, c in terms.items() if c})
+
+    def _coeffs(self) -> dict[Partition, QTPoly]:
+        """The coefficients as QTPolys, unpacked in place on the first call."""
+        if self._packing is not None:
+            d, w = self._packing[:2]
+            self._terms = {lam: _qtpoly(_unpack(v, d, w)) for lam, v in self._terms.items()}
+            self._packing = None
+        return self._terms
 
     @classmethod
     def unit(cls) -> "SchurExpansion":
         """The constant symmetric function 1."""
-        return cls({(): 1})
+        return cls.schur(())
 
     @classmethod
     def schur(cls, lam: Partition) -> "SchurExpansion":
-        return cls({tuple(lam): 1})
+        return cls._of({as_partition(lam, "lam"): 1}, (_DIGIT, 1, 0, 1))  # 1 packs as itself
 
     def terms(self) -> list[tuple[Partition, QTPoly]]:
         """Terms sorted by size then descending lexicographic partition."""
-        return sorted(self._terms.items(), key=lambda kv: _sort_key(kv[0]))
+        return sorted(self._coeffs().items(), key=lambda kv: _sort_key(kv[0]))
 
     def coefficient(self, lam: Partition) -> QTPoly:
-        coeff = self._terms.get(int_parts(lam))
+        coeff = (self._terms if self._packing is None else self._coeffs()).get(int_parts(lam))
         return QTPoly.zero() if coeff is None else coeff
 
     def __bool__(self) -> bool:
@@ -114,13 +178,13 @@ class SchurExpansion:
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._terms == other._terms
+        return self._coeffs() == other._coeffs()
 
     def __add__(self, other: "SchurExpansion") -> "SchurExpansion":
         if type(other) is not type(self):
             return NotImplemented
-        merged = dict(self._terms)
-        for lam, coeff in other._terms.items():
+        merged = dict(self._coeffs())
+        for lam, coeff in other._coeffs().items():
             merged[lam] = merged.get(lam, QTPoly.zero()) + coeff
         return self._trusted(merged)
 
@@ -132,14 +196,16 @@ class SchurExpansion:
 
     def scaled(self, coeff: Coeff) -> "SchurExpansion":
         factor = _poly(coeff)
-        return self._trusted({lam: c * factor for lam, c in self._terms.items()})
+        return self._trusted({lam: c * factor for lam, c in self._coeffs().items()})
 
     def map_coefficients(self, fn: Callable[[QTPoly], QTPoly]) -> "SchurExpansion":
         """The expansion with each coefficient c replaced by fn(c), re-keyed by `_KEYS`."""
-        shared, acc = _KEYS.setdefault, {}
-        for lam, c in self._terms.items():
-            acc[lam] = {shared(key, key): v for key, v in _poly(fn(c))._terms.items()}
-        return self._trusted(_expansion(acc)._terms)
+        shared, out = _KEYS.setdefault, {}
+        for lam, c in self._coeffs().items():
+            image = _poly(fn(c))._terms  # a QTPoly holds no zeros
+            if image:
+                out[lam] = _qtpoly({shared(key, key): v for key, v in image.items()})
+        return self._of(out)
 
     def degree(self) -> int | None:
         """Common size of the indexing partitions; None when empty."""
@@ -151,7 +217,7 @@ class SchurExpansion:
         return sizes.pop()
 
     def is_nonnegative(self) -> bool:
-        return all(c.is_nonnegative() for c in self._terms.values())
+        return all(c.is_nonnegative() for c in self._coeffs().values())
 
     def to_json(self) -> dict:
         blob = {"basis": self.basis} if self.basis else {}
@@ -182,80 +248,94 @@ class SchurExpansion:
         return type(self).__name__ + "(" + (" + ".join(bits) or "0") + ")"
 
 
-def _accumulate(
-    acc: _RawExpansion, pieces: Iterable[tuple[Partition, _RawPoly]], coeff: _RawPoly
-) -> None:
-    """Add coeff times every (mu, piece) into acc, in place; pieces are only read.
-    Each key enters a slot as its shared tuple from `_KEYS`."""
-    shared = _KEYS.setdefault
-    for mu, piece in pieces:
-        slot = acc.get(mu)
-        if slot is None:
-            slot = acc[mu] = {}
-        get = slot.get
-        if piece is _UNIT:  # a Pieri image: coeff itself, unshifted
-            for key, ac in coeff.items():
-                slot[shared(key, key)] = get(key, 0) + ac
-            continue
-        # the shorter factor in the outer loop: fewer inner loops to start
-        outer, inner = (piece, coeff) if len(piece) <= len(coeff) else (coeff, piece)
-        for (bq, bt), bc in outer.items():
-            for (aq, at), ac in inner.items():
-                key = (aq + bq, at + bt)
-                c = get(key)  # None: the key is new to the slot and enters shared
-                slot[shared(key, key) if c is None else key] = (c or 0) + ac * bc
-
-
-def _expansion(acc: _RawExpansion) -> SchurExpansion:
-    """The expansion whose coefficients own the slots of acc, once the zero
-    entries are deleted from each in place; emptied slots are dropped."""
-    terms = {}
-    for mu, slot in acc.items():
-        for key in [key for key, c in slot.items() if not c]:
-            del slot[key]
-        terms[mu] = out = QTPoly.__new__(QTPoly)
-        out._terms = slot
-    return SchurExpansion._trusted(terms)
-
-
-def _pieces(f: SchurExpansion) -> Iterable[tuple[Partition, _RawPoly]]:
-    return ((lam, c._terms) for lam, c in f._terms.items())
-
-
 def _schur_only(f: SchurExpansion) -> None:
     # an expansion in another basis (a subclass) would be read as Schur terms
     if type(f) is not SchurExpansion:
         raise TypeError(f"the Schur operators take a SchurExpansion, not {type(f).__name__}")
 
 
+def _bounds(f: SchurExpansion) -> tuple[int, int]:
+    """(t-degree bound, L1 bound) over the coefficients of f."""
+    if f._packing is not None:
+        return f._packing[2:]
+    cs = [c._terms for c in f._terms.values()]
+    t = max(map(itemgetter(1), chain.from_iterable(cs)), default=0)
+    return t, max((sum(map(abs, c.values())) for c in cs), default=0)
+
+
+def _packed(f: SchurExpansion, d: int, w: int) -> tuple[int, int, dict[Partition, int]]:
+    """(d', w', f packed at digit width d' and stride w'), the larger of (d, w), which
+    must fit the bounds of f, and the layout f holds; a packed f keeps the result."""
+    if f._packing is None:
+        return d, w, {lam: _pack(c._terms, d, w) for lam, c in f._terms.items()}
+    fd, fw, t, b = f._packing
+    if fd < d or fw < w:
+        d, w = max(d, fd), max(w, fw)
+        f._terms, f._packing = _relaid(f._terms, (fd, fw), d, w), (d, w, t, b)
+    return f._packing[0], f._packing[1], f._terms
+
+
 def linear_combination(pairs: Iterable[tuple[Coeff, SchurExpansion]]) -> SchurExpansion:
     """The sum of c * F over the (c, F) pairs, each output coefficient built once.
     pairs may be any iterable; it is consumed once, in order, each F let go
-    before the next pair is drawn."""
-    acc: _RawExpansion = {}
+    before the next pair is drawn.  The sum is re-laid wider whenever the
+    next pair's bounds need it."""
+    acc: dict[Partition, int] = {}
+    d, w, t, b = _DIGIT, 1, 0, 0  # the layout of acc and the bounds of the sum
     for coeff, f in pairs:
         _schur_only(f)
-        _accumulate(acc, _pieces(f), _poly(coeff)._terms)
-        del f
-    return _expansion(acc)
+        weight = _poly(coeff)._terms
+        ft, fb = _bounds(f)
+        t = max(t, ft + max(map(itemgetter(1), weight), default=0))
+        b += fb * sum(map(abs, weight.values()))
+        fd, fw, packed = _packed(f, *map(max, _layout(t, max(b, fb)), (d, w)))  # f must fit
+        if (fd, fw) != (d, w):
+            acc, d, w = _relaid(acc, (d, w), fd, fw), fd, fw
+        for (dq, dt), c in weight.items():
+            shift = d * (dq * w + dt)
+            for lam, v in packed.items():
+                x = (v << shift if shift else v) * c
+                old = acc.get(lam)
+                acc[lam] = x if old is None else old + x
+        del f, packed
+    return SchurExpansion._of({lam: v for lam, v in acc.items() if v}, (d, w, t, b))
 
 
-def _apply(f: SchurExpansion, image: Callable[[Partition, int], object], k: int) -> SchurExpansion:
+def _apply(f: SchurExpansion, image: Callable, k: int, grow: int = 0) -> SchurExpansion:
     """The linear map sending each s_lam to image(lam, k), applied to f.
 
     image is either a strip enumerator, whose partitions each carry the
-    coefficient 1, or a cached basis image mapping partitions to raw
-    coefficients.  (lam, 2.0) and (lam, True) hash like (lam, 2) and (lam, 1),
-    so k is checked before any image is looked up.
+    coefficient 1, or a cached image mapping partitions to (t-exponent,
+    coefficient) pairs; grow bounds the t-exponents.  (lam, 2.0) and (lam,
+    True) hash like (lam, 2) and (lam, 1), so k is checked before any image is
+    looked up.  The output's L1 bound is that of f times the most |c| landing
+    on one partition; when it does not fit a digit, the sum is formed again
+    at a width that does, so no digit ever wraps.
     """
     as_int(k, "operator degree")
     _schur_only(f)
-    acc: _RawExpansion = {}
-    for lam, coeff in f._terms.items():
-        found = image(lam, k)
-        pieces = found.items() if isinstance(found, dict) else zip(found, repeat(_UNIT))
-        _accumulate(acc, pieces, coeff._terms)
-    return _expansion(acc)
+    t, b = _bounds(f)
+    d, w = _layout(t + grow, b)
+    while True:
+        d, w, packed = _packed(f, d, w)
+        acc: dict[Partition, list[int]] = {}  # mu -> [packed sum, sum of |coefficient|]
+        for lam, v in packed.items():
+            found = image(lam, k)
+            pieces = found.items() if isinstance(found, dict) else zip(found, repeat(((0, 1),)))
+            for mu, pairs in pieces:
+                for e, c in pairs:
+                    x = (v << d * e if e else v) * c
+                    slot = acc.get(mu)
+                    if slot is None:
+                        acc[mu] = [x, abs(c)]
+                    else:
+                        slot[0] += x
+                        slot[1] += abs(c)
+        bound = b * max(map(itemgetter(1), acc.values()), default=0)
+        if bound.bit_length() < d:
+            terms = {mu: v for mu, (v, _) in acc.items() if v}
+            return SchurExpansion._of(terms, (d, w, t + grow, bound))
+        d = _layout(0, bound)[0]
 
 
 def mul_h(k: int, f: SchurExpansion) -> SchurExpansion:
@@ -299,32 +379,33 @@ def _straighten(m: int, lam: Partition) -> tuple[int, Partition] | None:
 
 
 @memo
-def _bernstein_image(lam: Partition, m: int) -> _RawExpansion:
+def _bernstein_image(lam: Partition, m: int) -> _Image:
     found = _straighten(m, lam)
-    return {} if found is None else {found[1]: {(0, 0): found[0]}}
+    return {} if found is None else {found[1]: ((0, found[0]),)}
 
 
-def _jing_sum(lam: Partition, m: int, dual: bool) -> _RawExpansion:
+def _jing_sum(lam: Partition, m: int, dual: bool) -> _Image:
     """Sum of t^e B_{m+k} h_k-perp s_lam over k, where e is k, or |lam| - k when
-    dual; cancelled terms are dropped."""
+    dual.  Each k gives its own power of t, so no term cancels."""
     n = sum(lam)
     s_lam = SchurExpansion.schur(lam)
-    acc: _RawExpansion = {}
+    pieces: dict[Partition, list[tuple[int, int]]] = {}
     # a horizontal strip inside lam has at most lam_1 cells
     for k in range((lam[0] if lam else 0) + 1):
-        image = bernstein(m + k, skew_h(k, s_lam))
-        _accumulate(acc, _pieces(image), {(0, n - k if dual else k): 1})
-    return {mu: c._terms for mu, c in _expansion(acc)._terms.items()}
+        e = n - k if dual else k  # each coefficient is a packed constant: the int itself
+        for mu, c in bernstein(m + k, skew_h(k, s_lam))._terms.items():
+            pieces.setdefault(mu, []).append((e, c))
+    return {mu: tuple(pairs) for mu, pairs in pieces.items()}
 
 
 @memo
-def _hl_vertex_image(lam: Partition, m: int) -> _RawExpansion:
+def _hl_vertex_image(lam: Partition, m: int) -> _Image:
     # Jing: sum_k t^k B_{m+k} h_k-perp
     return _jing_sum(lam, m, False)
 
 
 @memo
-def _hl_vertex_dual_image(lam: Partition, m: int) -> _RawExpansion:
+def _hl_vertex_dual_image(lam: Partition, m: int) -> _Image:
     # sum_j t^(n-j) omega B_{m+j} omega e_j-perp, with e_j-perp = omega h_j-perp omega
     return {conjugate(mu): c for mu, c in _jing_sum(conjugate(lam), m, True).items()}
 
@@ -339,8 +420,7 @@ def bernstein(m: int, f: SchurExpansion) -> SchurExpansion:
 
 def hl_vertex(m: int, f: SchurExpansion) -> SchurExpansion:
     """Jing's Hall-Littlewood vertex operator sum_k t^k S_{m+k} h_k-perp."""
-    f.degree()
-    return _apply(f, _hl_vertex_image, m)
+    return _apply(f, _hl_vertex_image, m, f.degree() or 0)
 
 
 def hl_vertex_snake(m: int, f: SchurExpansion, k: int | None = None) -> SchurExpansion:
@@ -375,11 +455,10 @@ def hl_vertex_snake(m: int, f: SchurExpansion, k: int | None = None) -> SchurExp
 def hl_vertex_dual(m: int, f: SchurExpansion) -> SchurExpansion:
     """The dual vertex operator sum_{i,j} t^(n-j) (-1)^i e_{m+i+j} h_i-perp e_j-perp,
     where n is the degree of the (homogeneous) argument."""
-    f.degree()
-    return _apply(f, _hl_vertex_dual_image, m)
+    return _apply(f, _hl_vertex_dual_image, m, f.degree() or 0)
 
 
 def omega(f: SchurExpansion) -> SchurExpansion:
     """The involution sending s_lam to s_(lam conjugate)."""
     _schur_only(f)
-    return SchurExpansion._trusted({conjugate(lam): c for lam, c in f._terms.items()})
+    return SchurExpansion._of({conjugate(lam): c for lam, c in f._terms.items()}, f._packing)

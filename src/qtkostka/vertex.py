@@ -224,6 +224,7 @@ def macdonald(mu: Partition) -> SchurExpansion:
         f = vertex2(f)
     if m > 2:
         f = qt_vertex(m, f)
+    f._coeffs()  # the table keeps QTPolys, never a packed copy
     return f
 
 

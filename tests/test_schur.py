@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from qtkostka.schur import (
     skew_e,
     skew_h,
 )
-from qtkostka.vertex import HLExpansion, UnsupportedShapeError, classify_shape, macdonald
+from qtkostka.vertex import HLExpansion, UnsupportedShapeError, classify_shape, kostka, macdonald
 
 one = QTPoly.one()
 t = QTPoly.t(1)
@@ -298,12 +299,16 @@ def test_linear_combination_consumes_a_one_shot_generator_once():
 
 
 def _holds_no_zero(f: SchurExpansion) -> bool:
-    return all(c._terms and all(c._terms.values()) for c in f._terms.values())
+    # a packed coefficient that cancels entirely is the int 0; unpacking
+    # keeps only the nonzero digits
+    if f._packing is not None and not all(f._terms.values()):
+        return False
+    return all(c._terms and all(c._terms.values()) for c in f._coeffs().values())
 
 
 def test_no_kernel_output_holds_a_zero_after_cancellation():
-    # the accumulators become the output coefficients, so a cancelled entry
-    # must be deleted from them, and a slot that cancels entirely dropped
+    # a packed sum that cancels entirely must be dropped, and a digit that
+    # cancels must not become an entry when the coefficient is unpacked
     q = QTPoly.q(1)
     f = s((2,)).scaled(one + q) - s((1, 1))  # s(2,1) in mul_h(1, f) keeps only q
     g = s((2,)) - s((1, 1))  # s(2,1) in mul_h(1, g) cancels entirely
@@ -315,6 +320,8 @@ def test_no_kernel_output_holds_a_zero_after_cancellation():
         "skew": skew_h(1, f),
         "map": macdonald((2, 2)).map_coefficients(lambda c: c.q_zero()),
     }
+    packed = {name for name, out in outputs.items() if out._packing is not None}
+    assert packed == set(outputs) - {"map"} and not outputs["full"]._terms
     assert outputs["full"] == SchurExpansion()
     assert outputs["partial"] == s((2,)).scaled(q) - s((1, 1))
     assert outputs["pieri"].coefficient((2, 1)) == q and (2, 1) not in outputs["pieri, full"]._terms
@@ -331,14 +338,20 @@ def test_no_kernel_output_holds_a_zero_after_cancellation():
                     for mu in set(a._terms) & set(b._terms) if lam < nu else ():
                         f = s(lam).scaled(b.coefficient(mu)) - s(nu).scaled(a.coefficient(mu))
                         out = op(m, f)
+                        assert out._packing is not None
                         assert mu not in out._terms and _holds_no_zero(out), (op, m, lam, nu)
                         cancelled += 1
     assert cancelled >= 50
+    # a cached image holds (t-exponent, coefficient) pairs: no zero coefficient,
+    # no exponent twice, and no partition without a pair
     for n in range(8):
         for lam in partitions_of(n):
             for m in range(1, 4):
                 for image in (schur._hl_vertex_image(lam, m), schur._hl_vertex_dual_image(lam, m)):
-                    assert all(raw and all(raw.values()) for raw in image.values()), (lam, m)
+                    for pairs in image.values():
+                        exps = [e for e, _ in pairs]
+                        assert pairs and all(c for _, c in pairs), (lam, m)
+                        assert len(set(exps)) == len(exps) and min(exps) >= 0, (lam, m)
 
 
 def test_linear_combination_takes_schur_expansions_only():
@@ -380,7 +393,9 @@ def test_non_int_degrees_never_reach_the_cached_images(warm):
 
 
 def test_outputs_and_cached_images_share_one_key_per_exponent_pair():
-    # every exponent pair the kernel outputs is one tuple object, held in _KEYS
+    # every exponent pair the kernel unpacks is one tuple object, held in
+    # _KEYS; a cached image holds no key tuples, only (t-exponent,
+    # coefficient) pairs, so it is read through the operator that applies it
     clear_caches()
     schur._KEYS.clear()
     raws = []
@@ -395,8 +410,13 @@ def test_outputs_and_cached_images_share_one_key_per_exponent_pair():
     for n in range(10):
         for lam in partitions_of(n):
             for m in range(1, min(4, 10 - n) + 1):
-                raws += schur._hl_vertex_image(lam, m).values()
-                raws += schur._hl_vertex_dual_image(lam, m).values()
+                for op, image in (
+                    (hl_vertex, schur._hl_vertex_image),
+                    (hl_vertex_dual, schur._hl_vertex_dual_image),
+                ):
+                    out = op(m, s(lam))
+                    assert out._packing is not None and set(out._terms) == set(image(lam, m))
+                    raws += [c._terms for c in out._coeffs().values()]
     keys = [key for raw in raws for key in raw]
     assert len(keys) > 70_000
     assert len({id(key) for key in keys}) == len(set(keys)) == len(schur._KEYS)
@@ -422,6 +442,137 @@ def test_inputs_keyed_by_fresh_tuples_still_give_shared_keys():
         linear_combination(iter([(1, f)])),
         f.map_coefficients(lambda c: c),
     ]
+    assert all(out._packing is not None for out in outputs[:-1])
     for out in outputs:
-        for c in out._terms.values():
+        for c in out._coeffs().values():
             assert all(schur._KEYS[key] is key for key in c._terms)
+
+
+# --- the packed kernel: exactness, strides and digit widths -----------------
+
+
+def _random_poly(rng: random.Random, mag: int = 2**40) -> QTPoly:
+    terms = {(rng.randint(0, 60), rng.randint(0, 60)): rng.randint(-mag, mag) for _ in range(5)}
+    terms[(rng.randint(40, 60), rng.randint(40, 60))] = rng.choice([-mag, mag])
+    return QTPoly(terms)
+
+
+def _random_expansion(rng: random.Random, n: int) -> SchurExpansion:
+    shapes = partitions_of(n)
+    chosen = rng.sample(shapes, min(4, len(shapes)))
+    return SchurExpansion({lam: _random_poly(rng) for lam in chosen})
+
+
+def _by_linearity(op, f: SchurExpansion) -> SchurExpansion:
+    # op on each basis function, scaled and added by QTPoly arithmetic
+    total = SchurExpansion()
+    for lam, c in f.terms():
+        total = total + op(s(lam)).scaled(c)
+    return total
+
+
+OPERATORS = [
+    lambda f: mul_h(2, f),
+    lambda f: mul_e(1, f),
+    lambda f: skew_h(1, f),
+    lambda f: skew_e(2, f),
+    lambda f: bernstein(1, f),
+    lambda f: hl_vertex(2, f),
+    lambda f: hl_vertex_dual(1, f),
+    omega,
+]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_the_packed_kernel_is_exact_on_large_signed_high_degree_coefficients(seed):
+    # coefficients up to 2^40 in size, both signs, q- and t-degrees of 40 and more
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    f = _random_expansion(rng, n)
+    for op in OPERATORS:
+        assert op(f) == _by_linearity(op, f)
+    # a packed output fed to the next operator without being unpacked
+    first = hl_vertex_dual(2, f)
+    assert first._packing is not None
+    for op in OPERATORS:
+        assert op(first) == _by_linearity(op, _by_linearity(lambda g: hl_vertex_dual(2, g), f))
+    # weights as large as the coefficients: their products need wider digits
+    pairs = [(_random_poly(rng), _random_expansion(rng, n)) for _ in range(3)] + [(-1, first)]
+    total = linear_combination(pair for pair in pairs)
+    expected = SchurExpansion()
+    for w, g in pairs:
+        expected = expected + g.scaled(w)
+    assert total._packing[0] > 64 and total == expected
+
+
+def test_a_chain_whose_t_degree_crosses_a_stride_stays_exact():
+    # t-degree 58 packs at stride 64; hl_vertex(1, .) on degree n adds up to n
+    f = SchurExpansion({(2, 1): QTPoly({(0, 58): 3, (5, 0): -1}), (3,): QTPoly.monomial(1, 57, 2)})
+    chain, strides = [mul_h(1, f)], []  # degree 4, bound 58
+    for _ in range(2):  # degree 5, bound 62: stride 64; degree 6, bound 67: 128
+        strides.append(chain[-1]._packing[1])
+        chain.append(hl_vertex(1, chain[-1]))
+    assert strides + [chain[-1]._packing[1]] == [64, 64, 128]
+    assert chain[1]._packing[1] == 128  # the packed input was re-laid in place
+    expected = mul_h(1, f)
+    for g in chain:
+        assert g == expected
+        expected = _by_linearity(lambda x: hl_vertex(1, x), expected)
+    # a later pair that needs a wider stride re-lays the sum built so far
+    low, high = mul_h(1, f), mul_h(1, SchurExpansion({(3,): QTPoly.t(60)}))
+    assert low._packing[1] == high._packing[1] == 64
+    total = linear_combination(iter([(1, low), (QTPoly.t(10), high)]))
+    assert total._packing[1] == 128
+    assert total == mul_h(1, f) + mul_h(1, s((3,))).scaled(QTPoly.t(70))
+
+
+def test_a_narrow_digit_widens_and_never_wraps(monkeypatch):
+    monkeypatch.setattr(schur, "_DIGIT", 16)
+    assert schur._layout(0, 2**15 - 1) == (16, 1) and schur._layout(0, 2**15) == (32, 1)
+    with pytest.raises(OverflowError):
+        schur._pack({(0, 0): 2**15}, 16, 1)  # a digit that does not fit is refused
+    # each coefficient fits a 16-bit digit; the images' sums push past it,
+    # so the first sum is formed again at 32 bits
+    terms = {(1, 2): 2**14, (0, 3): 1 - 2**14}
+    f = SchurExpansion({lam: QTPoly(terms) for lam in partitions_of(4)})
+    assert schur._bounds(f) == (3, 2**15 - 1)
+    g, widths, expected = f, [], f
+    for _ in range(4):
+        g, expected = hl_vertex(1, g), _by_linearity(lambda x: hl_vertex(1, x), expected)
+        widths.append(g._packing[0])
+        assert g == expected
+    assert widths[0] == 32 and widths == sorted(widths)
+    # the running sum is re-laid wider when a weight would overflow its digits
+    small = mul_h(1, SchurExpansion({(2,): 3}))
+    assert small._packing[0] == 16
+    total = linear_combination(iter([(1, small), (2**20 + 1, small), (-(2**20), small)]))
+    assert total._packing[0] > 16 and total == mul_h(1, s((2,))).scaled(6)
+    # a zero weight adds nothing, however wide the expansion it weights
+    small = mul_h(1, SchurExpansion({(2,): 3}))
+    total = linear_combination(iter([(0, s((2,)).scaled(2**40)), (1, small)]))
+    assert total == mul_h(1, SchurExpansion({(2,): 3}))
+
+
+def test_macdonald_keeps_qtpolys_and_a_warm_kostka_never_unpacks(monkeypatch):
+    calls = []
+    unpack = schur._unpack
+    monkeypatch.setattr(schur, "_unpack", lambda *args: calls.append(args) or unpack(*args))
+    clear_caches()
+    shapes = [(3, 2, 1), (4, 2), (2, 2, 1, 1), (3, 3)]  # the last a conjugate
+    for mu in shapes:
+        h = macdonald(mu)
+        assert h._packing is None and all(type(c) is QTPoly for c in h._terms.values())
+    assert calls  # the cold builds unpacked their outputs
+    calls.clear()
+    for mu in shapes:
+        for lam in partitions_of(6):
+            assert kostka(lam, mu) == macdonald(mu).coefficient(lam)
+    assert calls == []
+
+
+def test_a_packed_pieri_input_still_counts_its_partitions():
+    # the benchmark's tracer reads len(f._terms) on the Pieri operators' inputs
+    f = hl_vertex_dual(2, macdonald((2, 1)))
+    assert f._packing is not None and len(f._terms) == len(f.terms()) == 6
+    g = mul_e(1, hl_vertex(2, macdonald((2, 1))))
+    assert g._packing is not None and len(g._terms) == len(g.terms())
