@@ -715,6 +715,9 @@ def run_battery(
         raise ValueError("run_battery is bounded at max_n <= 8")
     if oracle_degree > 6:
         raise ValueError("run_battery is bounded at oracle_degree <= 6")
-    report = list(_report(max_n, oracle_degree, n_points, seed))
-    report.sort(key=lambda e: (e["check"], sorted((k, str(v)) for k, v in e["params"].items())))
-    return report
+    return sorted(_report(max_n, oracle_degree, n_points, seed), key=_entry_key)
+
+
+def _entry_key(entry: dict) -> tuple:
+    """(check, params) as run_battery sorts on it; no two entries of a report share it."""
+    return entry["check"], tuple(sorted((k, str(v)) for k, v in entry["params"].items()))

@@ -20,12 +20,12 @@ from ._checks import as_int, as_partition, as_point, int_parts
 from .partitions import Partition, arm_leg, dominance_leq, linear_extension, partitions_of
 from .qtpoly import QTPoly
 from .schur import SchurExpansion, mul_e
-from .tableaux import charge, column_strict_tableaux, reading_word, shape, standard_tableaux
+from .tableaux import charge_table, standard_tableaux
 from .vertex import gaussian_binomial, macdonald, stem_coefficient
 
-Rational = Fraction
-PowerExpansion = dict
-NumericSchur = dict
+_Rational = Fraction
+_PowerExpansion = dict
+_NumericSchur = dict
 
 
 class DegeneratePointError(ValueError):
@@ -94,7 +94,7 @@ def _character(lam: Partition, mu: Partition) -> int:
 
 
 @memo_checked(int_parts)
-def schur_to_power(lam: Partition) -> PowerExpansion:
+def schur_to_power(lam: Partition) -> _PowerExpansion:
     """Coordinates of s_lam in the power-sum basis: chi^lam(rho) / z_rho."""
     lam = as_partition(lam, "lam")  # the part order, on a miss
     out = {}
@@ -105,7 +105,7 @@ def schur_to_power(lam: Partition) -> PowerExpansion:
     return out
 
 
-def power_coords(f: NumericSchur) -> PowerExpansion:
+def power_coords(f: _NumericSchur) -> _PowerExpansion:
     """Convert a numeric Schur-coordinate vector to power-sum coordinates."""
     out: dict[Partition, Fraction] = {}
     for lam, c in f.items():
@@ -134,7 +134,7 @@ def _pairing_weight(rho: Partition, q0: Fraction, t0: Fraction) -> Fraction:
     return weight
 
 
-def scalar_qt(f: PowerExpansion, g: PowerExpansion, q0: Rational, t0: Rational) -> Fraction:
+def scalar_qt(f: _PowerExpansion, g: _PowerExpansion, q0: _Rational, t0: _Rational) -> Fraction:
     """<f, g> with p_lam self-pairings z_lam prod (1-q0^k)/(1-t0^k).
 
     q0 and t0 are ints or Fractions; floats and bools are refused before any
@@ -149,7 +149,7 @@ def scalar_qt(f: PowerExpansion, g: PowerExpansion, q0: Rational, t0: Rational) 
     return total
 
 
-def scalar_t(f: PowerExpansion, g: PowerExpansion, t0: Rational) -> Fraction:
+def scalar_t(f: _PowerExpansion, g: _PowerExpansion, t0: _Rational) -> Fraction:
     """<f, g> with p_lam self-pairings z_lam prod 1/(1-t0^k): scalar_qt at q0 = 0."""
     return scalar_qt(f, g, 0, t0)
 
@@ -165,8 +165,8 @@ def _check_extension(n: int, order: tuple[Partition, ...]) -> None:
 
 @memo
 def _orthogonal_basis(
-    n: int, q0: Rational, t0: Rational, order: tuple[Partition, ...]
-) -> dict[Partition, NumericSchur]:
+    n: int, q0: _Rational, t0: _Rational, order: tuple[Partition, ...]
+) -> dict[Partition, _NumericSchur]:
     """Gram-Schmidt the Schur vectors of degree n along the given order.
 
     Ascending dominance-compatible order makes each output vector unitriangular:
@@ -189,7 +189,7 @@ def _orthogonal_basis(
     rows: list[list[int]] = []  # v_k = rows[k] / dens[k], in the coordinates of order
     dens: list[int] = []
     norms: list[int] = []  # G_k . rows[k], which is <v_k, v_k> * dens[k] * scale
-    vecs: dict[Partition, NumericSchur] = {}
+    vecs: dict[Partition, _NumericSchur] = {}
     for i, lam in enumerate(order):
         chi = [_character(lam, rho) for rho in rhos]
         chars.append(chi)
@@ -220,10 +220,10 @@ def _orthogonal_basis(
 
 def macdonald_oracle(
     mu: Partition,
-    q0: Rational,
-    t0: Rational,
+    q0: _Rational,
+    t0: _Rational,
     order: tuple[Partition, ...] | None = None,
-) -> NumericSchur:
+) -> _NumericSchur:
     """Numeric J_mu in Schur coordinates, from orthogonality alone.
 
     The Gram-Schmidt vector for mu is rescaled so that its s_mu coordinate is
@@ -247,8 +247,8 @@ def macdonald_oracle(
 def kostka_oracle(
     lam: Partition,
     mu: Partition,
-    q0: Rational,
-    t0: Rational,
+    q0: _Rational,
+    t0: _Rational,
 ) -> Fraction:
     """K_{lam,mu}(q0,t0) as <J_mu, s_lam> under the t-deformed pairing."""
     q0, t0 = as_point(q0, t0)
@@ -264,30 +264,12 @@ def _power_macdonald(mu: Partition, q0: Fraction, t0: Fraction) -> Mapping[Parti
     return MappingProxyType(power_coords(macdonald_oracle(mu, q0, t0)))
 
 
-@memo
-def _kostka_foulkes_row(mu: Partition) -> Mapping[Partition, QTPoly]:
-    """{lam: K_{lam,mu}(t)} over the lam with a nonzero entry, from one enumeration.
-
-    Each column-strict tableau of content mu adds t^charge to its own shape.
-    The shapes come in `partitions_of` order; those not dominating mu are
-    absent.  The mapping is read-only because the cache shares it.
-    """
-    charges: dict[Partition, dict[tuple[int, int], int]] = {}
-    for tab in column_strict_tableaux(mu):
-        terms = charges.setdefault(shape(tab), {})
-        key = (0, charge(reading_word(tab)))  # generated, so not checked again
-        terms[key] = terms.get(key, 0) + 1
-    return MappingProxyType(
-        {lam: QTPoly(charges[lam]) for lam in partitions_of(sum(mu)) if lam in charges}
-    )
-
-
 def kostka_foulkes(lam: Partition, mu: Partition) -> QTPoly:
     """Sum of t^charge over column-strict tableaux of shape lam, content mu."""
     lam, mu = int_parts(lam), int_parts(mu)
     if sum(lam) != sum(mu):
         raise ValueError("kostka_foulkes needs |lam| = |mu|")
-    k = _kostka_foulkes_row(mu).get(lam)
+    k = charge_table(mu).get(lam)
     if k is not None:
         return k
     # K_{lam,mu}(t) vanishes unless lam dominates mu, so a miss is no error
@@ -331,7 +313,7 @@ def generic_points(count: int, seed: int, max_n: int = 8) -> list[tuple[Fraction
     """
     as_int(count, "count", 0)
     as_int(max_n, "max_n")
-    rng = random.Random(seed)
+    rng = random.Random(as_int(seed, "seed"))
     bound = 2 * max_n
     points: list[tuple[Fraction, Fraction]] = []
     while len(points) < count:
@@ -436,7 +418,7 @@ def _bracket_coefficient(x: int, y: int, i: int, q0: Fraction, t0: Fraction) -> 
     return q0 * (x1 + q0 * x2 - q0 * x3 - x4)
 
 
-def three_row_coefficients(a: int, b: int, q0: Fraction, t0: Fraction) -> NumericSchur:
+def _three_row_coefficients(a: int, b: int, q0: Fraction, t0: Fraction) -> _NumericSchur:
     """Numeric HL-basis coefficients of H_(3 2^a 1^b)[X;q,t] from the rational table."""
     out: dict[Partition, Fraction] = {}
     head = (1 - q0**2 * t0 ** (a + b + 1)) * (1 - q0 * t0 ** (a + 1))
@@ -460,7 +442,7 @@ def _three_row_entry(x: int, y: int, i: int, q0: Fraction, t0: Fraction) -> Frac
     return _bracket_coefficient(x, y, i, q0, t0)
 
 
-def four_row_coefficients(a: int, b: int, q0: Fraction, t0: Fraction) -> NumericSchur:
+def _four_row_coefficients(a: int, b: int, q0: Fraction, t0: Fraction) -> _NumericSchur:
     """Numeric HL-basis coefficients of H_(4 2^a 1^b)[X;q,t] from the rational table."""
     q, t = Fraction(q0), Fraction(t0)
     qq = q * q
@@ -552,18 +534,18 @@ def four_row_coefficients(a: int, b: int, q0: Fraction, t0: Fraction) -> Numeric
     return out
 
 
-def _assemble_schur(coeffs: NumericSchur, q0: Fraction, t0: Fraction) -> NumericSchur:
+def _assemble_schur(coeffs: _NumericSchur, q0: Fraction, t0: Fraction) -> _NumericSchur:
     """Substitute each H_nu[X;t] with its charge expansion, numerically."""
     out: dict[Partition, Fraction] = {}
     for nu, c in coeffs.items():
         if not c:
             continue
-        for lam, k in _kostka_foulkes_row(nu).items():
+        for lam, k in charge_table(nu).items():
             out[lam] = out.get(lam, Fraction(0)) + c * k.evaluate(q0, t0)
     return {lam: v for lam, v in out.items() if v}
 
 
-def _macdonald_at(f: SchurExpansion, q0: Fraction, t0: Fraction) -> NumericSchur:
+def _macdonald_at(f: SchurExpansion, q0: Fraction, t0: Fraction) -> _NumericSchur:
     """The nonzero Schur coordinates of f at (q0, t0)."""
     out = {}
     for lam, c in f.terms():
@@ -663,7 +645,7 @@ def verify_rational_props(a: int, b: int, points: list[tuple[Fraction, Fraction]
             entries.append(
                 report_entry("rational/coefficient-recurrences", tag, not bad, "; ".join(bad))
             )
-            got = _assemble_schur(three_row_coefficients(a, b, q0, t0), q0, t0)
+            got = _assemble_schur(_three_row_coefficients(a, b, q0, t0), q0, t0)
             want = _macdonald_at(macdonald((3,) + (2,) * a + (1,) * b), q0, t0)
             entries.append(
                 report_entry(
@@ -678,7 +660,7 @@ def verify_rational_props(a: int, b: int, points: list[tuple[Fraction, Fraction]
                 report_entry("rational/e1-decomposition", tag, not bad, "; ".join(bad))
             )
             if 4 + 2 * a + b <= 8:
-                got = _assemble_schur(four_row_coefficients(a, b, q0, t0), q0, t0)
+                got = _assemble_schur(_four_row_coefficients(a, b, q0, t0), q0, t0)
                 want = _macdonald_at(macdonald((4,) + (2,) * a + (1,) * b), q0, t0)
                 entries.append(
                     report_entry(

@@ -15,7 +15,7 @@ from ._cache import memo, memo_checked
 from ._checks import as_int, as_partition, int_parts, is_partition
 
 Partition = tuple[int, ...]
-Cell = tuple[int, int]
+_Cell = tuple[int, int]
 
 
 def parse_partition(text: str) -> Partition:
@@ -157,13 +157,13 @@ def vertical_strips_inside(mu: Partition, k: int) -> tuple[Partition, ...]:
     return tuple(sorted(conjugate(lam) for lam in horizontal_strips_inside(conjugate(mu), k)))
 
 
-def border_walk(mu: Partition) -> list[Cell]:
+def _border_walk(mu: Partition) -> list[_Cell]:
     """Cells of the border mu / mu^rc, walked from (1, mu_1) to the top left.
 
     The walk starts at the right end of the bottom row and follows the rim
     cell by cell; consecutive cells share an edge.
     """
-    cells: list[Cell] = []
+    cells: list[_Cell] = []
     for r in range(1, len(mu) + 1):
         low = mu[r] if r < len(mu) else 1
         for c in range(mu[r - 1], low - 1, -1):
@@ -173,7 +173,7 @@ def border_walk(mu: Partition) -> list[Cell]:
 
 def snake_height(mu: Partition, k: int) -> int:
     """Number of distinct rows met by the first k cells of the border walk."""
-    walk = border_walk(mu)
+    walk = _border_walk(mu)
     if not 1 <= k <= len(walk):
         raise ValueError(f"k={k} outside the border of {mu} (size {len(walk)})")
     return len({r for r, _ in walk[:k]})
@@ -183,7 +183,7 @@ def remove_snake(mu: Partition, k: int) -> Optional[Partition]:
     """Remove the first k border cells; None when the rest is not a partition."""
     if k == 0:
         return mu
-    walk = border_walk(mu)
+    walk = _border_walk(mu)
     if not 1 <= k <= len(walk):
         return None
     rows = list(mu)
@@ -195,7 +195,7 @@ def remove_snake(mu: Partition, k: int) -> Optional[Partition]:
     return cand if is_partition(cand) else None
 
 
-def add_snake(rho: Partition, k: int, h: int) -> Optional[Partition]:
+def _add_snake(rho: Partition, k: int, h: int) -> Optional[Partition]:
     """Extend rho by a k-cell snake of height h; None when not a partition.
 
     The result is (rho_h + k - h + 1, rho_1 + 1, ..., rho_{h-1} + 1,
@@ -225,9 +225,9 @@ def snake_involution(lam: Partition, n: int, rho: Partition) -> Partition:
         raise ValueError("rho is fixed: lam equals the snake complement")
     h = snake_height(rho, n)
     if part(lam, h) > part(gamma, h):
-        flipped = add_snake(gamma, n, h + 1)
+        flipped = _add_snake(gamma, n, h + 1)
     else:
-        flipped = add_snake(gamma, n, h - 1)
+        flipped = _add_snake(gamma, n, h - 1)
     if flipped is None:
         raise RuntimeError(f"snake flip failed for lam={lam}, n={n}, rho={rho}")
     return flipped

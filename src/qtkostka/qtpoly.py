@@ -95,6 +95,8 @@ class QTPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self._terms.keys() <= {(0, 0)}:  # a constant equals its int, so hashes like it
+            return hash(self._terms.get((0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: Union["QTPoly", int]) -> "QTPoly":
@@ -126,13 +128,6 @@ class QTPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "QTPoly":
-        as_int(exponent, "exponent", 0)
-        result = QTPoly.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def evaluate(self, q0: Union[int, Fraction], t0: Union[int, Fraction]) -> Fraction:
         """Exact value at the point (q0, t0), as one integer sum over a common denominator."""
         q0, t0 = as_point(q0, t0)
@@ -145,12 +140,6 @@ class QTPoly:
         for (dq, dt), coeff in self._terms.items():
             num += coeff * a**dq * b ** (top_q - dq) * c**dt * d ** (top_t - dt)
         return Fraction(num, b**top_q * d**top_t)
-
-    def evaluate_t(self, t0: Union[int, Fraction]) -> Fraction:
-        """Value at t=t0 for polynomials with no q terms."""
-        if self.deg_q:
-            raise ValueError("polynomial involves q")
-        return self.evaluate(0, t0)
 
     def q_zero(self) -> "QTPoly":
         """The specialization q = 0."""

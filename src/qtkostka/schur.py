@@ -53,13 +53,13 @@ from .partitions import (
 )
 from .qtpoly import QTPoly, TermKey
 
-Coeff = Union[QTPoly, int]
+_Coeff = Union[QTPoly, int]
 _Image = dict[Partition, tuple[tuple[int, int], ...]]  # mu -> its (t-exponent, coefficient) pairs
 _KEYS: dict[TermKey, TermKey] = {}  # each exponent pair to its one shared tuple
 _DIGIT = 64  # the narrowest packed digit, in bits; widths are multiples of it
 
 
-def _poly(value: Coeff) -> QTPoly:
+def _poly(value: _Coeff) -> QTPoly:
     return value if isinstance(value, QTPoly) else QTPoly({(0, 0): value})
 
 
@@ -123,10 +123,10 @@ class SchurExpansion:
     """
 
     __slots__ = ("_terms", "_packing")
-    basis: str | None = None  # written to and checked in JSON when set
+    basis: str | None = None  # written to JSON when set
     _letter = "s"
 
-    def __init__(self, terms: Mapping[Partition, Coeff] | None = None):
+    def __init__(self, terms: Mapping[Partition, _Coeff] | None = None):
         clean: dict[Partition, QTPoly] = {}
         for lam, coeff in (terms or {}).items():
             lam = as_partition(lam, "lam")
@@ -194,7 +194,7 @@ class SchurExpansion:
     def __neg__(self) -> "SchurExpansion":
         return self.scaled(-1)
 
-    def scaled(self, coeff: Coeff) -> "SchurExpansion":
+    def scaled(self, coeff: _Coeff) -> "SchurExpansion":
         factor = _poly(coeff)
         return self._trusted({lam: c * factor for lam, c in self._coeffs().items()})
 
@@ -226,22 +226,6 @@ class SchurExpansion:
             {"lambda": list(lam), "coeff": coeff.to_terms()} for lam, coeff in self.terms()
         ]
         return blob
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SchurExpansion":
-        if data.get("basis") != cls.basis:
-            raise ValueError(f"expected basis {cls.basis!r}, got {data.get('basis')!r}")
-        terms = {}
-        for entry in data["terms"]:
-            lam = as_partition(entry["lambda"], "lambda")
-            if lam in terms:
-                raise ValueError(f"{lam} appears twice")
-            terms[lam] = QTPoly.from_terms(entry["coeff"])
-        f = cls(terms)
-        degree, given = (f.degree() if f else 0), as_int(data.get("degree"), "degree")
-        if given != degree:
-            raise ValueError(f"degree {given!r} does not match the size {degree} of the terms")
-        return f
 
     def __repr__(self) -> str:
         bits = [f"({coeff})*{self._letter}{lam}" for lam, coeff in self.terms()]
@@ -275,7 +259,7 @@ def _packed(f: SchurExpansion, d: int, w: int) -> tuple[int, int, dict[Partition
     return f._packing[0], f._packing[1], f._terms
 
 
-def linear_combination(pairs: Iterable[tuple[Coeff, SchurExpansion]]) -> SchurExpansion:
+def linear_combination(pairs: Iterable[tuple[_Coeff, SchurExpansion]]) -> SchurExpansion:
     """The sum of c * F over the (c, F) pairs, each output coefficient built once.
     pairs may be any iterable; it is consumed once, in order, each F let go
     before the next pair is drawn.  The sum is re-laid wider whenever the

@@ -54,7 +54,6 @@ from .tableaux import (
     conjugate_tableau,
     format_tableau,
     is_standard,
-    parse_tableau,
     reading_word,
     rectify_lowered,
     reverse_column_insert,
@@ -106,20 +105,6 @@ class TypeSequence:
         if self.head is None:
             return letters
         return f"({format_tableau(self.head)})|{letters}"
-
-
-def parse_type_sequence(text: str) -> TypeSequence:
-    text = text.strip()
-    head: Optional[Tableau] = None
-    if text.startswith("("):
-        close = text.index(")")
-        head = parse_tableau(text[1:close])
-        text = text[close + 1 :]
-        if not text.startswith("|"):
-            raise ValueError("expected '|' after the head tableau")
-        text = text[1:]
-    blocks = tuple(x.strip() for x in text.split(",") if x.strip())
-    return TypeSequence(head, blocks)
 
 
 def _size(tab: Tableau) -> int:
@@ -422,7 +407,7 @@ def stat_pair(mu: Partition, tab: Tableau) -> tuple[int, int]:
     return charge(reading_word(tab)) - shift, stat_b  # tab is standard: no second check
 
 
-Counts = dict[Partition, dict[tuple[int, int], int]]  # shape -> (b, a) -> number of T
+_Counts = dict[Partition, dict[tuple[int, int], int]]  # shape -> (b, a) -> number of T
 
 
 def _insert_key(keys: Tableau, x: int) -> tuple[Tableau, int]:
@@ -488,7 +473,7 @@ def _check_walk(mu: Partition, tab: Tableau, ts: TypeSequence, a: int, b: int) -
 @memo_checked(int_parts)
 def _stat_counts(
     mu: Partition,
-) -> tuple[dict[Optional[Tableau], Counts], dict[TypeSequence, dict[int, int]]]:
+) -> tuple[dict[Optional[Tableau], _Counts], dict[TypeSequence, dict[int, int]]]:
     """The number of standard T of size |mu| with each (b_mu, a_mu) by head and
     shape, and with each a_mu by type, from one depth-first walk over the
     Young lattice.  Only these counts are kept.
@@ -529,7 +514,7 @@ def _stat_counts(
     powers = [width**k for k in range(n)]
     places = {sh: i * width**n for i, sh in enumerate(partitions_of(n))}
     unchecked = set(places)
-    by_head: dict[Optional[Tableau], Counts] = {}
+    by_head: dict[Optional[Tableau], _Counts] = {}
     records: dict[TypeSequence, list] = {}  # type -> [first place, {a: number of T}]
     pairs: dict[tuple[int, int], tuple[int, int]] = {}  # one (b, a) object per value
     rows: list[list[int]] = []  # T, grown and shrunk in place
@@ -537,7 +522,7 @@ def _stat_counts(
     head: Tableau = ()
     words: tuple = ()
     typed: dict[Tableau, tuple] = {}  # R -> (type, shift, b, record)
-    shapes: Counts = by_head.setdefault(None, {}) if m == 2 else {}
+    shapes: _Counts = by_head.setdefault(None, {}) if m == 2 else {}
 
     def take_head() -> tuple[tuple, Tableau]:
         nonlocal head, words, typed, shapes
@@ -609,9 +594,9 @@ def _stat_counts(
     return by_head, by_type
 
 
-def _expansion(tables: Iterable[Counts], gamma: int = 0) -> SchurExpansion:
+def _expansion(tables: Iterable[_Counts], gamma: int = 0) -> SchurExpansion:
     """The sum of q^(b - gamma) t^a s_shape over the counts in tables."""
-    total: Counts = {}
+    total: _Counts = {}
     for counts in tables:
         for sh, bucket in counts.items():
             into = total.setdefault(sh, {})

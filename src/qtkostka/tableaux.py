@@ -11,12 +11,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import gt
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from ._cache import memo_checked
 from ._checks import as_int, as_partition, as_standard, as_tableau, as_word
 from ._checks import int_parts, is_standard, is_tableau  # noqa: F401  (public names)
 from .partitions import Partition, horizontal_strips, partitions_of
+from .qtpoly import QTPoly
 
 Word = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
@@ -276,3 +278,22 @@ def column_strict_tableaux(weight: Partition) -> tuple[Tableau, ...]:
 
     extend(0, (), [])
     return tuple(results)
+
+
+@memo_checked(int_parts)
+def charge_table(weight: Partition) -> Mapping[Partition, QTPoly]:
+    """{lam: K_{lam,weight}(t)}, the sum of t^charge over the column-strict
+    tableaux of shape lam and content weight, from one enumeration.
+
+    The shapes come in `partitions_of` order; those with no tableau (the ones
+    not dominating weight) are absent.  The mapping is read-only because the
+    cache shares it.
+    """
+    charges: dict[Partition, dict[tuple[int, int], int]] = {}
+    for tab in column_strict_tableaux(weight):  # checks weight, on a miss
+        terms = charges.setdefault(shape(tab), {})
+        key = (0, charge(reading_word(tab)))
+        terms[key] = terms.get(key, 0) + 1
+    return MappingProxyType(
+        {lam: QTPoly(charges[lam]) for lam in partitions_of(sum(weight)) if lam in charges}
+    )

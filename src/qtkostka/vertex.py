@@ -30,7 +30,7 @@ from .schur import (
     mul_h,
     omega,
 )
-from .tableaux import Tableau, column_strict_tableaux, reading_word, charge, shape
+from .tableaux import Tableau, charge_table
 
 
 def vertex2(f: SchurExpansion) -> SchurExpansion:
@@ -127,10 +127,10 @@ def qt_vertex(m: int, f: SchurExpansion) -> SchurExpansion:
 # --- head components -------------------------------------------------------
 
 _T = Tableau
-Operator = Callable[[SchurExpansion], SchurExpansion]
+_Operator = Callable[[SchurExpansion], SchurExpansion]
 
 
-def component_groups(m: int) -> list[tuple[int, tuple[_T, ...], Operator]]:
+def component_groups(m: int) -> list[tuple[int, tuple[_T, ...], _Operator]]:
     """The q-graded pieces of qt_vertex(m), keyed by the head tableaux whose
     statistics they generate.  Two size-4 groups carry a pair of heads that
     only occur combined."""
@@ -201,11 +201,7 @@ def reassembled_vertex(m: int, f: SchurExpansion) -> SchurExpansion:
 @memo_checked(int_parts)
 def hall_littlewood(nu: Partition) -> SchurExpansion:
     """H_nu[X;t] expanded in Schur functions via charge."""
-    total: dict[Partition, QTPoly] = {}
-    for tab in column_strict_tableaux(nu):
-        sh = shape(tab)
-        total[sh] = total.get(sh, QTPoly.zero()) + QTPoly.t(charge(reading_word(tab)))
-    return SchurExpansion(total)
+    return SchurExpansion(charge_table(nu))
 
 
 @memo_checked(int_parts)
@@ -405,7 +401,7 @@ def hl_identity_suite(max_n: int) -> list[dict]:
     """Check the Hall-Littlewood expansion identities for all parameters whose
     larger side has size at most max_n.  Both sides are expanded into Schur
     functions through charge, so the comparison is exact."""
-    if max_n > 9:
+    if as_int(max_n, "max_n") > 9:
         raise ValueError("identity suite is bounded at max_n <= 9")
     t, one = QTPoly.t, QTPoly.one()
     entries: list[dict] = []

@@ -5,7 +5,7 @@ import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
-from qtkostka import cache_info, clear_caches
+from qtkostka import cache_info, clear_caches, tableaux
 from qtkostka.oracle import kostka_foulkes, kostka_oracle
 from qtkostka.partitions import vertical_strips_inside
 from qtkostka.stats import stat_genfun
@@ -19,6 +19,7 @@ TABLES = {
     "partitions.vertical_strips_inside",
     "partitions.partitions_of",
     "tableaux.standard_tableaux",
+    "tableaux.charge_table",
     "schur.bernstein_image",
     "schur.hl_vertex_image",
     "schur.hl_vertex_dual_image",
@@ -33,7 +34,6 @@ TABLES = {
     "oracle.schur_to_power",
     "oracle.orthogonal_basis",
     "oracle.power_macdonald",
-    "oracle.kostka_foulkes_row",
     "oracle.pairing_weight",
 }
 
@@ -88,3 +88,25 @@ def test_every_traced_function_exists_and_cached_ones_report():
     for layer, name in cached:
         fn = getattr(importlib.import_module(f"qtkostka.{layer}"), name)
         assert hasattr(fn, "cache_info") and hasattr(fn, "cache_clear"), f"{layer}.{name}"
+
+
+def test_hall_littlewood_and_kostka_foulkes_share_one_enumeration(monkeypatch):
+    calls = []
+    enumerate_all = tableaux.column_strict_tableaux
+
+    def counted(weight):
+        calls.append(tuple(weight))
+        return enumerate_all(weight)
+
+    monkeypatch.setattr(tableaux, "column_strict_tableaux", counted)
+    shapes = [(2, 1, 1), (3, 2, 1), (2, 2, 2)]
+    for first_hl in (True, False):
+        clear_caches()
+        calls.clear()
+        for nu in shapes:
+            lam = (sum(nu),)
+            if first_hl:
+                assert hall_littlewood(nu).coefficient(lam) == kostka_foulkes(lam, nu)
+            else:
+                assert kostka_foulkes(lam, nu) == hall_littlewood(nu).coefficient(lam)
+        assert calls == shapes

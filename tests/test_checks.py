@@ -66,6 +66,7 @@ from qtkostka.vertex import (
     component_groups,
     gaussian_binomial,
     hall_littlewood,
+    hl_identity_suite,
     stem_coefficient,
     t_pochhammer,
     two_column_hl,
@@ -139,10 +140,6 @@ NOT_DECIMAL = st.one_of(
 )
 
 
-def _blob(lam):
-    return {"degree": 3, "terms": [{"lambda": lam, "coeff": [[0, 0, "1"]]}]}
-
-
 # (name, strategy for the bad argument, kind of argument, call with it)
 ENTRY_POINTS = [
     ("conjugate", NOT_PARTITION, "partition", conjugate),
@@ -182,7 +179,6 @@ ENTRY_POINTS = [
     ("kostka/lam", NOT_PARTITION, "partition", lambda x: qtkostka.kostka(x, MU)),
     ("kostka/mu", NOT_PARTITION, "partition", lambda x: qtkostka.kostka(MU, x)),
     ("SchurExpansion", NOT_PARTITION, "partition", lambda x: SchurExpansion({x: 1})),
-    ("from_json/lambda", NOT_PARTITION, "partition", lambda x: SchurExpansion.from_json(_blob(x))),
     ("standard_tableaux", NOT_PARTITION, "partition", standard_tableaux),
     ("column_strict_tableaux", NOT_PARTITION, "partition", column_strict_tableaux),
     ("hall_littlewood", NOT_PARTITION, "partition", hall_littlewood),
@@ -202,16 +198,9 @@ ENTRY_POINTS = [
     ("QTPoly/exponent", NOT_NONNEGATIVE, "int", lambda x: QTPoly({(x, 0): 1})),
     ("QTPoly/coefficient", NOT_INT, "int", lambda x: QTPoly({(0, 0): x})),
     ("QTPoly.t", NOT_NONNEGATIVE, "int", QTPoly.t),
-    ("QTPoly.pow", NOT_NONNEGATIVE, "int", lambda x: QTPoly.q(1) ** x),
     ("QTPoly.reverse", NOT_INT, "int", lambda x: QTPoly.one().reverse(x, 0)),
     ("from_terms/exponent", NOT_NONNEGATIVE, "int", lambda x: QTPoly.from_terms([(0, x, 1)])),
     ("from_terms/coefficient", NOT_DECIMAL, "int", lambda x: QTPoly.from_terms([(0, 0, x)])),
-    (
-        "from_json/degree",
-        NOT_INT,
-        "int",
-        lambda x: SchurExpansion.from_json({"degree": x, "terms": []}),
-    ),
     ("mul_h", NOT_INT, "int", lambda x: mul_h(x, S21)),
     ("hl_vertex", NOT_INT, "int", lambda x: hl_vertex(x, S21)),
     (
@@ -236,6 +225,8 @@ ENTRY_POINTS = [
     ("classify_pair/rho", NOT_PARTITION, "partition", lambda x: classify_pair(3, 2, TAB, x)),
     ("pair_involution/rho", NOT_PARTITION, "partition", lambda x: pair_involution(3, 2, TAB, x)),
     ("generic_points/count", NOT_NONNEGATIVE, "int", lambda x: generic_points(x, 0)),
+    ("generic_points/seed", NOT_INT, "int", lambda x: generic_points(1, x)),
+    ("hl_identity_suite", NOT_INT, "int", hl_identity_suite),
     ("run_battery/n_points", NOT_NONNEGATIVE, "int", lambda x: run_battery(n_points=x)),
     ("run_battery/seed", NOT_INT, "int", lambda x: run_battery(seed=x)),
     ("evaluate/q0", NOT_POINT, "point", lambda x: QTPoly.q(1).evaluate(x, T0)),
@@ -340,7 +331,6 @@ GAPS = {
     "two_column_hl(-1, 0) -> HLExpansion(0)": lambda: two_column_hl(-1, 0),
     "two_column_hl(1, -1) gave terms on non-shapes": lambda: two_column_hl(1, -1),
     "hl_vertex_snake(2, s, -1) -> 0": lambda: hl_vertex_snake(2, S21, -1),
-    "QTPoly.q(1) ** True -> q": lambda: QTPoly.q(1) ** True,
     "component_groups(3.0) answered": lambda: component_groups(3.0),
     "head_tableau(((1, 2), (3,)), True) -> ((1,),)": lambda: head_tableau(((1, 2), (3,)), True),
     "classify_pair(1, 2, ((1,),), (2, 1, True)) -> immaterial": (
@@ -403,7 +393,6 @@ def test_the_gaps_still_answer_good_input():
     assert t_pochhammer(1, 0, 0) == QTPoly.one()
     assert two_column_hl(0, 0) == two_column_hl(0, 0).unit()
     assert hl_vertex_snake(2, S21, 1) == hl_vertex_snake(2, S21)
-    assert QTPoly.q(1) ** 0 == QTPoly.one()
     assert len(component_groups(3)) == 4
     assert head_tableau(((1, 2), (3,)), 1) == ((1,),)
     assert classify_pair(1, 2, ((1,),), (3, 1)) == "stable"

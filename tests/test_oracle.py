@@ -10,7 +10,6 @@ from qtkostka import cache_info, clear_caches, schur, vertex
 from qtkostka.battery import _alternative_extension
 from qtkostka.oracle import (
     DegeneratePointError,
-    _kostka_foulkes_row,
     _orthogonal_basis,
     character,
     count_syt,
@@ -29,7 +28,7 @@ from qtkostka.oracle import (
 )
 from qtkostka.partitions import linear_extension, partitions_of
 from qtkostka.qtpoly import QTPoly
-from qtkostka.tableaux import column_strict_tableaux, shape, tableau_charge
+from qtkostka.tableaux import charge_table, column_strict_tableaux, shape, tableau_charge
 from qtkostka.vertex import hall_littlewood, macdonald
 
 F = Fraction
@@ -364,7 +363,7 @@ def test_kostka_foulkes_values():
 def test_kostka_foulkes_rows_match_per_shape_enumeration():
     for n in range(8):
         for nu in partitions_of(n):
-            row = _kostka_foulkes_row(nu)
+            row = charge_table(nu)
             for lam in partitions_of(n):
                 want = QTPoly.zero()
                 for tab in column_strict_tableaux(nu):
@@ -396,7 +395,6 @@ def test_clear_caches_empties_every_oracle_cache():
         "oracle.schur_to_power",
         "oracle.orthogonal_basis",
         "oracle.power_macdonald",
-        "oracle.kostka_foulkes_row",
         "oracle.pairing_weight",
     }
     assert all(set(v) == {"hits", "misses", "size"} for v in info.values())

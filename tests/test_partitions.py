@@ -4,9 +4,9 @@ import pytest
 
 from qtkostka._checks import int_parts
 from qtkostka.partitions import (
-    add_snake,
+    _add_snake,
+    _border_walk,
     arm_leg,
-    border_walk,
     conjugate,
     dominance_leq,
     first_column_removed,
@@ -123,7 +123,7 @@ def test_vertical_strips_match_brute_force(n):
 
 def test_border_walk_length():
     for lam in partitions_of(6):
-        walk = border_walk(lam)
+        walk = _border_walk(lam)
         assert len(walk) == lam[0] + len(lam) - 1
 
 
@@ -138,7 +138,7 @@ def test_remove_snake_examples():
 def test_snake_height_and_add():
     assert snake_height((5, 4, 2, 2, 1), 4) == 2
     rho = (3, 2, 2, 2, 1)
-    rebuilt = add_snake(rho, 4, snake_height((5, 4, 2, 2, 1), 4))
+    rebuilt = _add_snake(rho, 4, snake_height((5, 4, 2, 2, 1), 4))
     assert rebuilt == (5, 4, 2, 2, 1)
 
 
@@ -148,7 +148,7 @@ def test_add_remove_round_trip():
             core = remove_snake(lam, k)
             if core is None:
                 continue
-            assert add_snake(core, k, snake_height(lam, k)) == lam
+            assert _add_snake(core, k, snake_height(lam, k)) == lam
 
 
 def test_snake_involution_examples():

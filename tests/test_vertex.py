@@ -203,9 +203,14 @@ def test_three_row_table():
 
 def test_hl_expansion_json():
     f = two_column_hl(1, 1)
-    blob = f.to_json()
-    assert blob["basis"] == "hall-littlewood-t"
-    assert type(f).from_json(blob) == f
+    assert f.to_json() == {
+        "basis": "hall-littlewood-t",
+        "degree": 3,
+        "terms": [
+            {"lambda": [2, 1], "coeff": [[0, 0, "1"], [1, 2, "-1"]]},
+            {"lambda": [1, 1, 1], "coeff": [[1, 0, "1"]]},
+        ],
+    }
 
 
 def test_kostka_entries():
@@ -328,10 +333,6 @@ def test_hl_expansion_is_its_own_type():
     assert repr(HLExpansion({(1,): 1})) == "HLExpansion((1)*H(1,))"
     assert repr(HLExpansion()) == "HLExpansion(0)"
     assert "basis" not in macdonald((2, 1)).to_json()
-    with pytest.raises(ValueError, match="expected basis"):
-        HLExpansion.from_json(macdonald((2, 1)).to_json())
-    with pytest.raises(ValueError, match="expected basis"):
-        SchurExpansion.from_json(f.to_json())
 
 
 # --- the row operators against their chain forms ------------------------------
