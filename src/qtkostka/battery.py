@@ -571,8 +571,6 @@ def _suite(check: str, fn, *args) -> list[dict]:
 
 
 def _report(max_n: int, oracle_degree: int, n_points: int, seed: int):
-    if max_n < 1:
-        return
     points = generic_points(n_points, seed, max_n)
     t_points = [t0 for _, t0 in points]
     small = min(5, max_n)
@@ -704,11 +702,11 @@ def run_battery(
     """Run every check and return the merged report, sorted by check name.
 
     Deterministic for a fixed seed; failures appear as report entries rather
-    than exceptions.  Every argument is an int (not a bool), and n_points is
-    at least 1.
+    than exceptions.  Every argument is an int (not a bool); max_n,
+    oracle_degree and n_points are at least 1, so no report is empty.
     """
-    as_int(max_n, "max_n")
-    as_int(oracle_degree, "oracle_degree")
+    as_int(max_n, "max_n", 1)
+    as_int(oracle_degree, "oracle_degree", 1)
     as_int(n_points, "n_points", 1)
     as_int(seed, "seed")
     if max_n > 8:

@@ -9,10 +9,10 @@ import argparse
 import csv
 import json
 import sys
+from inspect import signature
 
 from .battery import run_battery
 from .partitions import format_partition, parse_partition
-from .schur import SchurExpansion
 from .stats import full_type, stat_pair, unimodal_profile, is_unimodal
 from .tableaux import parse_tableau, charge
 from .vertex import UnsupportedShapeError, hall_littlewood, kostka, macdonald
@@ -41,55 +41,46 @@ def _word(text: str) -> tuple[int, ...]:
     return tuple(int(ch) for ch in text)
 
 
-def _positive_int(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
-
-
-def _print_expansion(mu, expansion: SchurExpansion, fmt: str, out) -> None:
+def _emit(fmt, mu, terms, payload, header, rows) -> int:
+    """Print one result in format fmt: payload() as JSON, header and rows as
+    CSV, or one LaTeX line K_{lam,mu} = coeff per (lam, coeff) in terms."""
     if fmt == "json":
-        payload = {"mu": list(mu), "expansion": expansion.to_json()}
-        print(json.dumps(payload, indent=2), file=out)
+        print(json.dumps(payload(), indent=2))
     elif fmt == "csv":
-        writer = csv.writer(out)
-        writer.writerow(["shape", "coefficient"])
-        for lam, coeff in expansion.terms():
-            writer.writerow([format_partition(lam), str(coeff)])
+        writer = csv.writer(sys.stdout)
+        writer.writerow(header)
+        writer.writerows(rows)
     else:
-        mu_text = format_partition(mu)
-        for lam, coeff in expansion.terms():
-            print(f"K_{{({format_partition(lam)}),({mu_text})}} &= {coeff.latex()} \\\\", file=out)
-
-
-def _cmd_macdonald(args) -> int:
-    mu = _partition(args.mu)
-    _print_expansion(mu, macdonald(mu), args.format, sys.stdout)
+        for lam, coeff in terms:
+            print(f"K_{{({format_partition(lam)}),({format_partition(mu)})}} &= {coeff.latex()} \\\\")
     return 0
 
 
-def _cmd_hl(args) -> int:
+def _cmd_expansion(args) -> int:
     mu = _partition(args.mu)
-    _print_expansion(mu, hall_littlewood(mu), args.format, sys.stdout)
-    return 0
+    expansion = args.expand(mu)
+    terms = expansion.terms()
+    return _emit(
+        args.format,
+        mu,
+        terms,
+        lambda: {"mu": list(mu), "expansion": expansion.to_json()},
+        ["shape", "coefficient"],
+        ([format_partition(lam), str(coeff)] for lam, coeff in terms),
+    )
 
 
 def _cmd_kostka(args) -> int:
     lam, mu = _partition(args.lam), _partition(args.mu)
-    if sum(lam) != sum(mu):
-        raise ValueError(f"sizes differ: |{format_partition(lam)}| != |{format_partition(mu)}|")
     coeff = kostka(lam, mu)
-    if args.format == "json":
-        payload = {"lambda": list(lam), "mu": list(mu), "coefficient": coeff.to_terms()}
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["q_power", "t_power", "coefficient"])
-        for (dq, dt), c in coeff.terms():
-            writer.writerow([dq, dt, c])
-    else:
-        print(f"K_{{({format_partition(lam)}),({format_partition(mu)})}} &= {coeff.latex()} \\\\")
-    return 0
+    return _emit(
+        args.format,
+        mu,
+        [(lam, coeff)],
+        lambda: {"lambda": list(lam), "mu": list(mu), "coefficient": coeff.to_terms()},
+        ["q_power", "t_power", "coefficient"],
+        ([dq, dt, c] for (dq, dt), c in coeff.terms()),
+    )
 
 
 def _cmd_charge(args) -> int:
@@ -104,8 +95,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_type(args) -> int:
-    kind = full_type(_partition(args.mu), parse_tableau(args.tableau))
-    print(",".join(kind.blocks))
+    print(full_type(_partition(args.mu), parse_tableau(args.tableau)).text())
     return 0
 
 
@@ -118,15 +108,9 @@ def _cmd_unimodal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_battery(
-        max_n=args.max_n,
-        oracle_degree=args.oracle_degree,
-        n_points=args.points,
-        seed=args.seed,
-    )
-    if not report:
-        print("error: no checks ran (max-n must be at least 1)", file=sys.stderr)
-        return 1
+    # a flag left out takes run_battery's default, which also checks every value
+    names = signature(run_battery).parameters
+    report = run_battery(**{n: getattr(args, n) for n in names if getattr(args, n) is not None})
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -143,10 +127,13 @@ def _build_parser() -> _Parser:
     def with_format(p):
         p.add_argument("--format", choices=("json", "csv", "latex"), default="json")
 
-    p = sub.add_parser("macdonald", help="Schur expansion of H_mu[X;q,t]")
-    p.add_argument("--mu", required=True)
-    with_format(p)
-    p.set_defaults(handler=_cmd_macdonald)
+    def expansion(name, expand, text):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--mu", required=True)
+        with_format(p)
+        p.set_defaults(handler=_cmd_expansion, expand=expand)
+
+    expansion("macdonald", macdonald, "Schur expansion of H_mu[X;q,t]")
 
     p = sub.add_parser("kostka", help="one coefficient K_{lambda,mu}(q,t)")
     p.add_argument("--lam", required=True)
@@ -154,10 +141,7 @@ def _build_parser() -> _Parser:
     with_format(p)
     p.set_defaults(handler=_cmd_kostka)
 
-    p = sub.add_parser("hl", help="Schur expansion of H_mu[X;t]")
-    p.add_argument("--mu", required=True)
-    with_format(p)
-    p.set_defaults(handler=_cmd_hl)
+    expansion("hl", hall_littlewood, "Schur expansion of H_mu[X;t]")
 
     p = sub.add_parser("charge", help="charge of a word")
     p.add_argument("--word", required=True)
@@ -168,16 +152,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--tableau", required=True)
     p.set_defaults(handler=_cmd_stats)
 
-    p = sub.add_parser("type", help="block types of a standard tableau")
+    p = sub.add_parser("type", help="full type (head and block types) of a standard tableau")
     p.add_argument("--mu", required=True)
     p.add_argument("--tableau", required=True)
     p.set_defaults(handler=_cmd_type)
 
     p = sub.add_parser("verify", help="run the verification battery")
-    p.add_argument("--max-n", type=int, default=8)
-    p.add_argument("--oracle-degree", type=int, default=6)
-    p.add_argument("--points", type=_positive_int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-n", type=int)
+    p.add_argument("--oracle-degree", type=int)
+    p.add_argument("--points", type=int, dest="n_points")
+    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_verify)
 

@@ -54,23 +54,15 @@ def z_factor(lam: Partition) -> int:
     return out
 
 
-def character(lam: Partition, mu: Partition) -> int:
-    """Irreducible symmetric-group character chi^lam evaluated on class mu.
+@memo
+def _character(lam: Partition, mu: Partition) -> int:
+    """Irreducible symmetric-group character chi^lam evaluated on class mu;
+    lam and mu are partitions of one size, and every recursive call keeps them so.
 
     Computed by peeling border strips of size mu[0] off lam; a strip spanning
     rows i..j forces nu_r = lam_{r+1} - 1 on the intermediate rows, which
     leaves exactly one candidate per row interval.
     """
-    lam, mu = as_partition(lam, "lam"), as_partition(mu, "mu")
-    if sum(lam) != sum(mu):
-        raise ValueError("character needs |lam| = |mu|")
-    return _character(lam, mu)
-
-
-@memo
-def _character(lam: Partition, mu: Partition) -> int:
-    """character without the checks: lam and mu are partitions of one size,
-    and every recursive call keeps them so."""
     if not mu:
         return 1
     k, rest = mu[0], mu[1:]

@@ -53,12 +53,8 @@ def reading_word(tab: Tableau) -> Word:
     return tuple(out)
 
 
-def content(word: Iterable[int]) -> tuple[int, ...]:
-    """Multiplicity vector of the letters 1..max(word)."""
-    return _content(as_word(word, "word"))
-
-
 def _content(letters: Word) -> tuple[int, ...]:
+    """Multiplicity vector of the letters 1..max(letters)."""
     if not letters:
         return ()
     counts = [0] * max(letters)

@@ -401,7 +401,7 @@ def hl_identity_suite(max_n: int) -> list[dict]:
     """Check the Hall-Littlewood expansion identities for all parameters whose
     larger side has size at most max_n.  Both sides are expanded into Schur
     functions through charge, so the comparison is exact."""
-    if as_int(max_n, "max_n") > 9:
+    if as_int(max_n, "max_n", 1) > 9:
         raise ValueError("identity suite is bounded at max_n <= 9")
     t, one = QTPoly.t, QTPoly.one()
     entries: list[dict] = []

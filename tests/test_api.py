@@ -36,7 +36,6 @@ PUBLIC = {
     "cli": {"main"},
     "oracle": {
         "DegeneratePointError",
-        "character",
         "count_syt",
         "count_syt_enumerated",
         "generic_points",
@@ -121,7 +120,6 @@ PUBLIC = {
         "column_insert_into",
         "column_strict_tableaux",
         "conjugate_tableau",
-        "content",
         "format_tableau",
         "parse_tableau",
         "reading_word",

@@ -1,13 +1,22 @@
 import pytest
 
-from qtkostka import battery
+from qtkostka import InputError, battery
 from qtkostka.battery import run_battery
 
 SMALL = {"max_n": 3, "oracle_degree": 3, "n_points": 1, "seed": 11}
 
 
-def test_empty_ranges_give_empty_report():
-    assert run_battery(max_n=0) == []
+def test_empty_ranges_are_refused(monkeypatch):
+    # an empty report would pass, and an oracle_degree below 1 would drop the oracle
+    monkeypatch.setattr(battery, "_report", _refuse_to_run)
+    for kwargs, refused in [
+        ({"max_n": 0}, "max_n = 0 is not an int >= 1"),
+        ({"max_n": -3, "oracle_degree": -2, "n_points": 1}, "max_n = -3 is not an int >= 1"),
+        ({"oracle_degree": 0}, "oracle_degree = 0 is not an int >= 1"),
+        ({"max_n": 3, "oracle_degree": 0}, "oracle_degree = 0 is not an int >= 1"),
+    ]:
+        with pytest.raises(InputError, match=refused):
+            run_battery(**kwargs)
 
 
 def test_bounds_are_enforced():

@@ -14,7 +14,6 @@ from qtkostka import InputError, QTPoly, SchurExpansion, cache_info
 from qtkostka._checks import as_standard, as_tableau, is_standard, is_tableau
 from qtkostka.battery import run_battery
 from qtkostka.oracle import (
-    character,
     count_syt,
     generic_points,
     kostka_foulkes,
@@ -96,6 +95,7 @@ NOT_INT = st.one_of(
 )
 NEGATIVE = st.integers(max_value=-1)
 NOT_NONNEGATIVE = st.one_of(NOT_INT, NEGATIVE)
+NOT_POSITIVE = st.one_of(NOT_INT, st.integers(max_value=0))
 NOT_POINT = st.one_of(st.booleans(), st.floats(allow_nan=False), st.text(max_size=3), st.none())
 # sequences of ints in the wrong order or with a part below 1, sequences
 # holding a non-int part, and values that are no sequence at all
@@ -189,7 +189,6 @@ ENTRY_POINTS = [
     ("kostka_oracle/lam", NOT_PARTITION, "partition", lambda x: kostka_oracle(x, MU, Q0, T0)),
     ("kostka_oracle/mu", NOT_PARTITION, "partition", lambda x: kostka_oracle(MU, x, Q0, T0)),
     ("kostka_foulkes/lam", NOT_PARTITION, "partition", lambda x: kostka_foulkes(x, MU)),
-    ("character", NOT_PARTITION, "partition", lambda x: character(x, MU)),
     ("schur_to_power", NOT_PARTITION, "partition", schur_to_power),
     ("z_factor", NOT_PARTITION, "partition", z_factor),
     ("count_syt", NOT_PARTITION, "partition", count_syt),
@@ -226,7 +225,9 @@ ENTRY_POINTS = [
     ("pair_involution/rho", NOT_PARTITION, "partition", lambda x: pair_involution(3, 2, TAB, x)),
     ("generic_points/count", NOT_NONNEGATIVE, "int", lambda x: generic_points(x, 0)),
     ("generic_points/seed", NOT_INT, "int", lambda x: generic_points(1, x)),
-    ("hl_identity_suite", NOT_INT, "int", hl_identity_suite),
+    ("hl_identity_suite", NOT_POSITIVE, "int", hl_identity_suite),
+    ("run_battery/max_n", NOT_POSITIVE, "int", lambda x: run_battery(max_n=x)),
+    ("run_battery/oracle_degree", NOT_POSITIVE, "int", lambda x: run_battery(oracle_degree=x)),
     ("run_battery/n_points", NOT_NONNEGATIVE, "int", lambda x: run_battery(n_points=x)),
     ("run_battery/seed", NOT_INT, "int", lambda x: run_battery(seed=x)),
     ("evaluate/q0", NOT_POINT, "point", lambda x: QTPoly.q(1).evaluate(x, T0)),

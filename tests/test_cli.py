@@ -1,7 +1,11 @@
 import json
+from functools import wraps
+from inspect import signature
 
 import pytest
 
+from qtkostka import cli
+from qtkostka.battery import run_battery
 from qtkostka.cli import main
 
 
@@ -57,9 +61,16 @@ def test_kostka_json(capsys):
 
 
 def test_kostka_size_mismatch(capsys):
-    code, _, err = run(capsys, "kostka", "--lam", "2,1", "--mu", "2")
-    assert code == 1
-    assert "sizes differ" in err
+    # the library's refusal, word for word
+    code, out, err = run(capsys, "kostka", "--lam", "2,1", "--mu", "2")
+    assert code == 1 and out == ""
+    assert err == "error: size mismatch: |(2, 1)| != |(2,)|\n"
+
+
+def test_kostka_checks_the_shape_before_the_size(capsys):
+    code, _, err = run(capsys, "kostka", "--lam", "3", "--mu", "3,3,2")
+    assert code == 2
+    assert "(3,3,2)" in err
 
 
 def test_hl(capsys):
@@ -91,6 +102,14 @@ def test_stats(capsys):
 def test_type(capsys):
     code, out, _ = run(capsys, "type", "--mu", "2,2,2", "--tableau", "1,4,5/2,6/3")
     assert code == 0 and out == "V,V,H\n"
+
+
+def test_type_prints_the_head(capsys):
+    # the full type, as unimodal names its classes
+    code, out, _ = run(capsys, "type", "--mu", "4,1", "--tableau", "1,3,4/2/5")
+    assert code == 0 and out == "(1,3,4/2)|S\n"
+    code, out, _ = run(capsys, "type", "--mu", "4,1", "--tableau", "1,2,3,4/5")
+    assert code == 0 and out == "(1,2,3,4)|S\n"
 
 
 def test_unimodal_printed_profile(capsys):
@@ -125,17 +144,49 @@ def test_verify_bounds(capsys):
 
 @pytest.mark.parametrize("max_n", ["-1", "0"])
 def test_verify_with_no_checks_fails(capsys, max_n):
+    # run_battery refuses the arguments before any check runs
     code, out, err = run(capsys, "verify", "--max-n", max_n)
     assert code == 1 and out == ""
-    assert "no checks ran" in err
+    assert err == f"error: max_n = {max_n} is not an int >= 1\n"
+
+
+@pytest.mark.parametrize("degree", ["-4", "0"])
+def test_verify_refuses_a_nonpositive_oracle_degree(capsys, degree):
+    code, out, err = run(capsys, "verify", "--max-n", "2", "--oracle-degree", degree)
+    assert code == 1 and out == ""
+    assert err == f"error: oracle_degree = {degree} is not an int >= 1\n"
 
 
 @pytest.mark.parametrize("points", ["0", "-3", "x"])
 def test_verify_rejects_nonpositive_points(capsys, points):
-    with pytest.raises(SystemExit) as info:
-        main(["verify", "--max-n", "2", "--points", points])
-    assert info.value.code == 1
-    assert "--points: must be a positive integer" in capsys.readouterr().err
+    if points == "x":  # not an int: argparse refuses it
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--max-n", "2", "--points", points])
+        assert info.value.code == 1
+        assert "argument --points: invalid int value: 'x'" in capsys.readouterr().err
+    else:
+        code, out, err = run(capsys, "verify", "--max-n", "2", "--points", points)
+        assert code == 1 and out == ""
+        assert err == f"error: n_points = {points} is not an int >= 1\n"
+
+
+def test_verify_passes_only_the_flags_given(capsys, monkeypatch):
+    # run_battery holds the one copy of its defaults; no battery runs here
+    calls = []
+
+    @wraps(run_battery)  # the handler reads the parameter names from run_battery
+    def record(**kwargs):
+        calls.append(kwargs)
+        return []
+
+    monkeypatch.setattr(cli, "run_battery", record)
+    assert main(["verify"]) == 0
+    assert main(["verify", "--points", "2"]) == 0
+    assert main(["verify", "--max-n", "3", "--oracle-degree", "2", "--seed", "-1"]) == 0
+    assert calls == [{}, {"n_points": 2}, {"max_n": 3, "oracle_degree": 2, "seed": -1}]
+    defaults = vars(cli._build_parser().parse_args(["verify"]))
+    for name in signature(run_battery).parameters:
+        assert name in defaults and defaults[name] is None, name
 
 
 def test_verify_small_run(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtkostka import cache_info, clear_caches, vertex
+from qtkostka import InputError, cache_info, clear_caches, vertex
 from qtkostka.partitions import partitions_of
 from qtkostka.qtpoly import QTPoly
 from qtkostka.schur import SchurExpansion, hl_vertex, hl_vertex_dual, mul_e, mul_h, omega
@@ -246,6 +246,8 @@ def test_identity_suite_passes():
     assert "hl-identity/dual4-base" in names
     with pytest.raises(ValueError):
         hl_identity_suite(10)
+    with pytest.raises(InputError, match="max_n = -5 is not an int >= 1"):
+        hl_identity_suite(-5)  # once a one-entry report that passed
 
 
 def test_hall_littlewood_accepts_a_list():
