@@ -5,15 +5,17 @@ partitions only, with QTPoly coefficients.  The operators below are linear;
 `bernstein`, `hl_vertex` and `hl_vertex_dual` require a homogeneous argument.
 
 Every operator except the snake rule runs through one kernel, `_apply`, and
-`linear_combination` sums expansions with QTPoly weights.  Both work on
+`linear_combination` sums expansions with QTPoly weights.  `+`, `-`,
+negation and `scaled` are calls of the same sum, giving an expansion of the
+operands' own type, so there is one summing path.  Both kernels work on
 Kronecker-packed coefficients: q^i t^j is the d-bit digit i*w + j of one
 Python int, with the stride w a power of two above a t-degree bound and d a
 multiple of `_DIGIT` above an L1 bound, both carried with the expansion.  A
 weight's term or an image's t^e shifts a packed coefficient by whole digits
 or rows and multiplies it by a small int, so each image term costs a few
-bigint operations in C.  An operator's output stays packed, and the next
-operator reads it as it is; its QTPolys are unpacked on the first read of a
-coefficient.  The Pieri operators take their images from the strip
+bigint operations in C.  An operator's or a sum's output stays packed, and
+the next one reads it as it is; its QTPolys are unpacked on the first read
+of a coefficient.  The Pieri operators take their images from the strip
 enumerators in `partitions`.  The other three compute the image of s_lam by
 a closed rule the first time (lam, m) is seen and cache it as
 (t-exponent, coefficient) pairs: Bernstein's operator straightens
@@ -118,8 +120,8 @@ class SchurExpansion:
 
     Subclasses name another basis; expansions of different types never
     compare equal or add, and the operators below take only this class.
-    An operator's output holds packed ints, with _packing (digit width, row
-    stride, t-degree bound, L1 bound), until a coefficient is read (`_coeffs`).
+    An operator's or a sum's output holds packed ints, with _packing (digit
+    width, row stride, t-degree bound, L1 bound), until it is read (`_coeffs`).
     """
 
     __slots__ = ("_terms", "_packing")
@@ -141,11 +143,6 @@ class SchurExpansion:
         out = cls.__new__(cls)
         out._terms, out._packing = terms, packing
         return out
-
-    @classmethod
-    def _trusted(cls, terms: Mapping[Partition, QTPoly]) -> "SchurExpansion":
-        """The expansion of terms, whose keys are already partitions; zeros are dropped."""
-        return cls._of({lam: c for lam, c in terms.items() if c})
 
     def _coeffs(self) -> dict[Partition, QTPoly]:
         """The coefficients as QTPolys, unpacked in place on the first call."""
@@ -183,20 +180,18 @@ class SchurExpansion:
     def __add__(self, other: "SchurExpansion") -> "SchurExpansion":
         if type(other) is not type(self):
             return NotImplemented
-        merged = dict(self._coeffs())
-        for lam, coeff in other._coeffs().items():
-            merged[lam] = merged.get(lam, QTPoly.zero()) + coeff
-        return self._trusted(merged)
+        return _sum(((1, self), (1, other)), type(self))
 
     def __sub__(self, other: "SchurExpansion") -> "SchurExpansion":
-        return self + other.scaled(-1)
+        if type(other) is not type(self):
+            return NotImplemented
+        return _sum(((1, self), (-1, other)), type(self))
 
     def __neg__(self) -> "SchurExpansion":
         return self.scaled(-1)
 
     def scaled(self, coeff: _Coeff) -> "SchurExpansion":
-        factor = _poly(coeff)
-        return self._trusted({lam: c * factor for lam, c in self._coeffs().items()})
+        return _sum(((coeff, self),), type(self))
 
     def map_coefficients(self, fn: Callable[[QTPoly], QTPoly]) -> "SchurExpansion":
         """The expansion with each coefficient c replaced by fn(c), re-keyed by `_KEYS`."""
@@ -232,10 +227,10 @@ class SchurExpansion:
         return type(self).__name__ + "(" + (" + ".join(bits) or "0") + ")"
 
 
-def _schur_only(f: SchurExpansion) -> None:
+def _schur_only(f: SchurExpansion, cls: type = SchurExpansion) -> None:
     # an expansion in another basis (a subclass) would be read as Schur terms
-    if type(f) is not SchurExpansion:
-        raise TypeError(f"the Schur operators take a SchurExpansion, not {type(f).__name__}")
+    if type(f) is not cls:
+        raise TypeError(f"the Schur operators take a {cls.__name__}, not {type(f).__name__}")
 
 
 def _bounds(f: SchurExpansion) -> tuple[int, int]:
@@ -264,10 +259,15 @@ def linear_combination(pairs: Iterable[tuple[_Coeff, SchurExpansion]]) -> SchurE
     pairs may be any iterable; it is consumed once, in order, each F let go
     before the next pair is drawn.  The sum is re-laid wider whenever the
     next pair's bounds need it."""
+    return _sum(pairs, SchurExpansion)
+
+
+def _sum(pairs: Iterable[tuple[_Coeff, SchurExpansion]], cls: type) -> SchurExpansion:
+    """linear_combination over expansions of type cls, giving a cls."""
     acc: dict[Partition, int] = {}
     d, w, t, b = _DIGIT, 1, 0, 0  # the layout of acc and the bounds of the sum
     for coeff, f in pairs:
-        _schur_only(f)
+        _schur_only(f, cls)
         weight = _poly(coeff)._terms
         ft, fb = _bounds(f)
         t = max(t, ft + max(map(itemgetter(1), weight), default=0))
@@ -282,7 +282,7 @@ def linear_combination(pairs: Iterable[tuple[_Coeff, SchurExpansion]]) -> SchurE
                 old = acc.get(lam)
                 acc[lam] = x if old is None else old + x
         del f, packed
-    return SchurExpansion._of({lam: v for lam, v in acc.items() if v}, (d, w, t, b))
+    return cls._of({lam: v for lam, v in acc.items() if v}, (d, w, t, b))
 
 
 def _apply(f: SchurExpansion, image: Callable, k: int, grow: int = 0) -> SchurExpansion:

@@ -189,10 +189,7 @@ def component_groups(m: int) -> list[tuple[int, tuple[_T, ...], _Operator]]:
 
 def reassembled_vertex(m: int, f: SchurExpansion) -> SchurExpansion:
     """Sum of q^gamma times each component group; must equal qt_vertex(m, f)."""
-    total = SchurExpansion()
-    for gamma, _, op in component_groups(m):
-        total = total + op(f).scaled(QTPoly.q(gamma))
-    return total
+    return linear_combination((QTPoly.q(gamma), op(f)) for gamma, _, op in component_groups(m))
 
 
 # --- Macdonald functions ----------------------------------------------------
@@ -254,10 +251,7 @@ class HLExpansion(SchurExpansion):
 
 def _hl_to_schur(terms) -> SchurExpansion:
     """The Schur expansion of the sum of coeff * H_nu[X;t] over (nu, coeff) pairs."""
-    total = SchurExpansion()
-    for nu, coeff in terms:
-        total = total + hall_littlewood(nu).scaled(coeff)
-    return total
+    return linear_combination((coeff, hall_littlewood(nu)) for nu, coeff in terms)
 
 
 def gaussian_binomial(n: int, k: int) -> QTPoly:

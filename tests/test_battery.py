@@ -1,7 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from qtkostka import InputError, battery
 from qtkostka.battery import run_battery
+from qtkostka.qtpoly import QTPoly
+from qtkostka.schur import SchurExpansion
 
 SMALL = {"max_n": 3, "oracle_degree": 3, "n_points": 1, "seed": 11}
 
@@ -159,3 +163,22 @@ def test_extension_independence_refuses_an_order_that_does_not_refine_dominance(
     point = battery.generic_points(1, 0, 6)[0]
     with pytest.raises(ValueError, match="does not refine dominance"):
         battery._check_extension_independence(6, *point)
+
+
+def test_the_dual_omega_law_catches_a_fault_that_vanishes_at_the_sampled_points(monkeypatch):
+    # (14t - 1)(65t - 27)(16t - 13) vanishes at the seed-0 points' t0, so a law
+    # compared only at those points passes with this term added
+    t, one = QTPoly.t(1), QTPoly.one()
+    fault = (14 * t - one) * (65 * t - 27 * one) * (16 * t - 13 * one)
+    points = battery.generic_points(3, 0, 8)
+    assert [t0 for _, t0 in points] == [Fraction(1, 14), Fraction(27, 65), Fraction(13, 16)]
+    assert all(fault.evaluate(0, t0) == 0 for _, t0 in points)
+    assert battery._check_dual_omega(2, 3) == (True, "")
+    real = battery.hl_vertex_dual
+
+    def faulty(m, f):
+        return real(m, f) + SchurExpansion.schur((f.degree() + m,)).scaled(fault)
+
+    monkeypatch.setattr(battery, "hl_vertex_dual", faulty)
+    ok, detail = battery._check_dual_omega(2, 3)
+    assert not ok and detail.startswith("lam=(3,): s(5,): ")

@@ -30,6 +30,16 @@ s = SchurExpansion.schur
 unit = SchurExpansion.unit
 
 
+def _qt_sum(pairs, cls=SchurExpansion) -> SchurExpansion:
+    # the sum of c * F over (c, F) pairs by QTPoly * and + alone: a reference
+    # that shares nothing with the packed summing kernel under test
+    total: dict = {}
+    for c, f in pairs:
+        for lam, coeff in f.terms():
+            total[lam] = total.get(lam, QTPoly.zero()) + coeff * c
+    return cls(total)
+
+
 def test_expansion_basics():
     f = SchurExpansion({(2, 1): 2, (3,): QTPoly.t(1)})
     assert f.coefficient((2, 1)) == 2 * one
@@ -272,7 +282,9 @@ def test_cache_info_counts_lookups():
 @given(pair=homogeneous_pair(), a=small_poly, b=small_poly)
 def test_linear_combination_is_the_sum_of_scaled_terms(pair, a, b):
     f, g = pair
-    assert linear_combination([(a, f), (b, g), (-1, f)]) == f.scaled(a) + g.scaled(b) - f
+    expected = _qt_sum([(a, f), (b, g), (-1, f)])
+    assert linear_combination([(a, f), (b, g), (-1, f)]) == expected
+    assert f.scaled(a) + g.scaled(b) - f == expected
     assert linear_combination([]) == SchurExpansion()
 
 
@@ -280,7 +292,7 @@ def test_linear_combination_consumes_a_one_shot_generator_once():
     f, g = s((2, 1)), s((3,)) + s((1, 1, 1)).scaled(t)
     pairs = [(QTPoly.q(1), f), (2, g), (-1, f)]
     assert linear_combination(pair for pair in pairs) == linear_combination(pairs)
-    assert linear_combination(iter(pairs)) == f.scaled(QTPoly.q(1) - one) + g.scaled(2)
+    assert linear_combination(iter(pairs)) == _qt_sum([(QTPoly.q(1) - one, f), (2, g)])
     assert linear_combination(pair for pair in []) == SchurExpansion()
 
 
@@ -343,6 +355,44 @@ def test_no_kernel_output_holds_a_zero_after_cancellation():
 def test_linear_combination_takes_schur_expansions_only():
     with pytest.raises(TypeError, match="take a SchurExpansion, not HLExpansion"):
         linear_combination([(1, s((1,))), (1, HLExpansion({(1,): 1}))])
+
+
+def test_sums_take_expansions_of_their_own_type_only():
+    f = s((1,))
+    for other in (1, HLExpansion({(1,): 1})):
+        with pytest.raises(TypeError, match="for -: "):
+            f - other
+        with pytest.raises(TypeError, match=r"for \+: "):
+            f + other
+
+
+def test_sums_and_scalings_run_through_the_packed_kernel_alone():
+    # +, -, negation and scaled are sums of the kernel's: none of them falls
+    # back on QTPoly arithmetic, and each result stays packed until it is read
+    q = QTPoly.q(1)
+    weight = q - 2 * t
+    f = SchurExpansion({(2, 1): q + t, (3,): 2})
+    g = hl_vertex(1, SchurExpansion({(2,): t, (1, 1): one - q}))
+    h, k = HLExpansion({(2, 1): t, (3,): 1}), HLExpansion({(2, 1): q, (1, 1, 1): 3})
+
+    def refuse(*args):
+        raise AssertionError("QTPoly arithmetic in a sum of expansions")
+
+    with pytest.MonkeyPatch.context() as patched:
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            patched.setattr(QTPoly, name, refuse)
+        sums = {
+            "f + g": (f + g, [(1, f), (1, g)]),
+            "f - g": (f - g, [(1, f), (-1, g)]),
+            "-f": (-f, [(-1, f)]),
+            "scaled": (f.scaled(weight), [(weight, f)]),
+        }
+        hl_sum = h + k
+    for name, (got, pairs) in sums.items():
+        assert got._packing is not None and type(got) is SchurExpansion, name
+        assert got == _qt_sum(pairs), name
+    assert hl_sum._packing is not None and type(hl_sum) is HLExpansion
+    assert hl_sum == _qt_sum([(1, h), (1, k)], HLExpansion)
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -451,10 +501,7 @@ def _random_expansion(rng: random.Random, n: int) -> SchurExpansion:
 
 def _by_linearity(op, f: SchurExpansion) -> SchurExpansion:
     # op on each basis function, scaled and added by QTPoly arithmetic
-    total = SchurExpansion()
-    for lam, c in f.terms():
-        total = total + op(s(lam)).scaled(c)
-    return total
+    return _qt_sum((c, op(s(lam))) for lam, c in f.terms())
 
 
 OPERATORS = [
@@ -485,10 +532,7 @@ def test_the_packed_kernel_is_exact_on_large_signed_high_degree_coefficients(see
     # weights as large as the coefficients: their products need wider digits
     pairs = [(_random_poly(rng), _random_expansion(rng, n)) for _ in range(3)] + [(-1, first)]
     total = linear_combination(pair for pair in pairs)
-    expected = SchurExpansion()
-    for w, g in pairs:
-        expected = expected + g.scaled(w)
-    assert total._packing[0] > 64 and total == expected
+    assert total._packing[0] > 64 and total == _qt_sum(pairs)
 
 
 def test_a_chain_whose_t_degree_crosses_a_stride_stays_exact():
@@ -509,7 +553,7 @@ def test_a_chain_whose_t_degree_crosses_a_stride_stays_exact():
     assert low._packing[1] == high._packing[1] == 64
     total = linear_combination(iter([(1, low), (QTPoly.t(10), high)]))
     assert total._packing[1] == 128
-    assert total == mul_h(1, f) + mul_h(1, s((3,))).scaled(QTPoly.t(70))
+    assert total == _qt_sum([(1, mul_h(1, f)), (QTPoly.t(70), mul_h(1, s((3,))))])
 
 
 def test_a_narrow_digit_widens_and_never_wraps(monkeypatch):
@@ -532,7 +576,7 @@ def test_a_narrow_digit_widens_and_never_wraps(monkeypatch):
     small = mul_h(1, SchurExpansion({(2,): 3}))
     assert small._packing[0] == 16
     total = linear_combination(iter([(1, small), (2**20 + 1, small), (-(2**20), small)]))
-    assert total._packing[0] > 16 and total == mul_h(1, s((2,))).scaled(6)
+    assert total._packing[0] > 16 and total == _qt_sum([(6, mul_h(1, s((2,))))])
     # a zero weight adds nothing, however wide the expansion it weights
     small = mul_h(1, SchurExpansion({(2,): 3}))
     total = linear_combination(iter([(0, s((2,)).scaled(2**40)), (1, small)]))
