@@ -72,6 +72,19 @@ def as_point(q0, t0) -> tuple[Fraction, Fraction]:
     return tuple(x if type(x) is Fraction else Fraction(x) for x in (q0, t0))
 
 
+def _as_points(points, name: str) -> list[tuple[Fraction, Fraction]]:
+    """points as a list of (q0, t0) Fraction pairs, once it is a nonempty
+    iterable of pairs, each checked by `as_point`.  Private: only the rational
+    tables take a list of points."""
+    try:
+        pairs = [tuple(item) for item in points]
+    except TypeError:
+        pairs = []
+    if not pairs or {len(pair) for pair in pairs} != {2}:
+        raise _refuse(name, points, "a nonempty list of (q0, t0) pairs")
+    return [as_point(*pair) for pair in pairs]
+
+
 def as_word(word: Iterable[int], name: str) -> tuple[int, ...]:
     """word as a tuple, once every letter is a positive int; one C-level type pass."""
     try:

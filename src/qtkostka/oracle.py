@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import factorial, gcd, lcm
 from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
 from ._cache import memo, memo_checked
-from ._checks import as_int, as_partition, as_point, int_parts
+from ._checks import _as_points, as_int, as_partition, as_point, int_parts
 from .partitions import Partition, arm_leg, dominance_leq, linear_extension, partitions_of
 from .qtpoly import QTPoly
 from .schur import SchurExpansion, mul_e
@@ -334,41 +335,125 @@ def report_entry(check: str, params: dict, ok: bool, detail: str = "") -> dict:
 # Numeric evaluation of the rational-coefficient expansion tables.  The
 # symbolic package never implements these (their denominators live outside
 # polynomial arithmetic); here they are evaluated exactly at rational points
-# and compared with the vertex-operator results.
+# and compared with the vertex-operator results, on the integer ratios of a
+# _Point, which reads each q,t-polynomial there once.
 # ---------------------------------------------------------------------------
 
 
-def _c(x: int, y: int, i: int, q0: Fraction, t0: Fraction) -> Fraction:
-    return stem_coefficient(x, y, i).evaluate(q0, t0)
+class _Ratio:
+    """n / d with an int n and an int d > 0, never reduced: no gcd per
+    operation.  Values compare by cross-multiplying, a zero divisor raises
+    ZeroDivisionError, and the other operand is a _Ratio or an int."""
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, n: int, d: int = 1):
+        self.n, self.d = n, d
+
+    def __add__(self, other) -> "_Ratio":
+        if type(other) is int:
+            return _Ratio(self.n + other * self.d, self.d)
+        if other.d == self.d:
+            return _Ratio(self.n + other.n, self.d)
+        return _Ratio(self.n * other.d + other.n * self.d, self.d * other.d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "_Ratio":
+        return self + -other
+
+    def __rsub__(self, other: int) -> "_Ratio":
+        return _Ratio(other * self.d - self.n, self.d)
+
+    def __neg__(self) -> "_Ratio":
+        return _Ratio(-self.n, self.d)
+
+    def __mul__(self, other) -> "_Ratio":
+        if type(other) is int:
+            return _Ratio(self.n * other, self.d)
+        return _Ratio(self.n * other.n, self.d * other.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: "_Ratio") -> "_Ratio":
+        if not other.n:
+            raise ZeroDivisionError("division by zero")
+        sign = 1 if other.n > 0 else -1
+        return _Ratio(sign * self.n * other.d, sign * self.d * other.n)
+
+    def __pow__(self, k: int) -> "_Ratio":
+        return _Ratio(self.n**k, self.d**k) if k >= 0 else _Ratio(1) / self**-k
+
+    def __eq__(self, other) -> bool:
+        if type(other) is int:
+            return self.n == other * self.d
+        return self.n * other.d == other.n * self.d
+
+    def __bool__(self) -> bool:
+        return self.n != 0
+
+    def __repr__(self) -> str:
+        return repr(Fraction(self.n, self.d))
 
 
-def _gauss(n: int, k: int, q0: Fraction, t0: Fraction) -> Fraction:
-    return gaussian_binomial(n, k).evaluate(q0, t0)
+class _Point:
+    """(q0, t0) = (a/b, c/d) as _Ratios q and t, and each polynomial the tables
+    read there once: the sum of coeff * a^i b^(Q-i) c^j d^(T-j) over its terms
+    q^i t^j, over b^Q d^T, for its degrees Q and T.  This point's dict keeps
+    each value by the polynomial's id, beside the polynomial so that the id
+    stays its own, or by (x, y, i) for a stem_coefficient, built anew per call."""
+
+    __slots__ = ("q", "t", "_powers", "_seen")
+
+    def __init__(self, q0: Fraction, t0: Fraction):
+        self.q, self.t = (_Ratio(x.numerator, x.denominator) for x in (q0, t0))
+        # [1, x, x^2, ...] for x = a, b, c, d, grown as degrees need
+        self._powers = tuple([1, x] for x in (self.q.n, self.q.d, self.t.n, self.t.d))
+        self._seen: dict = {}
+
+    def value(self, poly: QTPoly, key=None) -> _Ratio:
+        key = id(poly) if key is None else key
+        if key not in self._seen:
+            terms = poly.terms()  # sorted, so the last term has the top q-degree
+            top_q = terms[-1][0][0] if terms else 0
+            top_t = max([j for (_, j), _ in terms], default=0)
+            a, b, c, d = self._powers
+            while len(a) <= max(top_q, top_t):
+                for pows in self._powers:
+                    pows.append(pows[-1] * pows[1])
+            num = sum(k * a[i] * b[top_q - i] * c[j] * d[top_t - j] for (i, j), k in terms)
+            self._seen[key] = (poly, _Ratio(num, b[top_q] * d[top_t]))
+        return self._seen[key][1]
+
+    def stem(self, x: int, y: int, i: int) -> _Ratio:
+        hit = self._seen.get((x, y, i))
+        return hit[1] if hit else self.value(stem_coefficient(x, y, i), (x, y, i))
 
 
-def _poch(q0: Fraction, t0: Fraction, start: int, length: int) -> Fraction:
+def _poch(q0: _Ratio, t0: _Ratio, start: int, length: int) -> _Ratio:
     """prod_{j<length} (1 - q0 t0^(start+j)); start may be negative."""
-    out = Fraction(1)
+    out = _Ratio(1)
     for j in range(length):
         out *= 1 - q0 * t0 ** (start + j)
     return out
 
 
-def _bracket_coefficient(x: int, y: int, i: int, q0: Fraction, t0: Fraction) -> Fraction:
+def _bracket_coefficient(x: int, y: int, i: int, p: _Point) -> _Ratio:
     """Coefficient of H_(2^i 1^(3+2x+y-2i))[X;t] in H_(3 2^x 1^y)[X;q,t], 1 <= i <= x+2.
 
     The four summands are written with every removable pole cancelled, so the
     formula stays finite for i = x+1 and i = x+2 as well.
     """
     if not 1 <= i <= x + 2:
-        return Fraction(0)
+        return 0
+    q0, t0 = p.q, p.t
     common = q0 ** (x - i) * _poch(q0, t0, x + y - i + 1, i)
     h1 = 1 - t0 ** (x + 1)
     h2 = 1 - t0 ** (x + 2)
     head = 1 - q0**2 * t0 ** (x + y + 1)
     x1 = (
         common
-        * _gauss(x + 1, i, q0, t0)
+        * p.value(gaussian_binomial(x + 1, i))
         / h1
         * head
         * (1 - q0 * t0 ** (x + 1))
@@ -376,7 +461,7 @@ def _bracket_coefficient(x: int, y: int, i: int, q0: Fraction, t0: Fraction) -> 
     )
     x2 = (
         common
-        * _gauss(x + 2, i, q0, t0)
+        * p.value(gaussian_binomial(x + 2, i))
         / (h1 * h2)
         * head
         * (1 - q0 * t0 ** (x + 1))
@@ -386,7 +471,7 @@ def _bracket_coefficient(x: int, y: int, i: int, q0: Fraction, t0: Fraction) -> 
     )
     x3 = (
         common
-        * _gauss(x + 2, i, q0, t0)
+        * p.value(gaussian_binomial(x + 2, i))
         / h1
         * head
         * (1 - t0**y)
@@ -395,7 +480,7 @@ def _bracket_coefficient(x: int, y: int, i: int, q0: Fraction, t0: Fraction) -> 
     )
     x4 = (
         common
-        * _gauss(x + 1, i, q0, t0)
+        * p.value(gaussian_binomial(x + 1, i))
         / h1
         * (1 - q0**2 * t0**y)
         * (1 - q0 * t0 ** (x + 1))
@@ -410,33 +495,34 @@ def _bracket_coefficient(x: int, y: int, i: int, q0: Fraction, t0: Fraction) -> 
     return q0 * (x1 + q0 * x2 - q0 * x3 - x4)
 
 
-def _three_row_coefficients(a: int, b: int, q0: Fraction, t0: Fraction) -> _NumericSchur:
+def _three_row_coefficients(a: int, b: int, p: _Point) -> _NumericSchur:
     """Numeric HL-basis coefficients of H_(3 2^a 1^b)[X;q,t] from the rational table."""
-    out: dict[Partition, Fraction] = {}
+    q0, t0 = p.q, p.t
+    out: dict[Partition, _Ratio] = {}
     head = (1 - q0**2 * t0 ** (a + b + 1)) * (1 - q0 * t0 ** (a + 1))
     for i in range(a + 1):
         shape = (3,) + (2,) * i + (1,) * (2 * a + b - 2 * i)
-        out[shape] = _c(a, b, i, q0, t0) * head
-    out[(1,) * (2 * a + b + 3)] = out.get((1,) * (2 * a + b + 3), Fraction(0)) + q0 ** (a + 3)
+        out[shape] = p.stem(a, b, i) * head
+    out[(1,) * (2 * a + b + 3)] = out.get((1,) * (2 * a + b + 3), 0) + q0 ** (a + 3)
     for i in range(1, a + 3):
         ones = 2 * a + b + 3 - 2 * i
         if ones < 0:
             continue
         shape = (2,) * i + (1,) * ones
-        out[shape] = out.get(shape, Fraction(0)) + _bracket_coefficient(a, b, i, q0, t0)
+        out[shape] = out.get(shape, 0) + _bracket_coefficient(a, b, i, p)
     return {shape: v for shape, v in out.items() if v}
 
 
-def _three_row_entry(x: int, y: int, i: int, q0: Fraction, t0: Fraction) -> Fraction:
+def _three_row_entry(x: int, y: int, i: int, p: _Point) -> _Ratio:
     """Coefficient of H_(2^i 1^(3+2x+y-2i)) in H_(3 2^x 1^y)[X;q,t], any i."""
     if i == 0:
-        return q0 ** (x + 3)
-    return _bracket_coefficient(x, y, i, q0, t0)
+        return p.q ** (x + 3)
+    return _bracket_coefficient(x, y, i, p)
 
 
-def _four_row_coefficients(a: int, b: int, q0: Fraction, t0: Fraction) -> _NumericSchur:
+def _four_row_coefficients(a: int, b: int, p: _Point) -> _NumericSchur:
     """Numeric HL-basis coefficients of H_(4 2^a 1^b)[X;q,t] from the rational table."""
-    q, t = Fraction(q0), Fraction(t0)
+    q, t = p.q, p.t
     qq = q * q
     top = (1 - q**3 * t ** (a + b + 1)) * (1 - qq * t ** (a + 1))
     a_p = -(
@@ -464,20 +550,20 @@ def _four_row_coefficients(a: int, b: int, q0: Fraction, t0: Fraction) -> _Numer
     )
     e_p = top / ((1 - t ** (a + 1)) * (1 - q * t ** (a + b + 1)))
 
-    def c1(i: int) -> Fraction:
-        return _c(a + 1, b, i, q, t)
+    def c1(i: int) -> _Ratio:
+        return p.stem(a + 1, b, i)
 
-    def d(x: int, y: int, i: int) -> Fraction:
-        return _c(x, y, i, q, t) * (1 - qq * t ** (x + y + 1)) * (1 - q * t ** (x + 1))
+    def d(x: int, y: int, i: int) -> _Ratio:
+        return p.stem(x, y, i) * (1 - qq * t ** (x + y + 1)) * (1 - q * t ** (x + 1))
 
     n4 = 4 + 2 * a + b
-    out: dict[Partition, Fraction] = {}
+    out: dict[Partition, _Ratio] = {}
     for i in range(n4 // 2 + 1):
         ones = n4 - 2 * i
-        v = a_p * _c(a + 2, b, i, q, t)
+        v = a_p * p.stem(a + 2, b, i)
         if b >= 1:
-            v += b_p * _three_row_entry(a + 1, b - 1, i, q, t)
-        v += c_p * _three_row_entry(a, b + 1, i, q, t)
+            v += b_p * _three_row_entry(a + 1, b - 1, i, p)
+        v += c_p * _three_row_entry(a, b + 1, i, p)
         v += e_p * (1 - q) * c1(i - 1)
         v += (
             q
@@ -494,7 +580,7 @@ def _four_row_coefficients(a: int, b: int, q0: Fraction, t0: Fraction) -> _Numer
             out[(2,) * i + (1,) * ones] = v
     for i in range((1 + 2 * a + b) // 2 + 1):
         ones = 1 + 2 * a + b - 2 * i
-        v = Fraction(0)
+        v = 0
         if b >= 1:
             v += b_p * d(a + 1, b - 1, i)
         v += c_p * d(a, b + 1, i)
@@ -526,41 +612,47 @@ def _four_row_coefficients(a: int, b: int, q0: Fraction, t0: Fraction) -> _Numer
     return out
 
 
-def _assemble_schur(coeffs: _NumericSchur, q0: Fraction, t0: Fraction) -> _NumericSchur:
+def _assemble_schur(coeffs: _NumericSchur, p: _Point) -> _NumericSchur:
     """Substitute each H_nu[X;t] with its charge expansion, numerically."""
-    out: dict[Partition, Fraction] = {}
+    out: dict[Partition, _Ratio] = {}
     for nu, c in coeffs.items():
         if not c:
             continue
+        g = gcd(c.n, c.d)  # once per row, so that the sums over nu stay small
+        c = _Ratio(c.n // g, c.d // g)
         for lam, k in charge_table(nu).items():
-            out[lam] = out.get(lam, Fraction(0)) + c * k.evaluate(q0, t0)
+            out[lam] = out.get(lam, 0) + c * p.value(k)
     return {lam: v for lam, v in out.items() if v}
 
 
-def _macdonald_at(f: SchurExpansion, q0: Fraction, t0: Fraction) -> _NumericSchur:
-    """The nonzero Schur coordinates of f at (q0, t0)."""
-    out = {}
-    for lam, c in f.terms():
-        v = c.evaluate(q0, t0)
-        if v:
-            out[lam] = v
-    return out
+def _macdonald_at(f: SchurExpansion, p: _Point) -> _NumericSchur:
+    """The nonzero Schur coordinates of f at the point."""
+    values = {lam: p.value(c) for lam, c in f.terms()}
+    return {lam: v for lam, v in values.items() if v}
 
 
-def _coef_lemma_failures(a: int, b: int, q0: Fraction, t0: Fraction) -> list[str]:
+def _table_failures(m: int, table, a: int, b: int, p: _Point) -> list[str]:
+    """H_(m 2^a 1^b) from its rational table against macdonald's, as failures."""
+    got = _assemble_schur(table(a, b, p), p)
+    want = _macdonald_at(macdonald((m,) + (2,) * a + (1,) * b), p)
+    return [] if got == want else [f"got {got} want {want}"]
+
+
+def _coef_lemma_failures(a: int, b: int, p: _Point) -> list[str]:
+    q0, t0 = p.q, p.t
     bad = []
     for x in range(1, a + 3):
         for y in range(b + 2):
             for z in range(x):
-                c_now = _c(x, y, z, q0, t0)
+                c_now = p.stem(x, y, z)
                 if y >= 1:
-                    lhs = _c(x, y - 1, z, q0, t0) * (1 - q0 * t0 ** (x + y)) / (
+                    lhs = p.stem(x, y - 1, z) * (1 - q0 * t0 ** (x + y)) / (
                         1 - q0 * t0 ** (x + y - z)
                     )
                     if c_now != lhs:
                         bad.append(f"coef2 x={x} y={y} z={z}")
                 lhs = (
-                    _c(x, y, z + 1, q0, t0)
+                    p.stem(x, y, z + 1)
                     * q0
                     * (1 - t0 ** (z + 1))
                     / ((1 - t0 ** (x - z)) * (1 - q0 * t0 ** (x + y - z)))
@@ -568,7 +660,7 @@ def _coef_lemma_failures(a: int, b: int, q0: Fraction, t0: Fraction) -> list[str
                 if c_now != lhs:
                     bad.append(f"coef3 x={x} y={y} z={z}")
                 lhs = (
-                    _c(x - 1, y, z, q0, t0)
+                    p.stem(x - 1, y, z)
                     * q0
                     * (1 - q0 * t0 ** (x + y))
                     * (1 - t0**x)
@@ -579,10 +671,11 @@ def _coef_lemma_failures(a: int, b: int, q0: Fraction, t0: Fraction) -> list[str
     return bad
 
 
-def _pieri_failures(a: int, b: int, q0: Fraction, t0: Fraction) -> list[str]:
+def _pieri_failures(a: int, b: int, p: _Point) -> list[str]:
     """e_1 H_(2^(a+1) 1^b) against its stated three-term decomposition."""
+    q0, t0 = p.q, p.t
     n = 2 * a + b + 3
-    lhs = _macdonald_at(mul_e(1, macdonald((2,) * (a + 1) + (1,) * b)), q0, t0)
+    lhs = _macdonald_at(mul_e(1, macdonald((2,) * (a + 1) + (1,) * b)), p)
     coeff_a = (
         (1 - t0 ** (a + 1))
         * (1 - q0 * t0 ** (a + b + 1))
@@ -593,23 +686,23 @@ def _pieri_failures(a: int, b: int, q0: Fraction, t0: Fraction) -> list[str]:
         * (1 - q0**2 * t0**b)
         / ((1 - q0 * t0**b) * (1 - q0**2 * t0 ** (a + b + 1)))
     )
-    rhs: dict[Partition, Fraction] = {}
-    for lam, v in _macdonald_at(macdonald((3,) + (2,) * a + (1,) * b), q0, t0).items():
-        rhs[lam] = rhs.get(lam, Fraction(0)) + coeff_a * v
+    rhs: dict[Partition, _Ratio] = {}
+    for lam, v in _macdonald_at(macdonald((3,) + (2,) * a + (1,) * b), p).items():
+        rhs[lam] = rhs.get(lam, 0) + coeff_a * v
     if b >= 1:
         coeff_b = (
             (1 - t0**b)
             * (1 - q0)
             / ((1 - q0 * t0**b) * (1 - q0 * t0 ** (a + 1)))
         )
-        for lam, v in _macdonald_at(macdonald((2,) * (a + 2) + (1,) * (b - 1)), q0, t0).items():
-            rhs[lam] = rhs.get(lam, Fraction(0)) + coeff_b * v
-    for lam, v in _macdonald_at(macdonald((2,) * (a + 1) + (1,) * (b + 1)), q0, t0).items():
-        rhs[lam] = rhs.get(lam, Fraction(0)) + coeff_c * v
+        for lam, v in _macdonald_at(macdonald((2,) * (a + 2) + (1,) * (b - 1)), p).items():
+            rhs[lam] = rhs.get(lam, 0) + coeff_b * v
+    for lam, v in _macdonald_at(macdonald((2,) * (a + 1) + (1,) * (b + 1)), p).items():
+        rhs[lam] = rhs.get(lam, 0) + coeff_c * v
     rhs = {lam: v for lam, v in rhs.items() if v}
     bad = []
     for lam in partitions_of(n):
-        if lhs.get(lam, Fraction(0)) != rhs.get(lam, Fraction(0)):
+        if lhs.get(lam, 0) != rhs.get(lam, 0):
             bad.append(f"lam={lam}")
     return bad
 
@@ -620,48 +713,32 @@ def verify_rational_props(a: int, b: int, points: list[tuple[Fraction, Fraction]
     Covers the three coefficient recurrences, the three-row and four-row
     HL-basis tables assembled into Schur coordinates via charge, and the e_1
     three-term Pieri decomposition.  All arithmetic is exact.  a and b are
-    ints >= 0 with 3 + 2a + b <= 8, and each point is a pair of ints or
-    Fractions.  The four-row table needs 4 + 2a + b <= 8: at 4 + 2a + b = 9
-    it is left out without an entry, as the default report expects.  A point
-    that kills a denominator of the tables raises DegeneratePointError.
+    ints >= 0 with 3 + 2a + b <= 8, and points is a nonempty list of pairs of
+    ints or Fractions.  The four-row table needs 4 + 2a + b <= 8: at
+    4 + 2a + b = 9 it is left out without an entry, as the default report
+    expects.  A point that kills a denominator of the tables raises
+    DegeneratePointError.
     """
     as_int(a, "a", 0)
     as_int(b, "b", 0)
+    points = _as_points(points, "points")
     if 3 + 2 * a + b > 8:
         raise ValueError(f"the rational tables need 3 + 2a + b <= 8, got a = {a}, b = {b}")
+    checks = [
+        ("coefficient-recurrences", _coef_lemma_failures),
+        ("three-row-table", partial(_table_failures, 3, _three_row_coefficients)),
+        ("e1-decomposition", _pieri_failures),
+    ]
+    if 4 + 2 * a + b <= 8:
+        checks.append(("four-row-table", partial(_table_failures, 4, _four_row_coefficients)))
     entries = []
-    for q0, t0 in [as_point(q0, t0) for q0, t0 in points]:
+    for q0, t0 in points:
         tag = {"a": a, "b": b, "q0": str(q0), "t0": str(t0)}
+        p = _Point(q0, t0)
         try:
-            bad = _coef_lemma_failures(a, b, q0, t0)
-            entries.append(
-                report_entry("rational/coefficient-recurrences", tag, not bad, "; ".join(bad))
-            )
-            got = _assemble_schur(_three_row_coefficients(a, b, q0, t0), q0, t0)
-            want = _macdonald_at(macdonald((3,) + (2,) * a + (1,) * b), q0, t0)
-            entries.append(
-                report_entry(
-                    "rational/three-row-table",
-                    tag,
-                    got == want,
-                    "" if got == want else f"got {got} want {want}",
-                )
-            )
-            bad = _pieri_failures(a, b, q0, t0)
-            entries.append(
-                report_entry("rational/e1-decomposition", tag, not bad, "; ".join(bad))
-            )
-            if 4 + 2 * a + b <= 8:
-                got = _assemble_schur(_four_row_coefficients(a, b, q0, t0), q0, t0)
-                want = _macdonald_at(macdonald((4,) + (2,) * a + (1,) * b), q0, t0)
-                entries.append(
-                    report_entry(
-                        "rational/four-row-table",
-                        tag,
-                        got == want,
-                        "" if got == want else f"got {got} want {want}",
-                    )
-                )
+            for check, failures in checks:
+                bad = failures(a, b, p)
+                entries.append(report_entry(f"rational/{check}", tag, not bad, "; ".join(bad)))
         except ZeroDivisionError:
             at = f"a = {a}, b = {b}, (q0, t0) = ({q0}, {t0})"
             raise DegeneratePointError(f"a rational table divides by zero at {at}") from None

@@ -175,6 +175,9 @@ class SchurExpansion:
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
+        layout = self._packing and self._packing[:2]
+        if layout and other._packing and layout == other._packing[:2]:
+            return self._terms == other._terms  # one layout packs each coefficient one way
         return self._coeffs() == other._coeffs()
 
     def __add__(self, other: "SchurExpansion") -> "SchurExpansion":

@@ -97,6 +97,14 @@ NEGATIVE = st.integers(max_value=-1)
 NOT_NONNEGATIVE = st.one_of(NOT_INT, NEGATIVE)
 NOT_POSITIVE = st.one_of(NOT_INT, st.integers(max_value=0))
 NOT_POINT = st.one_of(st.booleans(), st.floats(allow_nan=False), st.text(max_size=3), st.none())
+NOT_A_PAIR = st.one_of(
+    st.integers(), st.none(), st.tuples(st.integers()), st.tuples(*[st.integers()] * 3)
+)
+# no point at all, or a list holding an item that is not a (q0, t0) pair
+NOT_POINTS = st.one_of(
+    st.sampled_from([[], (), None, 5]),
+    st.lists(NOT_A_PAIR, min_size=1, max_size=3).map(lambda items: [(Q0, T0)] + items),
+)
 # sequences of ints in the wrong order or with a part below 1, sequences
 # holding a non-int part, and values that are no sequence at all
 INT_NON_PARTITIONS = st.lists(st.integers(-2, 4), min_size=1, max_size=4).map(tuple)
@@ -239,6 +247,12 @@ ENTRY_POINTS = [
     ("verify_rational_props/a", NOT_NONNEGATIVE, "int", lambda x: verify_rational_props(x, 0, [])),
     ("verify_rational_props/b", NOT_NONNEGATIVE, "int", lambda x: verify_rational_props(0, x, [])),
     (
+        "verify_rational_props/points",
+        NOT_POINTS,
+        "points",
+        lambda x: verify_rational_props(0, 0, x),
+    ),
+    (
         "verify_rational_props/q0",
         NOT_POINT,
         "point",
@@ -314,6 +328,8 @@ def test_the_checks_raise_one_class_that_is_both_value_and_type_error():
         QTPoly.one().evaluate(0.5, 1)
     with pytest.raises(InputError, match=r"tab = \(\(1, 1\),\) is not a standard tableau"):
         conjugate_tableau(((1, 1),))
+    with pytest.raises(InputError, match=r"points = \[\] is not a nonempty list of \(q0, t0\)"):
+        verify_rational_props(0, 0, [])
 
 
 # each of these answered at the parent commit
@@ -347,6 +363,15 @@ GAPS = {
     "as_tableau(iter([(5, 3)])) passed": lambda: as_tableau(iter([(5, 3)]), "tab"),
     "head_tableau(iter([(5, 7)]), 0) -> ()": lambda: head_tableau(iter([(5, 7)]), 0),
     "delete_prefix(0, iter([(3,)])) -> ()": lambda: delete_prefix(0, iter([(3,)])),
+    # a check over no points passed with nothing checked, and a point that is
+    # no pair raised a bare unpacking error
+    "verify_rational_props(0, 0, []) -> []": lambda: verify_rational_props(0, 0, []),
+    "verify_rational_props(0, 0, [(1,)]) raised a bare ValueError": (
+        lambda: verify_rational_props(0, 0, [(1,)])
+    ),
+    "verify_rational_props(0, 0, [5]) raised a bare TypeError": (
+        lambda: verify_rational_props(0, 0, [5])
+    ),
     # the strip enumerators once checked nothing before their table lookup
     "horizontal_strips((True,), 1) stored a bool key": lambda: horizontal_strips((True,), 1),
     "vertical_strips((2,), 1.0) stored a float key": lambda: vertical_strips((2,), 1.0),

@@ -1,12 +1,16 @@
+import hashlib
 import inspect
+import json
 import random
 import re
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qtkostka import cache_info, clear_caches, schur, vertex
+from qtkostka import cache_info, clear_caches, oracle, schur, vertex
 from qtkostka.battery import _alternative_extension
 from qtkostka.oracle import (
     DegeneratePointError,
@@ -29,7 +33,7 @@ from qtkostka.oracle import (
 from qtkostka.partitions import linear_extension, partitions_of
 from qtkostka.qtpoly import QTPoly
 from qtkostka.tableaux import charge_table, column_strict_tableaux, shape, tableau_charge
-from qtkostka.vertex import hall_littlewood, macdonald
+from qtkostka.vertex import hall_littlewood, macdonald, stem_coefficient
 
 F = Fraction
 Q0, T0 = F(1, 3), F(1, 2)
@@ -499,6 +503,122 @@ def test_rational_tables_refuse_a_degree_past_8():
     for a, b in [(3, 0), (0, 6), (2, 2)]:
         with pytest.raises(ValueError, match="3 \\+ 2a \\+ b <= 8"):
             verify_rational_props(a, b, [(Q0, T0)])
+
+
+# sha256 of every verify_rational_props(a, b, RATIONAL_POINTS) entry, for all
+# 3 + 2a + b <= 8 in order, as canonical JSON; the Fraction arithmetic gave it
+RATIONAL_POINTS = [p for s in range(1, 5) for p in generic_points(3, s)]
+RATIONAL_POINTS += [(2, 3), (F(-2, 3), F(-1, 5))]
+RATIONAL_SHA256 = "2e6256f2c7e730f33c78c5e7f537a4054d2bd6cf2ba49be34af89ee4badc207f"
+
+
+def test_the_rational_tables_are_pinned_beyond_the_default_points():
+    entries = [
+        entry
+        for a in range(3)
+        for b in range(6 - 2 * a)
+        for entry in verify_rational_props(a, b, RATIONAL_POINTS)
+    ]
+    assert len(entries) == 630 and all(e["status"] == "pass" for e in entries)
+    canonical = json.dumps(entries, sort_keys=True)
+    assert hashlib.sha256(canonical.encode()).hexdigest() == RATIONAL_SHA256
+
+
+def _rational_failures(monkeypatch, name, fault, a=0, b=0) -> set[str]:
+    """The rational families that fail at (a, b) with oracle.name replaced by fault(real)."""
+    monkeypatch.setattr(oracle, name, fault(getattr(oracle, name)))
+    entries = verify_rational_props(a, b, [(Q0, T0)])
+    return {e["check"].removeprefix("rational/") for e in entries if e["status"] == "fail"}
+
+
+def test_a_wrong_bracket_coefficient_fails_both_row_tables(monkeypatch):
+    # the four-row table reads the three-row entries through _three_row_entry
+    def fault(real):
+        return lambda x, y, i, *point: real(x, y, i, *point) + (1 if i == 1 else 0)
+
+    failed = _rational_failures(monkeypatch, "_bracket_coefficient", fault)
+    assert failed == {"three-row-table", "four-row-table"}
+
+
+def test_a_wrong_stem_coefficient_fails_the_recurrences(monkeypatch):
+    def fault(real):
+        return lambda x, y, i: real(x, y, i) + (QTPoly.t(1) if (x, y, i) == (2, 1, 1) else 0)
+
+    assert _rational_failures(monkeypatch, "stem_coefficient", fault) == {
+        "coefficient-recurrences"
+    }
+
+
+def test_a_wrong_e1_product_fails_the_pieri_decomposition(monkeypatch):
+    def fault(real):
+        def mul_e(k, f):
+            out = real(k, f)
+            return out + schur.SchurExpansion.schur((out.degree(),))
+
+        return mul_e
+
+    assert _rational_failures(monkeypatch, "mul_e", fault) == {"e1-decomposition"}
+
+
+def _random_qtpoly(rng: random.Random) -> QTPoly:
+    keys = [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(rng.randint(0, 6))]
+    return QTPoly({key: rng.randint(-50, 50) for key in keys})
+
+
+POINTS_OF_EVERY_SIGN = [
+    (0, F(2, 7)),
+    (0, -3),
+    (2, 3),
+    (-3, 5),
+    (F(-2, 3), F(-5, 7)),
+    (F(3, 4), F(-1, 9)),
+    (F(-7, 2), 0),
+]
+
+
+@pytest.mark.parametrize("point", POINTS_OF_EVERY_SIGN)
+def test_the_rational_tables_read_a_polynomial_as_evaluate_does(point):
+    rng = random.Random(17)
+    p = oracle._Point(*map(F, point))
+    for _ in range(60):
+        poly = _random_qtpoly(rng)
+        value = p.value(poly)
+        assert value.d > 0 and F(value.n, value.d) == poly.evaluate(*point)
+        assert p.value(poly) is value  # read once per point
+    for x, y, i in [(2, 1, 1), (3, 0, 2), (1, 4, 0), (2, 0, 3)]:
+        value = p.stem(x, y, i)
+        assert F(value.n, value.d) == stem_coefficient(x, y, i).evaluate(*point)
+        assert p.stem(x, y, i) is value
+
+
+SMALL_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=SMALL_RATIONALS, y=SMALL_RATIONALS, k=st.integers(-4, 4), m=st.integers(-9, 9))
+def test_the_integer_ratios_compute_as_fractions_do(x, y, k, m):
+    # built unreduced, as the tables build them: the same value over 3 times its denominator
+    rx, ry = (oracle._Ratio(3 * v.numerator, 3 * v.denominator) for v in (x, y))
+
+    def value(r):
+        assert r.d > 0
+        return F(r.n, r.d)
+
+    assert value(rx + ry) == x + y and value(rx - ry) == x - y and value(-rx) == -x
+    assert value(rx * ry) == x * y and value(m * rx) == m * x and value(rx * m) == x * m
+    assert value(m + rx) == m + x and value(rx + m) == x + m and value(m - rx) == m - x
+    assert (rx == ry) == (x == y) and (rx == m) == (x == m) and bool(rx) == bool(x)
+    assert repr(rx) == repr(x)
+    if y:
+        assert value(rx / ry) == x / y
+    else:
+        with pytest.raises(ZeroDivisionError):
+            rx / ry
+    if x or k >= 0:
+        assert value(rx**k) == x**k
+    else:
+        with pytest.raises(ZeroDivisionError):
+            rx**k
 
 
 def _reachable(*roots):

@@ -606,3 +606,37 @@ def test_a_packed_pieri_input_still_counts_its_partitions():
     assert f._packing is not None and len(f._terms) == len(f.terms()) == 6
     g = mul_e(1, hl_vertex(2, macdonald((2, 1))))
     assert g._packing is not None and len(g._terms) == len(g.terms())
+
+
+def _packed_at(terms: dict, d: int, w: int) -> SchurExpansion:
+    # the expansion of terms packed at digit width d and row stride w
+    f = SchurExpansion(terms)
+    packed = {lam: schur._pack(c._terms, d, w) for lam, c in f._terms.items()}
+    return SchurExpansion._of(packed, (d, w, *schur._bounds(f)))
+
+
+def test_equality_answers_as_the_unpacked_coefficients_do(monkeypatch):
+    rng = random.Random(29)
+    base = {lam: _random_poly(rng) for lam in partitions_of(4)}
+    lam = rng.choice(list(base))
+    high = {**base, lam: base[lam] + QTPoly.monomial(61, 63, 1)}  # one high digit differs
+    assert schur._layout(*schur._bounds(SchurExpansion(high))) == (64, 64)
+    calls = []
+    unpack = schur._unpack
+    monkeypatch.setattr(schur, "_unpack", lambda *args: calls.append(args) or unpack(*args))
+    for other, layout, same in [
+        (base, (64, 64), True),
+        (high, (64, 64), False),
+        (base, (64, 128), True),  # another stride
+        (high, (64, 128), False),
+        (base, (128, 64), True),  # another digit width
+        (high, (128, 64), False),
+        (base, None, True),  # unpacked
+        (high, None, False),
+    ]:
+        calls.clear()
+        f = _packed_at(base, 64, 64)
+        g = SchurExpansion(other) if layout is None else _packed_at(other, *layout)
+        assert (f == g) is same and (g == f) is same
+        assert (calls == []) is (layout == (64, 64))  # one layout compares packed ints
+        assert (f._coeffs() == g._coeffs()) is same
