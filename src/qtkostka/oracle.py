@@ -401,18 +401,20 @@ class _Point:
     read there once: the sum of coeff * a^i b^(Q-i) c^j d^(T-j) over its terms
     q^i t^j, over b^Q d^T, for its degrees Q and T.  This point's dict keeps
     each value by the polynomial's id, beside the polynomial so that the id
-    stays its own, or by (x, y, i) for a stem_coefficient, built anew per call."""
+    stays its own; stems, shared by the points of one call, keeps each
+    stem_coefficient by (x, y, i), built once per call."""
 
-    __slots__ = ("q", "t", "_powers", "_seen")
+    __slots__ = ("q", "t", "_powers", "_seen", "_stems")
 
-    def __init__(self, q0: Fraction, t0: Fraction):
+    def __init__(self, q0: Fraction, t0: Fraction, stems: dict):
         self.q, self.t = (_Ratio(x.numerator, x.denominator) for x in (q0, t0))
         # [1, x, x^2, ...] for x = a, b, c, d, grown as degrees need
         self._powers = tuple([1, x] for x in (self.q.n, self.q.d, self.t.n, self.t.d))
         self._seen: dict = {}
+        self._stems = stems
 
-    def value(self, poly: QTPoly, key=None) -> _Ratio:
-        key = id(poly) if key is None else key
+    def value(self, poly: QTPoly) -> _Ratio:
+        key = id(poly)
         if key not in self._seen:
             terms = poly.terms()  # sorted, so the last term has the top q-degree
             top_q = terms[-1][0][0] if terms else 0
@@ -426,8 +428,10 @@ class _Point:
         return self._seen[key][1]
 
     def stem(self, x: int, y: int, i: int) -> _Ratio:
-        hit = self._seen.get((x, y, i))
-        return hit[1] if hit else self.value(stem_coefficient(x, y, i), (x, y, i))
+        poly = self._stems.get((x, y, i))
+        if poly is None:
+            poly = self._stems[x, y, i] = stem_coefficient(x, y, i)
+        return self.value(poly)
 
 
 def _poch(q0: _Ratio, t0: _Ratio, start: int, length: int) -> _Ratio:
@@ -731,10 +735,10 @@ def verify_rational_props(a: int, b: int, points: list[tuple[Fraction, Fraction]
     ]
     if 4 + 2 * a + b <= 8:
         checks.append(("four-row-table", partial(_table_failures, 4, _four_row_coefficients)))
-    entries = []
+    entries, stems = [], {}
     for q0, t0 in points:
         tag = {"a": a, "b": b, "q0": str(q0), "t0": str(t0)}
-        p = _Point(q0, t0)
+        p = _Point(q0, t0, stems)
         try:
             for check, failures in checks:
                 bad = failures(a, b, p)

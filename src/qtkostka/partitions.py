@@ -40,10 +40,18 @@ def part(lam: Partition, i: int) -> int:
 
 
 def conjugate(lam: Partition) -> Partition:
-    lam = as_partition(lam, "lam")
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= c) for c in range(1, lam[0] + 1))
+    return _conjugate(as_partition(lam, "lam"))
+
+
+def _conjugate(lam: Partition) -> Partition:
+    """conjugate without the check, for a partition the library built: part c
+    counts the rows of length at least c."""
+    out, rows = [], len(lam)
+    for c in range(1, lam[0] + 1 if lam else 1):
+        while lam[rows - 1] < c:
+            rows -= 1
+        out.append(rows)
+    return tuple(out)
 
 
 def contains(outer: Partition, inner: Partition) -> bool:
@@ -125,7 +133,7 @@ def horizontal_strips(lam: Partition, k: int) -> tuple[Partition, ...]:
 @memo_checked(int_parts, _strip_size)
 def vertical_strips(lam: Partition, k: int) -> tuple[Partition, ...]:
     """All mu with mu/lam a vertical strip of size k, lexicographic order."""
-    return tuple(sorted(conjugate(mu) for mu in horizontal_strips(conjugate(lam), k)))
+    return tuple(sorted(_conjugate(mu) for mu in horizontal_strips(conjugate(lam), k)))
 
 
 @memo_checked(int_parts, _strip_size)
@@ -154,7 +162,7 @@ def horizontal_strips_inside(mu: Partition, k: int) -> tuple[Partition, ...]:
 @memo_checked(int_parts, _strip_size)
 def vertical_strips_inside(mu: Partition, k: int) -> tuple[Partition, ...]:
     """All lam with mu/lam a vertical strip of size k, lexicographic order."""
-    return tuple(sorted(conjugate(lam) for lam in horizontal_strips_inside(conjugate(mu), k)))
+    return tuple(sorted(_conjugate(lam) for lam in horizontal_strips_inside(conjugate(mu), k)))
 
 
 def _border_walk(mu: Partition) -> list[_Cell]:

@@ -19,8 +19,10 @@ of a coefficient.  The Pieri operators take their images from the strip
 enumerators in `partitions`.  The other three compute the image of s_lam by
 a closed rule the first time (lam, m) is seen and cache it as
 (t-exponent, coefficient) pairs: Bernstein's operator straightens
-s_(m, lam) (`_straighten`), and the vertex operators are Jing's sums of
-Bernstein images of h_k-perp s_lam, on the conjugate for the dual.
+s_(m, lam) (`_straighten`), `hl_vertex` takes Jing's sum of Bernstein images
+of h_k-perp s_lam, and `hl_vertex_dual` reads the Jing image of s_lam' with
+each key conjugated and each t^k made t^(|lam| - k), so the two operators
+compute each Jing sum once between them.
 `hl_vertex_snake` shares neither the rules nor the cached images, and
 `_series` keeps the series definitions as a reference for the checks.
 
@@ -45,7 +47,7 @@ from ._cache import memo
 from ._checks import as_int, as_partition, int_parts
 from .partitions import (
     Partition,
-    conjugate,
+    _conjugate,
     horizontal_strips,
     horizontal_strips_inside,
     remove_snake,
@@ -371,30 +373,28 @@ def _bernstein_image(lam: Partition, m: int) -> _Image:
     return {} if found is None else {found[1]: ((0, found[0]),)}
 
 
-def _jing_sum(lam: Partition, m: int, dual: bool) -> _Image:
-    """Sum of t^e B_{m+k} h_k-perp s_lam over k, where e is k, or |lam| - k when
-    dual.  Each k gives its own power of t, so no term cancels."""
-    n = sum(lam)
+@memo
+def _hl_vertex_image(lam: Partition, m: int) -> _Image:
+    """Jing's sum of t^k B_{m+k} h_k-perp s_lam over k.  Each k gives its own
+    power of t, so no term cancels."""
     s_lam = SchurExpansion.schur(lam)
     pieces: dict[Partition, list[tuple[int, int]]] = {}
     # a horizontal strip inside lam has at most lam_1 cells
     for k in range((lam[0] if lam else 0) + 1):
-        e = n - k if dual else k  # each coefficient is a packed constant: the int itself
+        # each coefficient is a packed constant: the int itself
         for mu, c in bernstein(m + k, skew_h(k, s_lam))._terms.items():
-            pieces.setdefault(mu, []).append((e, c))
+            pieces.setdefault(mu, []).append((k, c))
     return {mu: tuple(pairs) for mu, pairs in pieces.items()}
 
 
 @memo
-def _hl_vertex_image(lam: Partition, m: int) -> _Image:
-    # Jing: sum_k t^k B_{m+k} h_k-perp
-    return _jing_sum(lam, m, False)
-
-
-@memo
 def _hl_vertex_dual_image(lam: Partition, m: int) -> _Image:
-    # sum_j t^(n-j) omega B_{m+j} omega e_j-perp, with e_j-perp = omega h_j-perp omega
-    return {conjugate(mu): c for mu, c in _jing_sum(conjugate(lam), m, True).items()}
+    """sum_j t^(n-j) omega B_{m+j} omega e_j-perp s_lam, n = |lam|: as e_j-perp =
+    omega h_j-perp omega, the Jing image of s_lam' with each key conjugated
+    and each t^k made t^(n-k), the pairs kept in order."""
+    n = sum(lam)
+    image = _hl_vertex_image(_conjugate(lam), m)
+    return {_conjugate(mu): tuple((n - k, c) for k, c in pairs) for mu, pairs in image.items()}
 
 
 def bernstein(m: int, f: SchurExpansion) -> SchurExpansion:
@@ -448,4 +448,4 @@ def hl_vertex_dual(m: int, f: SchurExpansion) -> SchurExpansion:
 def omega(f: SchurExpansion) -> SchurExpansion:
     """The involution sending s_lam to s_(lam conjugate)."""
     _schur_only(f)
-    return SchurExpansion._of({conjugate(lam): c for lam, c in f._terms.items()}, f._packing)
+    return SchurExpansion._of({_conjugate(lam): c for lam, c in f._terms.items()}, f._packing)

@@ -223,15 +223,17 @@ def macdonald(mu: Partition) -> SchurExpansion:
 
 def kostka(lam: Partition, mu: Partition) -> QTPoly:
     """The q,t-Kostka coefficient K_{lam,mu}(q,t)."""
-    # macdonald checks the parts of mu, and coefficient those of lam
-    lam, mu = tuple(lam), tuple(mu)
-    coeff = macdonald(mu).coefficient(lam)
-    # every partition of |mu| has a nonzero coefficient, so only a miss
-    # needs the checks
-    if not coeff:
+    # macdonald runs int_parts on mu and leaves its table unpacked; every
+    # partition of |mu| has a nonzero coefficient, so only a miss needs the
+    # checks, which read mu again: an iterator is copied first
+    lam = int_parts(lam)
+    mu = mu if type(mu) is tuple else tuple(mu)
+    coeff = macdonald(mu)._terms.get(lam)
+    if coeff is None:
         if sum(lam) != sum(mu):
             raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
         as_partition(lam, "lam")
+        return QTPoly.zero()
     return coeff
 
 

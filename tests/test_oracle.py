@@ -579,7 +579,7 @@ POINTS_OF_EVERY_SIGN = [
 @pytest.mark.parametrize("point", POINTS_OF_EVERY_SIGN)
 def test_the_rational_tables_read_a_polynomial_as_evaluate_does(point):
     rng = random.Random(17)
-    p = oracle._Point(*map(F, point))
+    p = oracle._Point(*map(F, point), {})
     for _ in range(60):
         poly = _random_qtpoly(rng)
         value = p.value(poly)

@@ -6,6 +6,7 @@ from qtkostka._checks import int_parts
 from qtkostka.partitions import (
     _add_snake,
     _border_walk,
+    _conjugate,
     arm_leg,
     conjugate,
     dominance_leq,
@@ -43,6 +44,13 @@ def test_conjugate():
     assert conjugate((4, 2, 1)) == (3, 2, 1, 1)
     assert conjugate(conjugate((5, 4, 2, 2, 1))) == (5, 4, 2, 2, 1)
     assert conjugate(()) == ()
+
+
+def test_the_unchecked_conjugate_agrees_and_is_an_involution():
+    for n in range(13):
+        for lam in partitions_of(n):
+            assert _conjugate(lam) == conjugate(lam)
+            assert _conjugate(_conjugate(lam)) == lam
 
 
 def test_arm_leg():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qtkostka import cache_info, clear_caches, schur
 from qtkostka._series import series_bernstein, series_hl_vertex, series_hl_vertex_dual
-from qtkostka.partitions import partitions_of
+from qtkostka.partitions import conjugate, partitions_of
 from qtkostka.qtpoly import QTPoly
 from qtkostka.schur import (
     SchurExpansion,
@@ -640,3 +640,36 @@ def test_equality_answers_as_the_unpacked_coefficients_do(monkeypatch):
         assert (f == g) is same and (g == f) is same
         assert (calls == []) is (layout == (64, 64))  # one layout compares packed ints
         assert (f._coeffs() == g._coeffs()) is same
+
+
+def _dual_image_by_its_own_sum(lam, m):
+    # the dual image by a Jing sum of its own, a reference independent of the
+    # Jing image it reads: sum_j t^(n-j) B_{m+j} h_j-perp s_lam', keys conjugated
+    n, conj = sum(lam), conjugate(lam)
+    pieces = {}
+    for j in range((conj[0] if conj else 0) + 1):
+        out = bernstein(m + j, skew_h(j, s(conj)))
+        assert out._packing is not None  # each coefficient packs as the int itself
+        for mu, c in out._terms.items():
+            pieces.setdefault(conjugate(mu), []).append((n - j, c))
+    return {mu: tuple(pairs) for mu, pairs in pieces.items()}
+
+
+def test_the_dual_image_reads_the_conjugate_jing_image_unchanged():
+    for n in range(8):
+        for lam in partitions_of(n):
+            for m in range(1, 5):
+                want = _dual_image_by_its_own_sum(lam, m)
+                got = schur._hl_vertex_dual_image(lam, m)
+                assert list(got.items()) == list(want.items()), (lam, m)
+
+
+def test_a_cold_build_computes_each_jing_sum_once(monkeypatch):
+    # hl_vertex and hl_vertex_dual meet each (lam, m) of the build; the dual
+    # image reads the Jing image of lam', so each Jing sum calls bernstein
+    # lam_1 + 1 times, once.  A Jing sum for each of the two images made 185.
+    calls = []
+    monkeypatch.setattr(schur, "bernstein", lambda m, f: calls.append(m) or bernstein(m, f))
+    clear_caches()
+    macdonald((4, 2, 2, 1))
+    assert len(calls) == 93
