@@ -9,7 +9,8 @@ sorts a partition into the supported shape families.
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import product
+from typing import Iterator, Optional, Sequence
 
 from ._cache import memo, memo_checked
 from ._checks import as_int, as_partition, int_parts, is_partition
@@ -98,36 +99,34 @@ def _strip_size(k: int) -> int:
     return as_int(k, "strip size k")
 
 
-# The strip enumerators run int_parts on lam and check k before their table
-# lookup, and check that lam is a partition on a miss (conjugate checks it
-# for the vertical ones).
+# Each strip enumerator is one walk, `_interlacing`: mu/lam is a horizontal
+# strip exactly when lam_i <= mu_i <= lam_(i-1) in every row.  It keeps the
+# rows of the size asked, so a negative k finds none.  The enumerators run
+# int_parts on lam and check k before their table lookup, and check that lam
+# is a partition on a miss (conjugate checks it for the vertical ones).
+
+
+def _interlacing(lows: Sequence[int], highs: Sequence[int]) -> Iterator[Partition]:
+    """Every row vector between lows and highs entrywise, without its trailing
+    zeros; the bounds must make each one weakly decreasing.  The product of
+    ascending ranges comes in lexicographic order, and dropping zeros keeps it."""
+    for row in product(*map(range, lows, [high + 1 for high in highs])):
+        yield row[: row.index(0)] if row and not row[-1] else row
+
+
+def _strips_inside(lam: Partition) -> Iterator[Partition]:
+    """Every nu with lam/nu a horizontal strip, of any size, in lexicographic
+    order; the empty lam has no rows, and so the one strip ()."""
+    return _interlacing(lam[1:] + (0,), lam)
 
 
 @memo_checked(int_parts, _strip_size)
 def horizontal_strips(lam: Partition, k: int) -> tuple[Partition, ...]:
     """All mu with mu/lam a horizontal strip of size k, lexicographic order."""
-    as_partition(lam, "lam")
-    if k < 0:
-        return ()
-    rows = len(lam) + 1
-    found: list[Partition] = []
-
-    def grow(i: int, prev: int, left: int, acc: list[int]) -> None:
-        if i == rows:
-            if left == 0:
-                found.append(tuple(p for p in acc if p > 0))
-            return
-        low = lam[i] if i < len(lam) else 0
-        high = min(prev, low + left)
-        if i > 0:
-            high = min(high, lam[i - 1])
-        for val in range(low, high + 1):
-            acc.append(val)
-            grow(i + 1, val, left - (val - low), acc)
-            acc.pop()
-
-    grow(0, (lam[0] if lam else 0) + k, k, [])
-    return tuple(sorted(found))
+    lows, size = as_partition(lam, "lam") + (0,), sum(lam) + k
+    caps = ((lam[0] if lam else 0) + k,) + lam  # row 1 may grow by all k cells
+    highs = [min(low + k, cap) for low, cap in zip(lows, caps)]
+    return tuple(mu for mu in _interlacing(lows, highs) if sum(mu) == size)
 
 
 @memo_checked(int_parts, _strip_size)
@@ -139,24 +138,9 @@ def vertical_strips(lam: Partition, k: int) -> tuple[Partition, ...]:
 @memo_checked(int_parts, _strip_size)
 def horizontal_strips_inside(mu: Partition, k: int) -> tuple[Partition, ...]:
     """All lam with mu/lam a horizontal strip of size k, lexicographic order."""
-    as_partition(mu, "mu")
-    if k < 0:
-        return ()
-    found: list[Partition] = []
-
-    def shrink(i: int, left: int, acc: list[int]) -> None:
-        if i == len(mu):
-            if left == 0:
-                found.append(tuple(p for p in acc if p > 0))
-            return
-        low = max(part(mu, i + 2), mu[i] - left)
-        for val in range(low, mu[i] + 1):
-            acc.append(val)
-            shrink(i + 1, left - (mu[i] - val), acc)
-            acc.pop()
-
-    shrink(0, k, [])
-    return tuple(sorted(found))
+    size = sum(as_partition(mu, "mu")) - k
+    lows = [max(p - k, below) for p, below in zip(mu, mu[1:] + (0,))]
+    return tuple(lam for lam in _interlacing(lows, mu) if sum(lam) == size)
 
 
 @memo_checked(int_parts, _strip_size)

@@ -16,13 +16,14 @@ or rows and multiplies it by a small int, so each image term costs a few
 bigint operations in C.  An operator's or a sum's output stays packed, and
 the next one reads it as it is; its QTPolys are unpacked on the first read
 of a coefficient.  The Pieri operators take their images from the strip
-enumerators in `partitions`.  The other three compute the image of s_lam by
-a closed rule the first time (lam, m) is seen and cache it as
-(t-exponent, coefficient) pairs: Bernstein's operator straightens
-s_(m, lam) (`_straighten`), `hl_vertex` takes Jing's sum of Bernstein images
-of h_k-perp s_lam, and `hl_vertex_dual` reads the Jing image of s_lam' with
-each key conjugated and each t^k made t^(|lam| - k), so the two operators
-compute each Jing sum once between them.
+enumerators in `partitions`, one interlacing walk each.  The other three
+compute the image of s_lam by a closed rule the first time (lam, m) is seen
+and cache it as (t-exponent, coefficient) pairs: Bernstein's operator
+straightens s_(m, lam) (`_straighten`), `hl_vertex` walks the strips inside
+lam once and takes t^k times the Bernstein image of those of k cells, and
+`hl_vertex_dual` reads the Jing image of s_lam' with each key conjugated and
+each t^k made t^(|lam| - k), so the two operators compute each Jing sum once
+between them.
 `hl_vertex_snake` shares neither the rules nor the cached images, and
 `_series` keeps the series definitions as a reference for the checks.
 
@@ -48,6 +49,7 @@ from ._checks import as_int, as_partition, int_parts
 from .partitions import (
     Partition,
     _conjugate,
+    _strips_inside,
     horizontal_strips,
     horizontal_strips_inside,
     remove_snake,
@@ -375,14 +377,17 @@ def _bernstein_image(lam: Partition, m: int) -> _Image:
 
 @memo
 def _hl_vertex_image(lam: Partition, m: int) -> _Image:
-    """Jing's sum of t^k B_{m+k} h_k-perp s_lam over k.  Each k gives its own
-    power of t, so no term cancels."""
-    s_lam = SchurExpansion.schur(lam)
+    """Jing's sum of t^k B_{m+k} h_k-perp s_lam over k.  One walk finds every
+    strip inside lam; those of k cells, in order, are h_k-perp s_lam.  Each k
+    gives its own power of t, so no term cancels."""
+    n, by_size = sum(lam), {}
+    for nu in _strips_inside(lam):
+        by_size.setdefault(n - sum(nu), []).append(nu)
     pieces: dict[Partition, list[tuple[int, int]]] = {}
-    # a horizontal strip inside lam has at most lam_1 cells
-    for k in range((lam[0] if lam else 0) + 1):
-        # each coefficient is a packed constant: the int itself
-        for mu, c in bernstein(m + k, skew_h(k, s_lam))._terms.items():
+    for k in sorted(by_size):  # every k = 0..lam_1 has a strip
+        # each coefficient, here and in the Bernstein image, packs as the int itself
+        strips = SchurExpansion._of(dict.fromkeys(by_size[k], 1), (_DIGIT, 1, 0, 1))
+        for mu, c in bernstein(m + k, strips)._terms.items():
             pieces.setdefault(mu, []).append((k, c))
     return {mu: tuple(pairs) for mu, pairs in pieces.items()}
 

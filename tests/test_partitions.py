@@ -14,6 +14,7 @@ from qtkostka.partitions import (
     first_row_removed,
     horizontal_strips,
     horizontal_strips_inside,
+    is_horizontal_strip,
     is_partition,
     is_vertical_strip,
     linear_extension,
@@ -119,14 +120,58 @@ def test_strips_inside():
     assert set(horizontal_strips_inside((3, 1), 2)) == {(2,), (1, 1)}
 
 
-@pytest.mark.parametrize("n", range(9))
-def test_vertical_strips_match_brute_force(n):
+# every n up to 8 in Tier-1, and 9..12 in the slow tier
+BRUTE_FORCE_SIZES = [n if n < 9 else pytest.param(n, marks=pytest.mark.slow) for n in range(13)]
+
+
+def _check_by_brute_force(n, is_strip, outside, inside):
+    # every (lam, k) against a filter over all partitions of n + k and n - k,
+    # order included
     for lam in partitions_of(n):
         for k in range(-1, n + 3):
-            outer = tuple(sorted(mu for mu in partitions_of(n + k) if is_vertical_strip(mu, lam)))
-            inner = tuple(sorted(nu for nu in partitions_of(n - k) if is_vertical_strip(lam, nu)))
-            assert vertical_strips(lam, k) == outer, (lam, k)
-            assert vertical_strips_inside(lam, k) == inner, (lam, k)
+            outer = tuple(sorted(mu for mu in partitions_of(n + k) if is_strip(mu, lam)))
+            inner = tuple(sorted(nu for nu in partitions_of(n - k) if is_strip(lam, nu)))
+            assert outside(lam, k) == outer, (lam, k)
+            assert inside(lam, k) == inner, (lam, k)
+
+
+@pytest.mark.parametrize("n", BRUTE_FORCE_SIZES)
+def test_vertical_strips_match_brute_force(n):
+    _check_by_brute_force(n, is_vertical_strip, vertical_strips, vertical_strips_inside)
+
+
+@pytest.mark.parametrize("n", BRUTE_FORCE_SIZES)
+def test_horizontal_strips_match_brute_force(n):
+    _check_by_brute_force(n, is_horizontal_strip, horizontal_strips, horizontal_strips_inside)
+
+
+def _one_cell_moved(lam, step):
+    # every partition made from lam by adding step (1 or -1) to one row
+    found = []
+    for i in range(len(lam) + 1):
+        row = list(lam) + [0]
+        row[i] += step
+        while row and row[-1] == 0:
+            row.pop()
+        if is_partition(tuple(row)):
+            found.append(tuple(row))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("lam", [(50, 40, 30, 20, 10), (12, 9, 6, 3)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_strips_of_wide_shapes(lam, k):
+    # shapes too large for the brute force: each strip is checked on its own,
+    # and a one-cell strip is an addable or a removable corner
+    n = sum(lam)
+    outer, inner = horizontal_strips(lam, k), horizontal_strips_inside(lam, k)
+    for found in (outer, inner):
+        assert list(found) == sorted(set(found))
+    assert all(sum(mu) == n + k and is_horizontal_strip(mu, lam) for mu in outer)
+    assert all(sum(nu) == n - k and is_horizontal_strip(lam, nu) for nu in inner)
+    if k == 1:
+        assert list(outer) == _one_cell_moved(lam, 1) and len(outer) == len(lam) + 1
+        assert list(inner) == _one_cell_moved(lam, -1) and len(inner) == len(lam)
 
 
 def test_border_walk_length():

@@ -642,21 +642,37 @@ def test_equality_answers_as_the_unpacked_coefficients_do(monkeypatch):
         assert (f._coeffs() == g._coeffs()) is same
 
 
-def _dual_image_by_its_own_sum(lam, m):
-    # the dual image by a Jing sum of its own, a reference independent of the
-    # Jing image it reads: sum_j t^(n-j) B_{m+j} h_j-perp s_lam', keys conjugated
-    n, conj = sum(lam), conjugate(lam)
+def _image_by_skew_h(lam, m):
+    # the Jing image sum_k t^k B_{m+k} h_k-perp s_lam with the strips of each
+    # size k found apart, by skew_h: a reference for the one walk over them all
     pieces = {}
-    for j in range((conj[0] if conj else 0) + 1):
-        out = bernstein(m + j, skew_h(j, s(conj)))
+    for k in range((lam[0] if lam else 0) + 1):
+        out = bernstein(m + k, skew_h(k, s(lam)))
         assert out._packing is not None  # each coefficient packs as the int itself
         for mu, c in out._terms.items():
-            pieces.setdefault(conjugate(mu), []).append((n - j, c))
+            pieces.setdefault(mu, []).append((k, c))
     return {mu: tuple(pairs) for mu, pairs in pieces.items()}
 
 
+def test_the_jing_image_matches_one_skew_h_per_strip_size():
+    for n in range(9):
+        for lam in partitions_of(n):
+            for m in range(1, 5):
+                want = _image_by_skew_h(lam, m)
+                got = schur._hl_vertex_image(lam, m)
+                assert list(got.items()) == list(want.items()), (lam, m)
+
+
+def _dual_image_by_its_own_sum(lam, m):
+    # the dual image by a Jing sum of its own, a reference independent of the
+    # Jing image it reads: sum_j t^(n-j) B_{m+j} h_j-perp s_lam', keys conjugated
+    n = sum(lam)
+    image = _image_by_skew_h(conjugate(lam), m)
+    return {conjugate(mu): tuple((n - j, c) for j, c in pairs) for mu, pairs in image.items()}
+
+
 def test_the_dual_image_reads_the_conjugate_jing_image_unchanged():
-    for n in range(8):
+    for n in range(9):
         for lam in partitions_of(n):
             for m in range(1, 5):
                 want = _dual_image_by_its_own_sum(lam, m)
@@ -668,8 +684,12 @@ def test_a_cold_build_computes_each_jing_sum_once(monkeypatch):
     # hl_vertex and hl_vertex_dual meet each (lam, m) of the build; the dual
     # image reads the Jing image of lam', so each Jing sum calls bernstein
     # lam_1 + 1 times, once.  A Jing sum for each of the two images made 185.
-    calls = []
+    # One walk finds the strips inside lam for every k, so no Jing image calls
+    # skew_h; one skew_h call per k made 93.
+    calls, skews = [], []
     monkeypatch.setattr(schur, "bernstein", lambda m, f: calls.append(m) or bernstein(m, f))
+    monkeypatch.setattr(schur, "skew_h", lambda k, f: skews.append(k) or skew_h(k, f))
     clear_caches()
     macdonald((4, 2, 2, 1))
     assert len(calls) == 93
+    assert len(skews) == 0
