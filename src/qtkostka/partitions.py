@@ -9,8 +9,8 @@ sorts a partition into the supported shape families.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterator, Optional, Sequence
+from itertools import accumulate
+from typing import Optional, Sequence
 
 from ._cache import memo, memo_checked
 from ._checks import as_int, as_partition, int_parts, is_partition
@@ -100,33 +100,57 @@ def _strip_size(k: int) -> int:
 
 
 # Each strip enumerator is one walk, `_interlacing`: mu/lam is a horizontal
-# strip exactly when lam_i <= mu_i <= lam_(i-1) in every row.  It keeps the
-# rows of the size asked, so a negative k finds none.  The enumerators run
-# int_parts on lam and check k before their table lookup, and check that lam
-# is a partition on a miss (conjugate checks it for the vertical ones).
+# strip exactly when lam_i <= mu_i <= lam_(i-1) in every row, so the strips
+# outside lam lie between lam and (lam_1 + k, lam) and those inside mu between
+# (mu_2, ..., 0) and mu; the walk keeps the rows of the size asked, so a
+# negative k finds none.  The enumerators run int_parts on lam and check k
+# before their table lookup, and check that lam is a partition on a miss
+# (conjugate checks it for the vertical ones).
 
 
-def _interlacing(lows: Sequence[int], highs: Sequence[int]) -> Iterator[Partition]:
-    """Every row vector between lows and highs entrywise, without its trailing
-    zeros; the bounds must make each one weakly decreasing.  The product of
-    ascending ranges comes in lexicographic order, and dropping zeros keeps it."""
-    for row in product(*map(range, lows, [high + 1 for high in highs])):
-        yield row[: row.index(0)] if row and not row[-1] else row
+def _interlacing(lows: Sequence[int], highs: Sequence[int], size: Optional[int] = None) -> list[Partition]:
+    """Every row vector between lows and highs entrywise, of `size` cells if a
+    size is given, without its trailing zeros, in lexicographic order; the
+    bounds must make each one weakly decreasing.  Rows i, i+1, ... hold between
+    least[i] and most[i] cells, and each row takes only the values that leave
+    the rest of `size` within reach, so every step of the walk ends in a row
+    vector it returns."""
+    least = list(accumulate(reversed(lows), initial=0))[::-1]
+    most = list(accumulate(reversed(highs), initial=0))[::-1]
+    found: list[Partition] = []
+    row: list[int] = []
+
+    def walk(i: int, left: int) -> None:
+        if i == len(lows):
+            if size is None or left == 0:
+                found.append(tuple(p for p in row if p))
+            return
+        low, high = lows[i], highs[i]
+        if size is not None:
+            low = max(low, left - most[i + 1])
+            high = min(high, left - least[i + 1])
+        for value in range(low, high + 1):
+            row.append(value)
+            walk(i + 1, left - value)
+            row.pop()
+
+    walk(0, 0 if size is None else size)
+    return found
 
 
-def _strips_inside(lam: Partition) -> Iterator[Partition]:
-    """Every nu with lam/nu a horizontal strip, of any size, in lexicographic
-    order; the empty lam has no rows, and so the one strip ()."""
-    return _interlacing(lam[1:] + (0,), lam)
+def _strips_inside(lam: Partition, size: Optional[int] = None) -> list[Partition]:
+    """Every nu of `size` cells (of any size if none is given) with lam/nu a
+    horizontal strip, in lexicographic order; the empty lam has no rows, and
+    so the one strip (), of 0 cells."""
+    return _interlacing(lam[1:] + (0,) if lam else (), lam, size)
 
 
 @memo_checked(int_parts, _strip_size)
 def horizontal_strips(lam: Partition, k: int) -> tuple[Partition, ...]:
     """All mu with mu/lam a horizontal strip of size k, lexicographic order."""
-    lows, size = as_partition(lam, "lam") + (0,), sum(lam) + k
-    caps = ((lam[0] if lam else 0) + k,) + lam  # row 1 may grow by all k cells
-    highs = [min(low + k, cap) for low, cap in zip(lows, caps)]
-    return tuple(mu for mu in _interlacing(lows, highs) if sum(mu) == size)
+    lows = as_partition(lam, "lam") + (0,)
+    highs = ((lam[0] if lam else 0) + k,) + lam  # row 1 may grow by all k cells
+    return tuple(_interlacing(lows, highs, sum(lam) + k))
 
 
 @memo_checked(int_parts, _strip_size)
@@ -138,9 +162,7 @@ def vertical_strips(lam: Partition, k: int) -> tuple[Partition, ...]:
 @memo_checked(int_parts, _strip_size)
 def horizontal_strips_inside(mu: Partition, k: int) -> tuple[Partition, ...]:
     """All lam with mu/lam a horizontal strip of size k, lexicographic order."""
-    size = sum(as_partition(mu, "mu")) - k
-    lows = [max(p - k, below) for p, below in zip(mu, mu[1:] + (0,))]
-    return tuple(lam for lam in _interlacing(lows, mu) if sum(lam) == size)
+    return tuple(_strips_inside(as_partition(mu, "mu"), sum(mu) - k))
 
 
 @memo_checked(int_parts, _strip_size)

@@ -63,6 +63,7 @@ _Coeff = Union[QTPoly, int]
 _Image = dict[Partition, tuple[tuple[int, int], ...]]  # mu -> its (t-exponent, coefficient) pairs
 _KEYS: dict[TermKey, TermKey] = {}  # each exponent pair to its one shared tuple
 _DIGIT = 64  # the narrowest packed digit, in bits; widths are multiples of it
+_ONES = (_DIGIT, 1, 0, 1)  # the packing of coefficients 1: each packs as the int itself
 
 
 def _poly(value: _Coeff) -> QTPoly:
@@ -163,7 +164,7 @@ class SchurExpansion:
 
     @classmethod
     def schur(cls, lam: Partition) -> "SchurExpansion":
-        return cls._of({as_partition(lam, "lam"): 1}, (_DIGIT, 1, 0, 1))  # 1 packs as itself
+        return cls._of({as_partition(lam, "lam"): 1}, _ONES)
 
     def terms(self) -> list[tuple[Partition, QTPoly]]:
         """Terms sorted by size then descending lexicographic partition."""
@@ -380,13 +381,14 @@ def _hl_vertex_image(lam: Partition, m: int) -> _Image:
     """Jing's sum of t^k B_{m+k} h_k-perp s_lam over k.  One walk finds every
     strip inside lam; those of k cells, in order, are h_k-perp s_lam.  Each k
     gives its own power of t, so no term cancels."""
-    n, by_size = sum(lam), {}
+    n = sum(lam)
+    by_size: dict[int, list[Partition]] = {}
     for nu in _strips_inside(lam):
         by_size.setdefault(n - sum(nu), []).append(nu)
     pieces: dict[Partition, list[tuple[int, int]]] = {}
     for k in sorted(by_size):  # every k = 0..lam_1 has a strip
-        # each coefficient, here and in the Bernstein image, packs as the int itself
-        strips = SchurExpansion._of(dict.fromkeys(by_size[k], 1), (_DIGIT, 1, 0, 1))
+        # each coefficient of the Bernstein image is packed as the int itself
+        strips = SchurExpansion._of(dict.fromkeys(by_size[k], 1), _ONES)
         for mu, c in bernstein(m + k, strips)._terms.items():
             pieces.setdefault(mu, []).append((k, c))
     return {mu: tuple(pairs) for mu, pairs in pieces.items()}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -158,9 +159,23 @@ def _one_cell_moved(lam, step):
     return sorted(found)
 
 
-@pytest.mark.parametrize("lam", [(50, 40, 30, 20, 10), (12, 9, 6, 3)])
-@pytest.mark.parametrize("k", [1, 2])
-def test_strips_of_wide_shapes(lam, k):
+# k cells over the rows open to them, at most gap_i in row i: every gap here is
+# at least k, but the staircase's, which are 1 (and the first row's, open).
+# A walk over every row vector within the row bounds, kept or not, would visit
+# 11^6 candidates at (50, 40, 30, 20, 10), k = 10, and 3^31 on the staircase:
+# the walk must cut each row to the cells still left to place.
+WIDE_SHAPES = [
+    ((50, 40, 30, 20, 10), 1, 6, 5),
+    ((50, 40, 30, 20, 10), 2, comb(7, 5), comb(6, 4)),
+    ((50, 40, 30, 20, 10), 10, comb(15, 5), comb(14, 4)),
+    ((12, 9, 6, 3), 1, 5, 4),
+    ((12, 9, 6, 3), 2, comb(6, 4), comb(5, 3)),
+    (tuple(range(30, 0, -1)), 2, comb(31, 2) + 1, comb(30, 2)),
+]
+
+
+@pytest.mark.parametrize("lam, k, outside, inside", WIDE_SHAPES)
+def test_strips_of_wide_shapes(lam, k, outside, inside):
     # shapes too large for the brute force: each strip is checked on its own,
     # and a one-cell strip is an addable or a removable corner
     n = sum(lam)
@@ -169,9 +184,10 @@ def test_strips_of_wide_shapes(lam, k):
         assert list(found) == sorted(set(found))
     assert all(sum(mu) == n + k and is_horizontal_strip(mu, lam) for mu in outer)
     assert all(sum(nu) == n - k and is_horizontal_strip(lam, nu) for nu in inner)
+    assert (len(outer), len(inner)) == (outside, inside)
     if k == 1:
-        assert list(outer) == _one_cell_moved(lam, 1) and len(outer) == len(lam) + 1
-        assert list(inner) == _one_cell_moved(lam, -1) and len(inner) == len(lam)
+        assert list(outer) == _one_cell_moved(lam, 1)
+        assert list(inner) == _one_cell_moved(lam, -1)
 
 
 def test_border_walk_length():
