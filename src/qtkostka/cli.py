@@ -9,7 +9,6 @@ import argparse
 import csv
 import json
 import sys
-from inspect import signature
 
 from .battery import run_battery
 from .partitions import format_partition, parse_partition
@@ -108,8 +107,10 @@ def _cmd_unimodal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # a flag left out takes run_battery's default, which also checks every value
-    names = signature(run_battery).parameters
+    # a flag left out takes run_battery's default, which also checks every value;
+    # its parameters are the first names of its code, or of the function it wraps
+    code = getattr(run_battery, "__wrapped__", run_battery).__code__
+    names = code.co_varnames[: code.co_argcount]
     report = run_battery(**{n: getattr(args, n) for n in names if getattr(args, n) is not None})
     text = json.dumps(report, indent=2)
     if args.out:

@@ -9,7 +9,7 @@ sorts a partition into the supported shape families.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Optional, Sequence
 
 from ._cache import memo, memo_checked
@@ -114,28 +114,35 @@ def _interlacing(lows: Sequence[int], highs: Sequence[int], size: Optional[int] 
     bounds must make each one weakly decreasing.  Rows i, i+1, ... hold between
     least[i] and most[i] cells, and each row takes only the values that leave
     the rest of `size` within reach, so every step of the walk ends in a row
-    vector it returns."""
+    vector it returns.  The open rows are kept on a list, so any number of
+    rows fits."""
+    if size is None:
+        return [tuple(p for p in row if p) for row in product(*map(range, lows, [h + 1 for h in highs]))]
     least = list(accumulate(reversed(lows), initial=0))[::-1]
     most = list(accumulate(reversed(highs), initial=0))[::-1]
     found: list[Partition] = []
-    row: list[int] = []
-
-    def walk(i: int, left: int) -> None:
-        if i == len(lows):
-            if size is None or left == 0:
-                found.append(tuple(p for p in row if p))
-            return
-        low, high = lows[i], highs[i]
-        if size is not None:
-            low = max(low, left - most[i + 1])
-            high = min(high, left - least[i + 1])
-        for value in range(low, high + 1):
-            row.append(value)
-            walk(i + 1, left - value)
-            row.pop()
-
-    walk(0, 0 if size is None else size)
-    return found
+    row: list[int] = []  # the value of each open row
+    tops: list[int] = []  # the most each open row may hold
+    left = size
+    while True:
+        i = len(row)
+        if i < len(lows):
+            low = max(lows[i], left - most[i + 1])
+            high = min(highs[i], left - least[i + 1])
+            if low <= high:
+                row.append(low)
+                tops.append(high)
+                left -= low
+                continue
+        elif left == 0:
+            found.append(tuple(p for p in row if p))
+        while row and row[-1] == tops[-1]:  # close the rows that are at their top
+            left += row.pop()
+            tops.pop()
+        if not row:
+            return found
+        row[-1] += 1
+        left -= 1
 
 
 def _strips_inside(lam: Partition, size: Optional[int] = None) -> list[Partition]:

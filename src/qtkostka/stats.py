@@ -11,12 +11,14 @@ one that is not standard.
 
 `stat_genfun`, `head_genfun` and `unimodal_profile` read one table of counts
 per mu, filled by one walk over the Young lattice (`_stat_counts`).  The
-walk adds labels 1..n a cell at a time and carries each tableau's charge
+walk adds labels 1..n-1 a cell at a time and carries each tableau's charge
 and its reduced tableau, which grows a cell a step by one row insertion
-into a small key tableau, so no tableau is enumerated, stored, rectified or
-charged on its own.  `full_type` and `stat_pair` type and charge one given
-tableau by Table 1's rule; the walk calls them once per shape to check
-itself.
+into a small key tableau.  Label n then takes every outer corner in one
+loop: its key is followed only to the row where it lands in the reduced
+tableau, and the type is read from an entry kept per (reduced tableau,
+row).  No tableau is enumerated, stored, rectified or charged on its own.
+`full_type` and `stat_pair` type and charge one given tableau by Table 1's
+rule; the walk calls them once per shape to check itself.
 
 Table 1 (`HEAD_TABLE`) is the one source of the head rule: `_reduced` and
 `_steps` read its prefix h and block mm, and the walk's words follow `_steps`.
@@ -25,7 +27,7 @@ Table 1 (`HEAD_TABLE`) is the one source of the head rule: `_reduced` and
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 from ._cache import memo, memo_checked
@@ -83,22 +85,45 @@ HEAD_TABLE: dict[Tableau, tuple[int, int, tuple[int, int], int]] = {
 }
 
 
-@dataclass(frozen=True)
 class TypeSequence:
-    """Full type of a standard tableau: optional head, then H/V/S letters."""
+    """Full type of a standard tableau: optional head, then H/V/S letters.
+    Immutable: equal types hash alike, and no field can be assigned."""
 
+    __slots__ = ("head", "blocks")
     head: Optional[Tableau]
     blocks: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.head is not None and self.head not in HEAD_TABLE:
-            raise ValueError(f"{self.head} is not a head tableau")
-        bad = [x for x in self.blocks if x not in ("H", "V", "S")]
+    def __init__(self, head: Optional[Tableau], blocks: tuple[str, ...]):
+        if head is not None and head not in HEAD_TABLE:
+            raise ValueError(f"{head} is not a head tableau")
+        bad = [x for x in blocks if x not in ("H", "V", "S")]
         if bad:
             raise ValueError(f"unknown block letters {bad}")
-        text = "".join(self.blocks)
+        text = "".join(blocks)
         if "S" in text and set(text[text.index("S") :]) != {"S"}:
             raise ValueError("singles must follow all dominoes")
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "blocks", blocks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.head, self.blocks) == (other.head, other.blocks)
+
+    def __hash__(self):
+        return hash((self.head, self.blocks))
+
+    def __repr__(self):
+        return f"TypeSequence(head={self.head!r}, blocks={self.blocks!r})"
+
+    def __reduce__(self):
+        return TypeSequence, (self.head, self.blocks)
 
     def text(self) -> str:
         letters = ",".join(self.blocks)
@@ -446,19 +471,46 @@ def _head_words(head: Tableau) -> tuple[tuple[str, int], ...]:
     return ((kind, h + mm),)
 
 
-def _feed(words, keys: tuple, reduced: Tableau, k: int, r: int, c: int, width: int):
-    """(keys, reduced) once label k of T has gone into row r, column c: each
-    word inserts the cell's key into its key tableau, and the cell that grows
-    there is the cell the next word reads, or the one R gives its next label."""
+def _feed(words, keys: tuple, k: int, r: int, c: int, width: int) -> tuple[tuple, Optional[int]]:
+    """(keys, row) once label k of T has gone into row r, column c: each word
+    inserts the cell's key into its key tableau, and the cell that grows there
+    is the cell the next word reads, or the row of R that takes a label; row is
+    None when a word drops label k."""
     grown = list(keys)
     for i, (word, drop) in enumerate(words):
         if k <= drop:
-            return tuple(grown), reduced
+            return tuple(grown), None
         k -= drop
         grown[i], r = _insert_key(keys[i], _word_key(word, r, c, width))
         c = len(grown[i][r]) - 1
-    row = reduced[r] + (k,) if r < len(reduced) else (k,)
-    return tuple(grown), reduced[:r] + (row,) + reduced[r + 1 :]
+    return tuple(grown), r
+
+
+def _placed(tab: Tableau, r: int, x: int) -> Tableau:
+    """tab with x put at the end of its row r (from index 0), or on a new row."""
+    return tab[:r] + (tab[r] + (x,) if r < len(tab) else (x,),) + tab[r + 1 :]
+
+
+def _landings(words, keys: tuple, cells, width: int) -> list[int]:
+    """For each (row, column, ...) of cells, the row of R where the last label
+    of T lands once it has gone into that cell: `_feed`'s insertions, each
+    followed only as far as the row its new cell lands in, so that no key
+    tableau or R is built.  With no words, the row of T."""
+    found = []
+    for r, c, _, _ in cells:
+        for (word, _), tab in zip(words, keys):
+            x = _word_key(word, r, c, width)
+            r = 0
+            for row in tab:  # row-insert x into tab, as _insert_key does
+                c = bisect_right(row, x)
+                if c == len(row):
+                    break
+                x = row[c]
+                r += 1
+            else:
+                c = 0
+        found.append(r)
+    return found
 
 
 def _check_walk(mu: Partition, tab: Tableau, ts: TypeSequence, a: int, b: int) -> None:
@@ -478,8 +530,8 @@ def _stat_counts(
     shape, and with each a_mu by type, from one depth-first walk over the
     Young lattice.  Only these counts are kept.
 
-    The walk places labels 1, 2, ..., n one cell at a time.  Down each path
-    it carries:
+    The walk places labels 1, 2, ..., n - 1 one cell at a time.  Down each
+    path it carries:
     - the charge of T: the index of k is that of k - 1, plus one when k sits
       in a row at or below the row of k - 1 (rows from index 0), and charge
       is the sum of the indices;
@@ -492,12 +544,23 @@ def _stat_counts(
       order.  Since P(w) restricted to labels below k is P of w so
       restricted, and P(w) = Q(w^-1) for a standard word, R's next label
       lands in the row where row-inserting the new cell's position in that
-      word (`_word_key`) into the carried key tableau ends.  The two heads
-      in `_TWO_STEP_HEADS` chain two words, as `_reduced` chains two
-      rectifications.
-    At each leaf R types T through `_typed` (the `_domino_tail` memo) and
-    `_type_weights`, so no tableau is enumerated, stored, rectified or
-    charged on its own.
+      word (`_word_key`) into the carried key tableau ends (`_feed`).  The
+      two heads in `_TWO_STEP_HEADS` chain two words, as `_reduced` chains
+      two rectifications.  Each R is a node of a tree per head, found from
+      its parent node by the row that takes its last label, so no R is
+      built or hashed twice.
+    Label n takes each outer corner of labels 1..n-1 in one loop, with the
+    corners, shapes and places read from a table kept for the walk by the
+    shape of labels 1..n-1.  `_landings` follows each corner's key only as
+    far as the row where label n lands in R, and the parent node keeps, by
+    that row, the record of the type that R with label n gives T through
+    `_typed` (the `_domino_tail` memo) and `_type_weights`.  When mu has a
+    single (b > 0), label n of R is no domino label.  `_domino_tail` reads
+    only where the domino labels sit, and the largest label moves none of
+    them (R without it is P of the shorter word), so every corner shares
+    one record and no key is followed.  Each T then adds one to a count by
+    type, shape and charge, which becomes the counts by (b, a) at the end,
+    so no tableau is enumerated, stored, rectified or charged on its own.
 
     Once per shape the walk hands one tableau to the public `full_type` and
     `stat_pair` and raises if they disagree with what it carried.  They find
@@ -511,55 +574,98 @@ def _stat_counts(
     n = sum(mu)
     cut = _head_size(m, a)
     width = n + 1
-    powers = [width**k for k in range(n)]
-    places = {sh: i * width**n for i, sh in enumerate(partitions_of(n))}
-    unchecked = set(places)
+    powers = [width**k for k in range(n + 1)]
+    shape_list = partitions_of(n)
+    # tally counts the T of each type, shape and charge under one int key:
+    # the type's index times stride (its offset) + the shape's index times
+    # span (its offset) + the charge
+    span = width * width  # above any charge
+    stride = span * len(shape_list)
+    tally: dict[int, int] = {}
+    unchecked = set(range(0, stride, span))  # the shape offsets not yet checked
     by_head: dict[Optional[Tableau], _Counts] = {}
-    records: dict[TypeSequence, list] = {}  # type -> [first place, {a: number of T}]
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}  # one (b, a) object per value
+    # type -> [first place, offset, type, shift, b, counts by shape of its head, {a: number of T}]
+    records: dict[TypeSequence, list] = {}
     rows: list[list[int]] = []  # T, grown and shrunk in place
     # set when label cut is placed, for the tableaux below that head
     head: Tableau = ()
     words: tuple = ()
-    typed: dict[Tableau, tuple] = {}  # R -> (type, shift, b, record)
     shapes: _Counts = by_head.setdefault(None, {}) if m == 2 else {}
+    # shape of labels 1..n-1 -> (row, column, place, shape offset) of each cell label n can take
+    corners: dict[Partition, list[tuple[int, int, int, int]]] = {}
 
-    def take_head() -> tuple[tuple, Tableau]:
-        nonlocal head, words, typed, shapes
+    def take_head() -> tuple[tuple, tuple]:
+        """(keys, root node) once the head is in rows."""
+        nonlocal head, words, shapes
         head = tuple(map(tuple, rows))
         words = _head_words(head)
-        typed = {}
         if m > 2:
             shapes = by_head.setdefault(head, {})
-        keys, reduced = ((),) * len(words), ()
+        keys = ((),) * len(words)
         for x, r, c in sorted((x, r, c) for r, row in enumerate(head) for c, x in enumerate(row)):
-            keys, reduced = _feed(words, keys, reduced, x, r, c, width)
-        return keys, reduced
+            keys = _feed(words, keys, x, r, c, width)[0]  # the words drop every head label
+        return keys, ((), {})  # a node is (R, {row that takes the next label: node or record})
 
-    def classify(reduced: Tableau) -> tuple:
+    def classify(reduced: Tableau) -> list:
         ts = _typed(m, a, n, head, reduced)
-        return (ts, *_type_weights(a, b, ts), records.setdefault(ts, [float("inf"), {}]))
+        record = records.get(ts)
+        if record is None:
+            weights = _type_weights(a, b, ts)
+            record = records[ts] = [float("inf"), len(records) * stride, ts, *weights, shapes, {}]
+        return record
 
-    def leaf(total: int, order: int, reduced: Tableau) -> None:
-        sh = tuple(map(len, rows))
-        entry = typed.get(reduced)
-        if entry is None:
-            entry = typed[reduced] = classify(reduced)
-        ts, shift, stat_b, record = entry
-        stat_a = total - shift
-        if sh in unchecked:
-            unchecked.discard(sh)
-            _check_walk(mu, tuple(map(tuple, rows)), ts, stat_a, stat_b)
-        key = pairs.setdefault((stat_b, stat_a), (stat_b, stat_a))
-        bucket = shapes.setdefault(sh, {})
-        bucket[key] = bucket.get(key, 0) + 1
-        place = places[sh] + order
-        if place < record[0]:
-            record[0] = place
-        counts = record[1]
-        counts[stat_a] = counts.get(stat_a, 0) + 1
+    def settle(node: tuple, row: int) -> list:
+        record = node[1][row] = classify(_placed(node[0], row, n - cut))
+        return record
 
-    def grow(k: int, last: int, index: int, total: int, order: int, keys, reduced) -> None:
+    def headed(r: int) -> list:
+        # label n = cut completes the head in row r, and R is empty
+        if r == len(rows):
+            rows.append([])
+        rows[r].append(n)
+        take_head()
+        rows[r].pop()
+        if not rows[r]:
+            rows.pop()
+        return classify(())
+
+    def cells(parent: Partition) -> list[tuple[int, int, int, int]]:
+        found = []
+        for r in range(len(parent) + 1):
+            c = parent[r] if r < len(parent) else 0
+            if not r or c < parent[r - 1]:
+                i = shape_list.index(parent[:r] + (c + 1,) + parent[r + 1 :])
+                found.append((r, c, i * powers[n] + r * powers[n - 1], i * span))
+        return found
+
+    def finish(last: int, index: int, total: int, order: int, keys, node: tuple) -> None:
+        # label n in each cell it can take beside labels 1..n-1 in rows
+        parent = tuple(map(len, rows))
+        corner = corners.get(parent)
+        if corner is None:
+            corner = corners[parent] = cells(parent)
+        if n == cut:  # label n completes the head, so each T is its own head
+            landings = [r for r, _, _, _ in corner]
+            lands = {r: headed(r) for r in landings}
+        else:  # when b > 0, label n is a single of R, and where it lands does not type T
+            lands, landings = node[1], repeat(0) if b else _landings(words, keys, corner, width)
+        total += index
+        for (r, _, place, offset), row in zip(corner, landings):
+            record = lands.get(row) or settle(node, row)
+            charge = total + (r <= last)
+            key = record[1] + offset + charge
+            tally[key] = tally.get(key, 0) + 1
+            place += order
+            if place < record[0]:
+                record[0] = place
+            if offset in unchecked:
+                unchecked.discard(offset)
+                tab = _placed(tuple(map(tuple, rows)), r, n)
+                _check_walk(mu, tab, record[2], charge - record[3], record[4])
+
+    def grow(k: int, last: int, index: int, total: int, order: int, keys, node: tuple) -> None:
+        if k == n:
+            return finish(last, index, total, order, keys, node)
         height = len(rows)
         for r in range(height + 1):
             if r == height:
@@ -572,25 +678,38 @@ def _stat_counts(
                 rows[r].append(k)
             step = index + (r <= last)
             if k == cut:
-                grown, fuller = take_head()
+                grown, child = take_head()
             elif k > cut and words:
-                grown, fuller = _feed(words, keys, reduced, k, r, c, width)
+                grown, row = _feed(words, keys, k, r, c, width)
+                child = node[1].get(row)
+                if child is None:
+                    child = node[1][row] = (_placed(node[0], row, k - cut), {})
             else:
-                grown, fuller = keys, reduced
-            if k == n:
-                leaf(total + step, order + r * powers[k - 1], fuller)
-            else:
-                grow(k + 1, r, step, total + step, order + r * powers[k - 1], grown, fuller)
+                grown, child = keys, node
+            grow(k + 1, r, step, total + step, order + r * powers[k - 1], grown, child)
             if c:
                 rows[r].pop()
             else:
                 rows.pop()
 
     if n:
-        grow(1, -1, 0, 0, 0, (), ())
-    else:
-        leaf(0, 0, ())
-    by_type = {ts: record[1] for ts, record in sorted(records.items(), key=lambda kv: kv[1][0])}
+        grow(1, -1, 0, 0, 0, (), ((), {}))
+    else:  # the one tableau of size 0 has no cell for the walk to place
+        record = classify(())
+        _check_walk(mu, (), record[2], 0, 0)
+        record[0], tally[0] = 0, 1
+    listed = list(records.values())  # in the order of their offsets
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}  # one (b, a) object per value
+    for key, number in tally.items():
+        e, rest = divmod(key, stride)
+        i, charge = divmod(rest, span)
+        _, _, _, shift, stat_b, counts, by_a = listed[e]
+        stat_a = charge - shift
+        pair = pairs.setdefault((stat_b, stat_a), (stat_b, stat_a))
+        bucket = counts.setdefault(shape_list[i], {})
+        bucket[pair] = bucket.get(pair, 0) + number
+        by_a[stat_a] = by_a.get(stat_a, 0) + number
+    by_type = {record[2]: record[6] for record in sorted(listed)}  # by first place
     return by_head, by_type
 
 

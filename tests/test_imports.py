@@ -58,3 +58,21 @@ def test_the_oracle_takes_only_what_the_rational_tables_need():
     found = _imports("oracle")
     assert found["schur"] == {"SchurExpansion", "mul_e"}
     assert found["vertex"] == {"gaussian_binomial", "macdonald", "stem_coefficient"}
+
+
+def _stdlib_imports(module: str) -> set[str]:
+    """The top-level names of the modules outside the package that module imports."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_no_module_imports_dataclasses_or_inspect(module):
+    # importing either pulls in ast, dis and tokenize, about 12 ms before any work
+    assert not {"dataclasses", "inspect"} & _stdlib_imports(module)

@@ -121,6 +121,14 @@ def test_strips_inside():
     assert set(horizontal_strips_inside((3, 1), 2)) == {(2,), (1, 1)}
 
 
+def test_the_strip_walk_takes_any_number_of_rows():
+    # the walk once recursed once per row, so 1200 rows raised RecursionError
+    tall, wide = (1,) * 1200, (1200,)
+    assert horizontal_strips(tall, 1) == ((1,) * 1201, (2,) + (1,) * 1199)
+    assert vertical_strips(wide, 1) == ((1200, 1), (1201,))
+    assert horizontal_strips_inside(tall, 1) == ((1,) * 1199,)
+
+
 # every n up to 8 in Tier-1, and 9..12 in the slow tier
 BRUTE_FORCE_SIZES = [n if n < 9 else pytest.param(n, marks=pytest.mark.slow) for n in range(13)]
 

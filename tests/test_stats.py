@@ -576,19 +576,48 @@ def _reference_counts(mu):
     return by_head, by_type
 
 
-def test_the_walk_matches_the_per_tableau_reference():
-    from qtkostka.stats import _stat_counts
+def _assert_the_walk_matches_the_reference(mu):
+    by_head, by_type = stats._stat_counts(mu)
+    want_head, want_type = _reference_counts(mu)
+    assert by_head == want_head, mu
+    # unimodal_profile and the CLI print types in this order
+    assert list(by_type.items()) == list(want_type.items()), mu
 
+
+def test_the_walk_matches_the_per_tableau_reference():
     shapes = 0
     for n in range(10):
         for mu in _direct_shapes(n):
-            by_head, by_type = _stat_counts(mu)
-            want_head, want_type = _reference_counts(mu)
-            assert by_head == want_head, mu
-            # unimodal_profile and the CLI print types in this order
-            assert list(by_type.items()) == list(want_type.items()), mu
+            _assert_the_walk_matches_the_reference(mu)
             shapes += 1
     assert shapes == 58
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mu", _direct_shapes(10))
+def test_the_walk_matches_the_per_tableau_reference_at_size_10(mu):
+    _assert_the_walk_matches_the_reference(mu)
+
+
+def test_the_walk_inserts_keys_only_above_the_last_label(monkeypatch):
+    # label n only follows its key to the row where it lands in R; a walk
+    # that grows the key tableaux at each leaf too made 1112, 1108 and 1368
+    calls = 0
+    real = stats._insert_key
+
+    def counted(keys, x):
+        nonlocal calls
+        calls += 1
+        return real(keys, x)
+
+    monkeypatch.setattr(stats, "_insert_key", counted)
+    found = {}
+    for mu in [(2, 2, 2, 2), (3, 2, 2, 1), (4, 2, 2)]:
+        clear_caches()
+        calls = 0
+        stat_genfun(mu)
+        found[mu] = calls
+    assert found == {(2, 2, 2, 2): 348, (3, 2, 2, 1): 344, (4, 2, 2): 418}
 
 
 def _swapped_words(original):
@@ -605,10 +634,33 @@ def _reversed_keys(original):
     return faulty
 
 
+def _first_row_landings(original):
+    # label n lands in the first row of R wherever its key would land
+    def faulty(words, keys, cells, width):
+        return [0 for _ in original(words, keys, cells, width)]
+
+    return faulty
+
+
+# Where label n lands in R decides the type of T only when label n is a
+# domino label of R, that is when mu has no single (b = 0): the landing fault
+# runs on mu3..mu5 alone.
+_FAULT_SHAPES = [(2, 2, 1, 1), (3, 2, 1), (4, 2, 1), (2, 2, 2), (3, 2, 2), (4, 2, 2)]
+
+
 @pytest.mark.parametrize(
-    "name, fault", [("_word_key", _swapped_words), ("_insert_key", _reversed_keys)]
+    "name, fault, mu",
+    [
+        pytest.param(name, fault, mu, id=f"mu{i}-{name}-{fault.__name__}")
+        for name, fault in [
+            ("_word_key", _swapped_words),
+            ("_insert_key", _reversed_keys),
+            ("_landings", _first_row_landings),
+        ]
+        for i, mu in enumerate(_FAULT_SHAPES)
+        if name != "_landings" or i >= 3
+    ],
 )
-@pytest.mark.parametrize("mu", [(2, 2, 1, 1), (3, 2, 1), (4, 2, 1)])
 def test_a_fault_in_what_the_walk_carries_raises(monkeypatch, name, fault, mu):
     from qtkostka import stats
 
