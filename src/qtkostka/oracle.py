@@ -60,29 +60,22 @@ def _character(lam: Partition, mu: Partition) -> int:
     """Irreducible symmetric-group character chi^lam evaluated on class mu;
     lam and mu are partitions of one size, and every recursive call keeps them so.
 
-    Computed by peeling border strips of size mu[0] off lam; a strip spanning
-    rows i..j forces nu_r = lam_{r+1} - 1 on the intermediate rows, which
-    leaves exactly one candidate per row interval.
+    The Murnaghan-Nakayama rule on the beta-set {lam_i + len(lam) - i} of lam:
+    each bead that can move down by mu[0] onto an empty place removes one
+    border strip, with sign -1 to the number of beads it jumps, and the moved
+    beta-set spells the partition left.
     """
     if not mu:
         return 1
-    k, rest = mu[0], mu[1:]
+    k, length = mu[0], len(lam)
+    beads = {p + length - i for i, p in enumerate(lam, 1)}
     total = 0
-    for i in range(1, len(lam) + 1):
-        for j in range(i, len(lam) + 1):
-            nu = list(lam)
-            for r in range(i, j):
-                nu[r - 1] = lam[r] - 1
-            last = k - sum(lam[r - 1] - nu[r - 1] for r in range(i, j))
-            if last < 1:
-                continue
-            nu[j - 1] = lam[j - 1] - last
-            if nu[j - 1] < 0:
-                continue
-            trimmed = tuple(p for p in nu if p)
-            if any(nu[r] < nu[r + 1] for r in range(len(nu) - 1)):
-                continue
-            total += (-1) ** (j - i) * _character(trimmed, rest)
+    for bead in beads:
+        if bead >= k and bead - k not in beads:
+            moved = sorted(beads - {bead} | {bead - k}, reverse=True)
+            nu = tuple(p for i, b in enumerate(moved, 1) if (p := b - length + i))
+            jumped = sum(bead - k < b < bead for b in beads)
+            total += (-1) ** jumped * _character(nu, mu[1:])
     return total
 
 
@@ -303,9 +296,10 @@ def generic_points(count: int, seed: int, max_n: int = 8) -> list[tuple[Fraction
     q0^i = t0^j for any exponents up to 2*max_n; with both values inside
     (0, 1) that is the only way any factor (1 - q^i t^j), including the
     negative-j ones hiding in the rational coefficient tables, can vanish.
+    max_n is an int >= 1, so that the rejection has exponents to compare.
     """
     as_int(count, "count", 0)
-    as_int(max_n, "max_n")
+    as_int(max_n, "max_n", 1)
     rng = random.Random(as_int(seed, "seed"))
     bound = 2 * max_n
     points: list[tuple[Fraction, Fraction]] = []

@@ -74,7 +74,7 @@ class QTPoly:
         return sorted(self._terms.items())
 
     def coefficient(self, dq: int, dt: int) -> int:
-        return self._terms.get((dq, dt), 0)
+        return self._terms.get((as_int(dq, "q exponent", 0), as_int(dt, "t exponent", 0)), 0)
 
     @property
     def deg_q(self) -> int:

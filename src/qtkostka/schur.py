@@ -171,8 +171,12 @@ class SchurExpansion:
         return sorted(self._coeffs().items(), key=lambda kv: _sort_key(kv[0]))
 
     def coefficient(self, lam: Partition) -> QTPoly:
-        coeff = (self._terms if self._packing is None else self._coeffs()).get(int_parts(lam))
-        return QTPoly.zero() if coeff is None else coeff
+        lam = int_parts(lam)
+        coeff = (self._terms if self._packing is None else self._coeffs()).get(lam)
+        if coeff is None:
+            as_partition(lam, "lam")  # the part order and signs, on a miss
+            return QTPoly.zero()
+        return coeff
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -13,10 +13,11 @@ one that is not standard.
 per mu, filled by one walk over the Young lattice (`_stat_counts`).  The
 walk adds labels 1..n-1 a cell at a time and carries each tableau's charge
 and its reduced tableau, which grows a cell a step by one row insertion
-into a small key tableau.  Label n then takes every outer corner in one
-loop: its key is followed only to the row where it lands in the reduced
-tableau, and the type is read from an entry kept per (reduced tableau,
-row).  No tableau is enumerated, stored, rectified or charged on its own.
+into a small key tableau; single labels never enter it.  Label n then
+takes every outer corner in one loop: its key is followed only to the row
+where it lands in the reduced tableau, and the type is read from an entry
+kept per (reduced tableau, row).  No tableau is enumerated, stored,
+rectified or charged on its own.
 `full_type` and `stat_pair` type and charge one given tableau by Table 1's
 rule; the walk calls them once per shape to check itself.
 
@@ -316,13 +317,12 @@ def inverse_col_block(m: int, rho: Partition, built: Tableau) -> Tableau:
 
 @memo
 def _domino_tail(tab: Tableau, dominoes: int) -> tuple[str, ...]:
-    """One H/V letter per unbuilt domino of a standard tableau, then one S per
-    remaining cell."""
+    """One H/V letter per unbuilt domino of a standard tableau."""
     # Keys are what is left after the first domino or the head is taken off,
     # so the cache holds only tableaux two or more cells smaller than the
     # ones being typed, and many tableaux of one size share each entry.
     if not dominoes:
-        return ("S",) * _size(tab)
+        return ()
     letter = "H" if tab[0][1:2] == (2,) else "V"  # 2 sits right of 1 or above it
     return (letter,) + _domino_tail(_unbuild(2, tab), dominoes - 1)
 
@@ -374,14 +374,15 @@ def _type_of(m: int, a: int, tab: Tableau) -> TypeSequence:
 
 def _typed(m: int, a: int, n: int, head: Tableau, reduced: Tableau) -> TypeSequence:
     """The type of a standard T of size n under (m, 2^a, 1^b), from its head
-    (labels 1.._head_size(m, a)) and its reduced tableau."""
+    (labels 1.._head_size(m, a)) and the domino labels of its reduced
+    tableau; the b singles, counted from n, m and a, follow."""
+    singles = ("S",) * (n - 2 * a - (m if m > 2 else 0))
     if m > 2:
-        # the reduced tableau has n - m cells, so its whole tail is one cache entry
-        return _type_sequence(head, _domino_tail(reduced, a))
+        return _type_sequence(head, _domino_tail(reduced, a) + singles)
     if a:
         letter = "H" if len(head) == 1 else "V"
-        return _type_sequence(None, (letter,) + _domino_tail(reduced, a - 1))
-    return _type_sequence(None, ("S",) * n)
+        return _type_sequence(None, (letter,) + _domino_tail(reduced, a - 1) + singles)
+    return _type_sequence(None, singles)
 
 
 # The two heads whose reduced tableau, after Table 1's two steps, is no one
@@ -539,13 +540,14 @@ def _stat_counts(
       so that types keep the order in which the per-tableau loop met them;
     - the head (labels 1..m, or the first domino of a (2^a 1^b) shape), and
       from it the words of `_head_words`, which `_steps` reads off Table 1;
-    - the reduced tableau R, grown a cell a step.  R is P(w) for the word w
-      of the labels of T past the head, read in the head's `_close_up`
-      order.  Since P(w) restricted to labels below k is P of w so
-      restricted, and P(w) = Q(w^-1) for a standard word, R's next label
-      lands in the row where row-inserting the new cell's position in that
-      word (`_word_key`) into the carried key tableau ends (`_feed`).  The
-      two heads in `_TWO_STEP_HEADS` chain two words, as `_reduced` chains
+    - the reduced tableau R, grown a cell a step while the labels are domino
+      labels of R (up to n - b).  R is P(w) for the word w of those labels
+      of T past the head, read in the head's `_close_up` order.  Since
+      P(w) restricted to labels below k is P of w so restricted, and
+      P(w) = Q(w^-1) for a standard word, R's next label lands in the row
+      where row-inserting the new cell's position in that word
+      (`_word_key`) into the carried key tableau ends (`_feed`).  The two
+      heads in `_TWO_STEP_HEADS` chain two words, as `_reduced` chains
       two rectifications.  Each R is a node of a tree per head, found from
       its parent node by the row that takes its last label, so no R is
       built or hashed twice.
@@ -555,9 +557,10 @@ def _stat_counts(
     far as the row where label n lands in R, and the parent node keeps, by
     that row, the record of the type that R with label n gives T through
     `_typed` (the `_domino_tail` memo) and `_type_weights`.  When mu has a
-    single (b > 0), label n of R is no domino label.  `_domino_tail` reads
-    only where the domino labels sit, and the largest label moves none of
-    them (R without it is P of the shorter word), so every corner shares
+    single (b > 0), no label past n - b is a domino label of R.
+    `_domino_tail` reads only where the domino labels sit, and a larger
+    label moves none of them (R without it is P of the shorter word), so
+    the singles never enter R: R is typed as it stands, every corner shares
     one record and no key is followed.  Each T then adds one to a count by
     type, shape and charge, which becomes the counts by (b, a) at the end,
     so no tableau is enumerated, stored, rectified or charged on its own.
@@ -615,7 +618,8 @@ def _stat_counts(
         return record
 
     def settle(node: tuple, row: int) -> list:
-        record = node[1][row] = classify(_placed(node[0], row, n - cut))
+        # when b > 0, R holds the domino labels alone, which type T
+        record = node[1][row] = classify(node[0] if b else _placed(node[0], row, n - cut))
         return record
 
     def headed(r: int) -> list:
@@ -679,7 +683,7 @@ def _stat_counts(
             step = index + (r <= last)
             if k == cut:
                 grown, child = take_head()
-            elif k > cut and words:
+            elif cut < k <= n - b:  # a domino label of R
                 grown, row = _feed(words, keys, k, r, c, width)
                 child = node[1].get(row)
                 if child is None:

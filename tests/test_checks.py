@@ -187,6 +187,7 @@ ENTRY_POINTS = [
     ("kostka/lam", NOT_PARTITION, "partition", lambda x: qtkostka.kostka(x, MU)),
     ("kostka/mu", NOT_PARTITION, "partition", lambda x: qtkostka.kostka(MU, x)),
     ("SchurExpansion", NOT_PARTITION, "partition", lambda x: SchurExpansion({x: 1})),
+    ("SchurExpansion.coefficient", NOT_PARTITION, "partition", S21.coefficient),
     ("standard_tableaux", NOT_PARTITION, "partition", standard_tableaux),
     ("column_strict_tableaux", NOT_PARTITION, "partition", column_strict_tableaux),
     ("hall_littlewood", NOT_PARTITION, "partition", hall_littlewood),
@@ -204,6 +205,8 @@ ENTRY_POINTS = [
     ("gaussian_binomial", NOT_NONNEGATIVE, "int", lambda x: gaussian_binomial(x, 1)),
     ("QTPoly/exponent", NOT_NONNEGATIVE, "int", lambda x: QTPoly({(x, 0): 1})),
     ("QTPoly/coefficient", NOT_INT, "int", lambda x: QTPoly({(0, 0): x})),
+    ("QTPoly.coefficient/dq", NOT_NONNEGATIVE, "int", lambda x: QTPoly.q(1).coefficient(x, 0)),
+    ("QTPoly.coefficient/dt", NOT_NONNEGATIVE, "int", lambda x: QTPoly.t(1).coefficient(0, x)),
     ("QTPoly.t", NOT_NONNEGATIVE, "int", QTPoly.t),
     ("QTPoly.reverse", NOT_INT, "int", lambda x: QTPoly.one().reverse(x, 0)),
     ("from_terms/exponent", NOT_NONNEGATIVE, "int", lambda x: QTPoly.from_terms([(0, x, 1)])),
@@ -233,6 +236,7 @@ ENTRY_POINTS = [
     ("pair_involution/rho", NOT_PARTITION, "partition", lambda x: pair_involution(3, 2, TAB, x)),
     ("generic_points/count", NOT_NONNEGATIVE, "int", lambda x: generic_points(x, 0)),
     ("generic_points/seed", NOT_INT, "int", lambda x: generic_points(1, x)),
+    ("generic_points/max_n", NOT_POSITIVE, "int", lambda x: generic_points(1, 0, x)),
     ("hl_identity_suite", NOT_POSITIVE, "int", hl_identity_suite),
     ("run_battery/max_n", NOT_POSITIVE, "int", lambda x: run_battery(max_n=x)),
     ("run_battery/oracle_degree", NOT_POSITIVE, "int", lambda x: run_battery(oracle_degree=x)),
@@ -330,6 +334,14 @@ def test_the_checks_raise_one_class_that_is_both_value_and_type_error():
         conjugate_tableau(((1, 1),))
     with pytest.raises(InputError, match=r"points = \[\] is not a nonempty list of \(q0, t0\)"):
         verify_rational_props(0, 0, [])
+    with pytest.raises(InputError, match=r"lam = \(1, 2\) is not a partition"):
+        S21.coefficient((1, 2))
+    with pytest.raises(InputError, match=r"q exponent = 1\.0 is not an int >= 0"):
+        QTPoly.q(1).coefficient(1.0, 0)
+    with pytest.raises(InputError, match=r"t exponent = -1 is not an int >= 0"):
+        QTPoly.t(1).coefficient(0, -1)
+    with pytest.raises(InputError, match=r"max_n = -3 is not an int >= 1"):
+        generic_points(2, 0, -3)
 
 
 # each of these answered at the parent commit
@@ -377,6 +389,18 @@ GAPS = {
     "vertical_strips((2,), 1.0) stored a float key": lambda: vertical_strips((2,), 1.0),
     "horizontal_strips_inside((2.0,), 1) answered": lambda: horizontal_strips_inside((2.0,), 1),
     "vertical_strips_inside((2,), True) answered": lambda: vertical_strips_inside((2,), True),
+    # a missed coefficient skipped the partition check that kostka makes
+    "S21.coefficient((1, 2)) -> 0": lambda: S21.coefficient((1, 2)),
+    "S21.coefficient((0, 3)) -> 0": lambda: S21.coefficient((0, 3)),
+    "S21.coefficient((3, 0)) -> 0": lambda: S21.coefficient((3, 0)),
+    "S21.coefficient((-1, 4)) -> 0": lambda: S21.coefficient((-1, 4)),
+    # the exponents reached the dict lookup unchecked, and 1.0 and True hash like 1
+    "q.coefficient(1.0, 0) -> 1": lambda: QTPoly.q(1).coefficient(1.0, 0),
+    "q.coefficient(True, 0) -> 1": lambda: QTPoly.q(1).coefficient(True, 0),
+    "q.coefficient('1', 0) -> 0": lambda: QTPoly.q(1).coefficient("1", 0),
+    "q.coefficient(-1, 0) -> 0": lambda: QTPoly.q(1).coefficient(-1, 0),
+    # with max_n <= 0 the genericity guard compared no powers
+    "generic_points(2, 0, -3) answered": lambda: generic_points(2, 0, -3),
 }
 
 
@@ -430,6 +454,10 @@ def test_the_gaps_still_answer_good_input():
     assert horizontal_strips((1,), 1) == ((1, 1), (2,)) == vertical_strips([1], 1)
     assert horizontal_strips((2, 1), -1) == () == vertical_strips_inside((2,), 3)
     assert horizontal_strips_inside((2, 1), 1) == ((1, 1), (2,))
+    assert S21.coefficient((2, 1)) == QTPoly.one() and S21.coefficient((1, 1, 1)) == QTPoly.zero()
+    assert S21.coefficient([2, 1]) == S21.coefficient(iter([2, 1])) == QTPoly.one()
+    assert QTPoly.q(1).coefficient(1, 0) == 1 and QTPoly.q(1).coefficient(0, 1) == 0
+    assert len(generic_points(2, 0, 1)) == 2
 
 
 def test_a_tableau_that_is_its_own_iterator_is_refused():

@@ -5,6 +5,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,57 @@ def test_character_orthogonality():
                     for rho in shapes
                 )
                 assert total == (1 if lam == mu else 0)
+
+
+@cache
+def _character_by_row_intervals(lam, mu):
+    """chi^lam on class mu by the border-strip rule that the bead moves
+    replaced: a strip spanning rows i..j forces nu_r = lam_{r+1} - 1 on the
+    intermediate rows, which leaves one candidate per row interval, kept when
+    it is a partition."""
+    if not mu:
+        return 1
+    k, rest = mu[0], mu[1:]
+    total = 0
+    for i in range(1, len(lam) + 1):
+        for j in range(i, len(lam) + 1):
+            nu = list(lam)
+            for r in range(i, j):
+                nu[r - 1] = lam[r] - 1
+            last = k - sum(lam[r - 1] - nu[r - 1] for r in range(i, j))
+            if last < 1:
+                continue
+            nu[j - 1] = lam[j - 1] - last
+            if nu[j - 1] < 0:
+                continue
+            trimmed = tuple(p for p in nu if p)
+            if any(nu[r] < nu[r + 1] for r in range(len(nu) - 1)):
+                continue
+            total += (-1) ** (j - i) * _character_by_row_intervals(trimmed, rest)
+    return total
+
+
+def _compare_with_the_row_intervals(top: int) -> int:
+    pairs = 0
+    for n in range(top + 1):
+        shapes = partitions_of(n)
+        for lam in shapes:
+            for mu in shapes:
+                assert _character(lam, mu) == _character_by_row_intervals(lam, mu), (lam, mu)
+                pairs += 1
+    return pairs
+
+
+def test_the_bead_moves_match_the_row_intervals_up_to_n_10():
+    assert _compare_with_the_row_intervals(10) == 3583
+
+
+@pytest.mark.slow
+def test_the_bead_moves_match_the_row_intervals_up_to_n_14():
+    clear_caches()
+    assert _compare_with_the_row_intervals(14) == 41074
+    clear_caches()
+    _character_by_row_intervals.cache_clear()
 
 
 def test_schur_to_power():

@@ -601,7 +601,9 @@ def test_the_walk_matches_the_per_tableau_reference_at_size_10(mu):
 
 def test_the_walk_inserts_keys_only_above_the_last_label(monkeypatch):
     # label n only follows its key to the row where it lands in R; a walk
-    # that grows the key tableaux at each leaf too made 1112, 1108 and 1368
+    # that grows the key tableaux at each leaf too made 1112, 1108 and 1368.
+    # Single labels never enter R: a walk that fed their keys too made 348,
+    # 344 and 418 for the three shapes with b >= 2
     calls = 0
     real = stats._insert_key
 
@@ -612,12 +614,21 @@ def test_the_walk_inserts_keys_only_above_the_last_label(monkeypatch):
 
     monkeypatch.setattr(stats, "_insert_key", counted)
     found = {}
-    for mu in [(2, 2, 2, 2), (3, 2, 2, 1), (4, 2, 2)]:
+    shapes = [(2, 2, 2, 2), (3, 2, 2, 1), (4, 2, 2)]
+    shapes += [(2, 2, 1, 1, 1, 1), (3, 2, 1, 1, 1), (4, 1, 1, 1, 1)]
+    for mu in shapes:
         clear_caches()
         calls = 0
         stat_genfun(mu)
         found[mu] = calls
-    assert found == {(2, 2, 2, 2): 348, (3, 2, 2, 1): 344, (4, 2, 2): 418}
+    assert found == {
+        (2, 2, 2, 2): 348,
+        (3, 2, 2, 1): 344,
+        (4, 2, 2): 418,
+        (2, 2, 1, 1, 1, 1): 14,
+        (3, 2, 1, 1, 1): 36,
+        (4, 1, 1, 1, 1): 4,
+    }
 
 
 def _swapped_words(original):
