@@ -3,10 +3,14 @@
 Each kind of argument (int, partition, point, word, tableau, standard
 tableau) has one rule and one message, and every refusal is an `InputError`,
 which is both a `TypeError` and a `ValueError`.  Cached entry points run only
-`int_parts` before the lookup, and the full check on a miss.  No value is
-trusted by its type: a tableau the library built is checked like any other.
-This module imports nothing from the package, so every route can use it
-without sharing other code.
+`int_parts` before the lookup, and the full check on a miss.  An argument is
+checked once, where it enters the library: a public function checks its
+arguments here and hands them to a private core, and library code that
+holds a value the library built calls the core, or the trusted constructors
+`SchurExpansion._of` and `QTPoly._trusted`, instead of the public function.
+`tests/test_api.py` pins the rule and lists the calls that check what a
+caller gave.  This module imports nothing from the package, so every route
+can use it without sharing other code.
 """
 
 from __future__ import annotations

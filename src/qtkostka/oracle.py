@@ -11,18 +11,18 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
-from ._cache import memo, memo_checked
+from ._cache import memo
 from ._checks import _as_points, as_int, as_partition, as_point, int_parts
-from .partitions import Partition, arm_leg, dominance_leq, linear_extension, partitions_of
+from .partitions import Partition, _dominance_leq, _partitions_of, arm_leg, linear_extension
 from .qtpoly import QTPoly
 from .schur import SchurExpansion, mul_e
-from .tableaux import charge_table, standard_tableaux
-from .vertex import gaussian_binomial, macdonald, stem_coefficient
+from .tableaux import _charge_table, standard_tableaux
+from .vertex import _gaussian_binomial, _stem_coefficient, macdonald
 
 _Rational = Fraction
 _PowerExpansion = dict
@@ -45,14 +45,11 @@ def _extension(n: int, order) -> tuple[Partition, ...]:
 
 def z_factor(lam: Partition) -> int:
     """The centralizer order z_lam = prod_i i^{m_i} m_i!."""
-    lam = as_partition(lam, "lam")
-    out = 1
-    mult: dict[int, int] = {}
-    for p in lam:
-        mult[p] = mult.get(p, 0) + 1
-    for p, m in mult.items():
-        out *= p**m * factorial(m)
-    return out
+    return _z_factor(as_partition(lam, "lam"))
+
+
+def _z_factor(lam: Partition) -> int:
+    return prod(p ** lam.count(p) * factorial(lam.count(p)) for p in set(lam))
 
 
 @memo
@@ -79,15 +76,19 @@ def _character(lam: Partition, mu: Partition) -> int:
     return total
 
 
-@memo_checked(int_parts)
 def schur_to_power(lam: Partition) -> _PowerExpansion:
     """Coordinates of s_lam in the power-sum basis: chi^lam(rho) / z_rho."""
-    lam = as_partition(lam, "lam")  # the part order, on a miss
+    return _schur_to_power(int_parts(lam))
+
+
+@memo
+def _schur_to_power(lam: Partition) -> _PowerExpansion:
+    as_partition(lam, "lam")  # the part order, on a miss
     out = {}
-    for rho in partitions_of(sum(lam)):
+    for rho in _partitions_of(sum(lam)):
         chi = _character(lam, rho)
         if chi:
-            out[rho] = Fraction(chi, z_factor(rho))
+            out[rho] = Fraction(chi, _z_factor(rho))
     return out
 
 
@@ -109,7 +110,7 @@ def _pairing_weight(rho: Partition, q0: Fraction, t0: Fraction) -> Fraction:
     A vanishing 1 - t0^k raises, and the memo table stores no exception, so
     every later call at that point raises again.
     """
-    weight = Fraction(z_factor(rho))
+    weight = Fraction(_z_factor(rho))
     for k in rho:
         den = 1 - t0**k
         if den == 0:
@@ -141,11 +142,11 @@ def scalar_t(f: _PowerExpansion, g: _PowerExpansion, t0: _Rational) -> Fraction:
 
 
 def _check_extension(n: int, order: tuple[Partition, ...]) -> None:
-    if sorted(order) != sorted(partitions_of(n)):
+    if sorted(order) != sorted(_partitions_of(n)):
         raise ValueError(f"order is not a permutation of the partitions of {n}")
     for i, lam in enumerate(order):
-        for mu in order[i + 1 :]:
-            if dominance_leq(mu, lam) and mu != lam:
+        for mu in order[i + 1 :]:  # partitions of n, as the test above showed
+            if _dominance_leq(mu, lam) and mu != lam:
                 raise ValueError("order does not refine dominance")
 
 
@@ -167,8 +168,8 @@ def _orthogonal_basis(
     row is kept as integers over one denominator, reduced by their gcd.
     """
     _check_extension(n, order)
-    rhos = partitions_of(n)
-    units = [_pairing_weight(rho, q0, t0) / z_factor(rho) ** 2 for rho in rhos]
+    rhos = _partitions_of(n)
+    units = [_pairing_weight(rho, q0, t0) / _z_factor(rho) ** 2 for rho in rhos]
     scale = lcm(*(u.denominator for u in units))
     units = [u.numerator * (scale // u.denominator) for u in units]
     chars: list[list[int]] = []  # chi^k(rho) for the shapes done so far
@@ -241,7 +242,7 @@ def kostka_oracle(
     lam, mu = as_partition(lam, "lam"), int_parts(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
-    return scalar_t(_power_macdonald(mu, q0, t0), schur_to_power(lam), t0)
+    return scalar_t(_power_macdonald(mu, q0, t0), _schur_to_power(lam), t0)
 
 
 @memo
@@ -255,7 +256,7 @@ def kostka_foulkes(lam: Partition, mu: Partition) -> QTPoly:
     lam, mu = int_parts(lam), int_parts(mu)
     if sum(lam) != sum(mu):
         raise ValueError("kostka_foulkes needs |lam| = |mu|")
-    k = charge_table(mu).get(lam)
+    k = _charge_table(mu).get(lam)  # mu in full on a miss, in the table
     if k is not None:
         return k
     # K_{lam,mu}(t) vanishes unless lam dominates mu, so a miss is no error
@@ -283,8 +284,11 @@ def count_syt_enumerated(lam: Partition) -> int:
     return len(standard_tableaux(lam))
 
 
+_DENOMINATOR = 97  # the largest denominator _draw_fraction draws
+
+
 def _draw_fraction(rng: random.Random) -> Fraction:
-    v = rng.randint(3, 97)
+    v = rng.randint(3, _DENOMINATOR)
     u = rng.randint(2, v - 1)
     return Fraction(u, v)
 
@@ -297,11 +301,16 @@ def generic_points(count: int, seed: int, max_n: int = 8) -> list[tuple[Fraction
     (0, 1) that is the only way any factor (1 - q^i t^j), including the
     negative-j ones hiding in the rational coefficient tables, can vanish.
     max_n is an int >= 1, so that the rejection has exponents to compare.
+
+    Exponents past log2(97) reject nothing more.  Such a pair is q0 = r^e and
+    t0 = r^f for a rational r in (0, 1), whose reduced denominator is at
+    least 2; q0 and t0 have reduced denominators of at most 97, so e and f
+    are at most 6, and every solution (i, j) is a multiple of (f, e) / gcd(e, f).
     """
     as_int(count, "count", 0)
     as_int(max_n, "max_n", 1)
     rng = random.Random(as_int(seed, "seed"))
-    bound = 2 * max_n
+    bound = min(2 * max_n, _DENOMINATOR.bit_length() - 1)
     points: list[tuple[Fraction, Fraction]] = []
     while len(points) < count:
         q0 = _draw_fraction(rng)
@@ -424,7 +433,7 @@ class _Point:
     def stem(self, x: int, y: int, i: int) -> _Ratio:
         poly = self._stems.get((x, y, i))
         if poly is None:
-            poly = self._stems[x, y, i] = stem_coefficient(x, y, i)
+            poly = self._stems[x, y, i] = _stem_coefficient(x, y, i)
         return self.value(poly)
 
 
@@ -451,7 +460,7 @@ def _bracket_coefficient(x: int, y: int, i: int, p: _Point) -> _Ratio:
     head = 1 - q0**2 * t0 ** (x + y + 1)
     x1 = (
         common
-        * p.value(gaussian_binomial(x + 1, i))
+        * p.value(_gaussian_binomial(x + 1, i))
         / h1
         * head
         * (1 - q0 * t0 ** (x + 1))
@@ -459,7 +468,7 @@ def _bracket_coefficient(x: int, y: int, i: int, p: _Point) -> _Ratio:
     )
     x2 = (
         common
-        * p.value(gaussian_binomial(x + 2, i))
+        * p.value(_gaussian_binomial(x + 2, i))
         / (h1 * h2)
         * head
         * (1 - q0 * t0 ** (x + 1))
@@ -469,7 +478,7 @@ def _bracket_coefficient(x: int, y: int, i: int, p: _Point) -> _Ratio:
     )
     x3 = (
         common
-        * p.value(gaussian_binomial(x + 2, i))
+        * p.value(_gaussian_binomial(x + 2, i))
         / h1
         * head
         * (1 - t0**y)
@@ -478,7 +487,7 @@ def _bracket_coefficient(x: int, y: int, i: int, p: _Point) -> _Ratio:
     )
     x4 = (
         common
-        * p.value(gaussian_binomial(x + 1, i))
+        * p.value(_gaussian_binomial(x + 1, i))
         / h1
         * (1 - q0**2 * t0**y)
         * (1 - q0 * t0 ** (x + 1))
@@ -618,7 +627,7 @@ def _assemble_schur(coeffs: _NumericSchur, p: _Point) -> _NumericSchur:
             continue
         g = gcd(c.n, c.d)  # once per row, so that the sums over nu stay small
         c = _Ratio(c.n // g, c.d // g)
-        for lam, k in charge_table(nu).items():
+        for lam, k in _charge_table(nu).items():
             out[lam] = out.get(lam, 0) + c * p.value(k)
     return {lam: v for lam, v in out.items() if v}
 
@@ -699,7 +708,7 @@ def _pieri_failures(a: int, b: int, p: _Point) -> list[str]:
         rhs[lam] = rhs.get(lam, 0) + coeff_c * v
     rhs = {lam: v for lam, v in rhs.items() if v}
     bad = []
-    for lam in partitions_of(n):
+    for lam in _partitions_of(n):
         if lhs.get(lam, 0) != rhs.get(lam, 0):
             bad.append(f"lam={lam}")
     return bad

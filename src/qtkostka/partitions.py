@@ -70,7 +70,7 @@ def arm_leg(mu: Partition, row: int, col: int) -> tuple[int, int]:
 
 def weighted_size(mu: Partition) -> int:
     """The statistic n(mu) = sum over rows of (row index - 1) * part."""
-    return sum(i * p for i, p in enumerate(mu))
+    return sum(i * p for i, p in enumerate(as_partition(mu, "mu")))
 
 
 def first_row_removed(lam: Partition) -> Partition:
@@ -269,12 +269,10 @@ def classify_shape(mu: Partition) -> tuple:
     direct = _direct_family(mu)
     if direct is not None:
         return ("direct",) + direct
-    nu = conjugate(mu)
+    nu = _conjugate(mu)
     if _direct_family(nu) is not None:
         return ("conjugate", nu)
-    raise UnsupportedShapeError(
-        f"shape ({format_partition(mu)}) has no vertex-operator route"
-    )
+    raise UnsupportedShapeError(f"shape ({','.join(map(str, mu))}) has no vertex-operator route")
 
 
 def _direct_family(mu: Partition) -> Optional[tuple[int, int, int]]:
@@ -314,6 +312,10 @@ def dominance_leq(lam: Partition, mu: Partition) -> bool:
     lam, mu = as_partition(lam, "lam"), as_partition(mu, "mu")
     if sum(lam) != sum(mu):
         raise ValueError("dominance compares partitions of equal size")
+    return _dominance_leq(lam, mu)
+
+
+def _dominance_leq(lam: Partition, mu: Partition) -> bool:
     total_l = total_m = 0
     for i in range(max(len(lam), len(mu))):
         total_l += part(lam, i + 1)

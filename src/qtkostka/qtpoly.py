@@ -44,26 +44,26 @@ class QTPoly:
     @classmethod
     def _trusted(cls, terms: Mapping[TermKey, int]) -> "QTPoly":
         """The polynomial of terms, whose exponents and coefficients are already
-        valid (they come from other QTPolys); zeros are dropped."""
+        valid (the library built or checked them); zeros are dropped."""
         out = cls.__new__(cls)
         out._terms = {key: c for key, c in terms.items() if c}
         return out
 
     @classmethod
     def zero(cls) -> "QTPoly":
-        return cls()
+        return cls._trusted({})
 
     @classmethod
     def one(cls) -> "QTPoly":
-        return cls({(0, 0): 1})
+        return cls._trusted({(0, 0): 1})
 
     @classmethod
     def q(cls, power: int = 1) -> "QTPoly":
-        return cls({(power, 0): 1})
+        return cls._trusted({(as_int(power, "q exponent", 0), 0): 1})
 
     @classmethod
     def t(cls, power: int = 1) -> "QTPoly":
-        return cls({(0, power): 1})
+        return cls._trusted({(0, as_int(power, "t exponent", 0)): 1})
 
     @classmethod
     def monomial(cls, dq: int, dt: int, coeff: int = 1) -> "QTPoly":
@@ -176,7 +176,7 @@ class QTPoly:
             if isinstance(coeff, str) and re.fullmatch(r"-?[0-9]+", coeff):
                 coeff = int(coeff)
             data[(dq, dt)] = data.get((dq, dt), 0) + as_int(coeff, "coefficient")
-        return cls(data)
+        return cls._trusted(data)
 
     def _render(self, mul: str, power) -> str:
         if not self._terms:

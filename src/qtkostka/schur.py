@@ -303,12 +303,12 @@ def _apply(f: SchurExpansion, image: Callable, k: int, grow: int = 0) -> SchurEx
     image is either a strip enumerator, whose partitions each carry the
     coefficient 1, or a cached image mapping partitions to (t-exponent,
     coefficient) pairs; grow bounds the t-exponents.  (lam, 2.0) and (lam,
-    True) hash like (lam, 2) and (lam, 1), so k is checked before any image is
-    looked up.  The output's L1 bound is that of f times the most |c| landing
-    on one partition; when it does not fit a digit, the sum is formed again
-    at a width that does, so no digit ever wraps.
+    True) hash like (lam, 2) and (lam, 1), so each operator checks k before
+    it calls this, and so before any image is looked up.  The output's L1
+    bound is that of f times the most |c| landing on one partition; when it
+    does not fit a digit, the sum is formed again at a width that does, so no
+    digit ever wraps.
     """
-    as_int(k, "operator degree")
     _schur_only(f)
     t, b = _bounds(f)
     d, w = _layout(t + grow, b)
@@ -413,12 +413,12 @@ def bernstein(m: int, f: SchurExpansion) -> SchurExpansion:
 
     It sends s_mu to s_(m, mu) straightened: +-one Schur function, or 0."""
     f.degree()  # rejects an argument that mixes degrees
-    return _apply(f, _bernstein_image, m)
+    return _apply(f, _bernstein_image, as_int(m, "operator degree"))
 
 
 def hl_vertex(m: int, f: SchurExpansion) -> SchurExpansion:
     """Jing's Hall-Littlewood vertex operator sum_k t^k S_{m+k} h_k-perp."""
-    return _apply(f, _hl_vertex_image, m, f.degree() or 0)
+    return _apply(f, _hl_vertex_image, as_int(m, "operator degree"), f.degree() or 0)
 
 
 def hl_vertex_snake(m: int, f: SchurExpansion, k: int | None = None) -> SchurExpansion:
@@ -445,15 +445,15 @@ def hl_vertex_snake(m: int, f: SchurExpansion, k: int | None = None) -> SchurExp
                 continue
             sign = 1 if kk == 0 else (-1) ** (snake_height(mu, kk) - 1)
             texp = sum(lam) - (sum(mu) - (mu[0] if mu else 0))
-            piece = coeff * QTPoly.monomial(0, texp, sign)
+            piece = coeff * QTPoly._trusted({(0, texp): sign})
             total[rest] = total.get(rest, QTPoly.zero()) + piece
-    return SchurExpansion(total)
+    return SchurExpansion._of({lam: c for lam, c in total.items() if c})  # a sum may cancel
 
 
 def hl_vertex_dual(m: int, f: SchurExpansion) -> SchurExpansion:
     """The dual vertex operator sum_{i,j} t^(n-j) (-1)^i e_{m+i+j} h_i-perp e_j-perp,
     where n is the degree of the (homogeneous) argument."""
-    return _apply(f, _hl_vertex_dual_image, m, f.degree() or 0)
+    return _apply(f, _hl_vertex_dual_image, as_int(m, "operator degree"), f.degree() or 0)
 
 
 def omega(f: SchurExpansion) -> SchurExpansion:

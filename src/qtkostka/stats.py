@@ -31,20 +31,21 @@ from bisect import bisect_right
 from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
-from ._cache import memo, memo_checked
-from ._checks import as_int, as_partition, as_standard, int_parts
+from ._cache import memo
+from ._checks import as_int, as_partition, as_standard
 from .partitions import (
     Partition,
     UnsupportedShapeError,
+    _conjugate,
+    _direct_family,
+    _partitions_of,
     classify_shape,
-    conjugate,
     contains,
     first_column_removed,
     first_row_removed,
     is_horizontal_strip,
     is_vertical_strip,
     part,
-    partitions_of,
     remove_snake,
     snake_involution,
 )
@@ -52,10 +53,10 @@ from .qtpoly import QTPoly
 from .schur import SchurExpansion
 from .tableaux import (
     Tableau,
+    _conjugate_tableau,
+    _format_tableau,
     charge,
     column_insert_into,
-    conjugate_tableau,
-    format_tableau,
     is_standard,
     reading_word,
     rectify_lowered,
@@ -130,7 +131,7 @@ class TypeSequence:
         letters = ",".join(self.blocks)
         if self.head is None:
             return letters
-        return f"({format_tableau(self.head)})|{letters}"
+        return f"({_format_tableau(self.head)})|{letters}"
 
 
 def _size(tab: Tableau) -> int:
@@ -236,7 +237,10 @@ def _block_args(m: int, rho: Partition, tab: Tableau, name: str) -> tuple[int, P
 def add_row_block(m: int, rho: Partition, tab: Tableau) -> Tableau:
     """Build a bigger tableau whose smallest m labels form a first-row block,
     steered by the shape rho."""
-    m, rho, tab = _block_args(m, rho, tab, "tab")
+    return _add_row_block(*_block_args(m, rho, tab, "tab"))
+
+
+def _add_row_block(m: int, rho: Partition, tab: Tableau) -> Tableau:
     n = _size(tab)
     lam = shape(tab)
     if sum(rho) != 2 * n + m:
@@ -261,7 +265,10 @@ def add_row_block(m: int, rho: Partition, tab: Tableau) -> Tableau:
 
 def inverse_row_block(m: int, rho: Partition, built: Tableau) -> Tableau:
     """Recover T from add_row_block(m, rho, T) = built."""
-    m, rho, built = _block_args(m, rho, built, "built")
+    return _inverse_row_block(*_block_args(m, rho, built, "built"))
+
+
+def _inverse_row_block(m: int, rho: Partition, built: Tableau) -> Tableau:
     size = _size(built)
     if sum(rho) != 2 * (size - m) + m:
         raise ValueError(f"|rho| must be {2 * (size - m) + m}, got {sum(rho)}")
@@ -293,7 +300,7 @@ def add_col_block(m: int, rho: Partition, tab: Tableau) -> Tableau:
         raise ValueError(f"|rho| must be {2 * n + m}, got {sum(rho)}")
     if not (contains(rho, lam) and is_vertical_strip(rho, lam)):
         raise ValueError(f"{rho}/{lam} is not a vertical strip")
-    return conjugate_tableau(add_row_block(m, conjugate(rho), conjugate_tableau(tab)))
+    return _conjugate_tableau(_add_row_block(m, _conjugate(rho), _conjugate_tableau(tab)))
 
 
 def inverse_col_block(m: int, rho: Partition, built: Tableau) -> Tableau:
@@ -306,25 +313,27 @@ def inverse_col_block(m: int, rho: Partition, built: Tableau) -> Tableau:
     anchor = first_column_removed(rho)
     if not contains(lam, anchor):
         raise ValueError(f"{lam} does not contain {anchor}")
-    transposed = conjugate_tableau(built)
     try:
-        rest = inverse_row_block(m, conjugate(rho), transposed)
+        rest = _inverse_row_block(m, _conjugate(rho), _conjugate_tableau(built))
     except ValueError:
         # past the checks above, any failure means built did not come from rho
         raise ValueError(f"{built} was not built over {rho}: block 1..{m} missing") from None
-    return conjugate_tableau(rest)
+    return _conjugate_tableau(rest)
 
 
-@memo
-def _domino_tail(tab: Tableau, dominoes: int) -> tuple[str, ...]:
-    """One H/V letter per unbuilt domino of a standard tableau."""
+def _domino_tail(tab: Tableau, dominoes: int, seen: dict) -> tuple[str, ...]:
+    """One H/V letter per unbuilt domino of a standard tableau.  seen keeps the
+    tail of each tableau met, for as long as its caller keeps seen: one walk,
+    or one typing.  Each caller's tableaux of one size take one domino count."""
     # Keys are what is left after the first domino or the head is taken off,
-    # so the cache holds only tableaux two or more cells smaller than the
-    # ones being typed, and many tableaux of one size share each entry.
+    # so many tableaux of one size share each entry.
     if not dominoes:
         return ()
-    letter = "H" if tab[0][1:2] == (2,) else "V"  # 2 sits right of 1 or above it
-    return (letter,) + _domino_tail(_unbuild(2, tab), dominoes - 1)
+    tail = seen.get(tab)
+    if tail is None:
+        letter = "H" if tab[0][1:2] == (2,) else "V"  # 2 sits right of 1 or above it
+        tail = seen[tab] = (letter,) + _domino_tail(_unbuild(2, tab), dominoes - 1, seen)
+    return tail
 
 
 def type_two_col(tab: Tableau, dominoes: int) -> TypeSequence:
@@ -369,19 +378,20 @@ def _type_of(m: int, a: int, tab: Tableau) -> TypeSequence:
     """The type of a standard tableau under the shape (m, 2^a, 1^b)."""
     cut = _head_size(m, a)
     head, reduced = _reduced(cut, tab) if cut else ((), ())
-    return _typed(m, a, _size(tab), head, reduced)
+    return _typed(m, a, _size(tab), head, reduced, {})
 
 
-def _typed(m: int, a: int, n: int, head: Tableau, reduced: Tableau) -> TypeSequence:
+def _typed(m: int, a: int, n: int, head: Tableau, reduced: Tableau, seen: dict) -> TypeSequence:
     """The type of a standard T of size n under (m, 2^a, 1^b), from its head
     (labels 1.._head_size(m, a)) and the domino labels of its reduced
-    tableau; the b singles, counted from n, m and a, follow."""
+    tableau; the b singles, counted from n, m and a, follow.  seen is the
+    caller's `_domino_tail` table."""
     singles = ("S",) * (n - 2 * a - (m if m > 2 else 0))
     if m > 2:
-        return _type_sequence(head, _domino_tail(reduced, a) + singles)
+        return _type_sequence(head, _domino_tail(reduced, a, seen) + singles)
     if a:
         letter = "H" if len(head) == 1 else "V"
-        return _type_sequence(None, (letter,) + _domino_tail(reduced, a - 1) + singles)
+        return _type_sequence(None, (letter,) + _domino_tail(reduced, a - 1, seen) + singles)
     return _type_sequence(None, singles)
 
 
@@ -523,7 +533,7 @@ def _check_walk(mu: Partition, tab: Tableau, ts: TypeSequence, a: int, b: int) -
         )
 
 
-@memo_checked(int_parts)
+@memo
 def _stat_counts(
     mu: Partition,
 ) -> tuple[dict[Optional[Tableau], _Counts], dict[TypeSequence, dict[int, int]]]:
@@ -556,7 +566,7 @@ def _stat_counts(
     shape of labels 1..n-1.  `_landings` follows each corner's key only as
     far as the row where label n lands in R, and the parent node keeps, by
     that row, the record of the type that R with label n gives T through
-    `_typed` (the `_domino_tail` memo) and `_type_weights`.  When mu has a
+    `_typed` (the walk's `_domino_tail` table) and `_type_weights`.  When mu has a
     single (b > 0), no label past n - b is a domino label of R.
     `_domino_tail` reads only where the domino labels sit, and a larger
     label moves none of them (R without it is P of the shorter word), so
@@ -573,12 +583,13 @@ def _stat_counts(
     nor the walk's words, and the benchmark's tracer still sees calls to them
     and to `charge`.
     """
-    m, a, b = _direct_parts(mu)  # refuses mu before sum(mu) reads it
+    m, a, b = _direct_family(mu)  # each caller has checked mu by _direct_parts
     n = sum(mu)
     cut = _head_size(m, a)
     width = n + 1
     powers = [width**k for k in range(n + 1)]
-    shape_list = partitions_of(n)
+    shape_list = _partitions_of(n)
+    tails: dict[Tableau, tuple[str, ...]] = {}  # the walk's _domino_tail table
     # tally counts the T of each type, shape and charge under one int key:
     # the type's index times stride (its offset) + the shape's index times
     # span (its offset) + the charge
@@ -610,7 +621,7 @@ def _stat_counts(
         return keys, ((), {})  # a node is (R, {row that takes the next label: node or record})
 
     def classify(reduced: Tableau) -> list:
-        ts = _typed(m, a, n, head, reduced)
+        ts = _typed(m, a, n, head, reduced, tails)
         record = records.get(ts)
         if record is None:
             weights = _type_weights(a, b, ts)
@@ -702,6 +713,7 @@ def _stat_counts(
         record = classify(())
         _check_walk(mu, (), record[2], 0, 0)
         record[0], tally[0] = 0, 1
+    del grow  # grow calls itself through this cell: free the walk's tables now, not at a gc
     listed = list(records.values())  # in the order of their offsets
     pairs: dict[tuple[int, int], tuple[int, int]] = {}  # one (b, a) object per value
     for key, number in tally.items():
@@ -725,7 +737,7 @@ def _expansion(tables: Iterable[_Counts], gamma: int = 0) -> SchurExpansion:
             into = total.setdefault(sh, {})
             for (b, a), k in bucket.items():
                 into[b - gamma, a] = into.get((b - gamma, a), 0) + k
-    return SchurExpansion({sh: QTPoly(terms) for sh, terms in total.items()})
+    return SchurExpansion._of({sh: QTPoly._trusted(terms) for sh, terms in total.items()})
 
 
 def stat_genfun(mu: Partition) -> SchurExpansion:
@@ -747,7 +759,7 @@ def head_genfun(mu: Partition, heads: tuple[Tableau, ...]) -> SchurExpansion:
         # every standard tableau of size 3 or 4 is a head
         if not is_standard(S) or _size(S) != m:
             raise ValueError(f"{S} is not a head tableau of size {m}")
-        normal.append(_standard(S))  # a tuple of tuples, as HEAD_TABLE keys are
+        normal.append(tuple(map(tuple, S)))  # a tuple of tuples, as HEAD_TABLE keys are
     gammas = {HEAD_TABLE[S][3] for S in normal}
     if len(gammas) != 1:
         raise ValueError("heads must share a single gamma offset")
@@ -755,28 +767,33 @@ def head_genfun(mu: Partition, heads: tuple[Tableau, ...]) -> SchurExpansion:
     return _expansion((by_head[h] for h in by_head if h in normal), gammas.pop())
 
 
-def classify_pair(n: int, m: int, tab: Tableau, rho: Partition) -> str:
-    """stable / unstable / immaterial status of a build pair (T, rho)."""
+def _build_pair(n: int, m: int, tab: Tableau, rho: Partition) -> tuple:
+    """(status, m, rho, T built over rho) of a build pair (T, rho), once its
+    arguments are valid; an immaterial pair builds nothing."""
     as_int(n, "n", 0)
     m, rho, tab = _block_args(m, rho, tab, "tab")
     if _size(tab) != n:
         raise ValueError(f"|T| = {_size(tab)} but n = {n}")
     core = remove_snake(rho, n)
     if core is None:
-        return "immaterial"
-    built = add_row_block(m, rho, tab)
-    return "stable" if shape(built) == core else "unstable"
+        return "immaterial", m, rho, None
+    built = _add_row_block(m, rho, tab)
+    return "stable" if shape(built) == core else "unstable", m, rho, built
+
+
+def classify_pair(n: int, m: int, tab: Tableau, rho: Partition) -> str:
+    """stable / unstable / immaterial status of a build pair (T, rho)."""
+    return _build_pair(n, m, tab, rho)[0]
 
 
 def pair_involution(n: int, m: int, tab: Tableau, rho: Partition) -> tuple[Tableau, Partition]:
     """The sign-reversing involution on unstable pairs: flip the snake over the
     built shape and rebuild the tableau against the flipped steering shape."""
-    status = classify_pair(n, m, tab, rho)
+    status, m, rho, built = _build_pair(n, m, tab, rho)
     if status != "unstable":
         raise ValueError(f"pair is {status}; the involution needs an unstable pair")
-    built = add_row_block(m, rho, tab)
-    flipped = snake_involution(shape(built), n, tuple(rho))
-    return inverse_row_block(m, flipped, built), flipped
+    flipped = snake_involution(shape(built), n, rho)
+    return _inverse_row_block(m, flipped, built), flipped
 
 
 def is_unimodal(seq) -> bool:

@@ -14,10 +14,10 @@ from operator import gt
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from ._cache import memo_checked
+from ._cache import memo, memo_checked
 from ._checks import as_int, as_partition, as_standard, as_tableau, as_word
 from ._checks import int_parts, is_standard, is_tableau  # noqa: F401  (public names)
-from .partitions import Partition, horizontal_strips, partitions_of
+from .partitions import Partition, _partitions_of, horizontal_strips, partitions_of
 from .qtpoly import QTPoly
 
 Word = tuple[int, ...]
@@ -39,7 +39,11 @@ def parse_tableau(text: str) -> Tableau:
 
 
 def format_tableau(tab: Tableau) -> str:
-    return "/".join(",".join(str(x) for x in row) for row in as_tableau(tab, "tab"))
+    return _format_tableau(as_tableau(tab, "tab"))
+
+
+def _format_tableau(tab: Tableau) -> str:
+    return "/".join(",".join(str(x) for x in row) for row in tab)
 
 
 def shape(tab: Tableau) -> Partition:
@@ -219,7 +223,11 @@ def rectify_lowered(word: Iterable[int], m: int) -> Tableau:
 
 def conjugate_tableau(tab: Tableau) -> Tableau:
     """Rectify the reversed reading word; transposes standard tableaux."""
-    return rectify(tuple(reversed(reading_word(as_standard(tab, "tab")))))
+    return _conjugate_tableau(as_standard(tab, "tab"))
+
+
+def _conjugate_tableau(tab: Tableau) -> Tableau:
+    return rectify_lowered(reversed(reading_word(tab)), 0)
 
 
 @memo_checked(int_parts)
@@ -276,7 +284,6 @@ def column_strict_tableaux(weight: Partition) -> tuple[Tableau, ...]:
     return tuple(results)
 
 
-@memo_checked(int_parts)
 def charge_table(weight: Partition) -> Mapping[Partition, QTPoly]:
     """{lam: K_{lam,weight}(t)}, the sum of t^charge over the column-strict
     tableaux of shape lam and content weight, from one enumeration.
@@ -285,11 +292,15 @@ def charge_table(weight: Partition) -> Mapping[Partition, QTPoly]:
     not dominating weight) are absent.  The mapping is read-only because the
     cache shares it.
     """
+    return _charge_table(int_parts(weight))
+
+
+@memo
+def _charge_table(weight: Partition) -> Mapping[Partition, QTPoly]:
     charges: dict[Partition, dict[tuple[int, int], int]] = {}
     for tab in column_strict_tableaux(weight):  # checks weight, on a miss
         terms = charges.setdefault(shape(tab), {})
         key = (0, charge(reading_word(tab)))
         terms[key] = terms.get(key, 0) + 1
-    return MappingProxyType(
-        {lam: QTPoly(charges[lam]) for lam in partitions_of(sum(weight)) if lam in charges}
-    )
+    shapes = [lam for lam in _partitions_of(sum(weight)) if lam in charges]
+    return MappingProxyType({lam: QTPoly._trusted(charges[lam]) for lam in shapes})

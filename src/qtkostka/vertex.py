@@ -30,7 +30,7 @@ from .schur import (
     mul_h,
     omega,
 )
-from .tableaux import Tableau, charge_table
+from .tableaux import Tableau, _charge_table
 
 
 def vertex2(f: SchurExpansion) -> SchurExpansion:
@@ -198,7 +198,7 @@ def reassembled_vertex(m: int, f: SchurExpansion) -> SchurExpansion:
 @memo_checked(int_parts)
 def hall_littlewood(nu: Partition) -> SchurExpansion:
     """H_nu[X;t] expanded in Schur functions via charge."""
-    return SchurExpansion(charge_table(nu))
+    return SchurExpansion._of(dict(_charge_table(nu)))  # nu in full on a miss, in the table
 
 
 @memo_checked(int_parts)
@@ -216,7 +216,7 @@ def macdonald(mu: Partition) -> SchurExpansion:
     for _ in range(a):
         f = vertex2(f)
     if m > 2:
-        f = qt_vertex(m, f)
+        f = vertex3(f) if m == 3 else vertex4(f)
     f._coeffs()  # the table keeps QTPolys, never a packed copy
     return f
 
@@ -273,37 +273,34 @@ def _gaussian_binomial(n: int, k: int) -> QTPoly:
 
 def t_pochhammer(dq: int, dt: int, length: int) -> QTPoly:
     """(x; t)_length for x = q^dq t^dt: the product of (1 - x t^j), j < length."""
-    as_int(dq, "dq", 0)
-    as_int(dt, "dt", 0)
-    as_int(length, "length", 0)
+    return _t_pochhammer(as_int(dq, "dq", 0), as_int(dt, "dt", 0), as_int(length, "length", 0))
+
+
+def _t_pochhammer(dq: int, dt: int, length: int) -> QTPoly:
     out = QTPoly.one()
     for j in range(length):
-        out = out * (QTPoly.one() - QTPoly.monomial(dq, dt + j))
+        out = out * (QTPoly.one() - QTPoly._trusted({(dq, dt + j): 1}))
     return out
 
 
 def stem_coefficient(a: int, b: int, i: int) -> QTPoly:
     """Coefficient of H_(2^i 1^(b+2a-2i))[X;t] in H_(2^a 1^b)[X;q,t], zero for i not in 0..a."""
-    as_int(a, "a", 0)
-    as_int(b, "b", 0)
-    if as_int(i, "i") < 0 or i > a:
+    return _stem_coefficient(as_int(a, "a", 0), as_int(b, "b", 0), as_int(i, "i"))
+
+
+def _stem_coefficient(a: int, b: int, i: int) -> QTPoly:
+    if i < 0 or i > a:
         return QTPoly.zero()
-    return (
-        QTPoly.q(a - i)
-        * t_pochhammer(1, a + b - i + 1, i)
-        * gaussian_binomial(a, i)
-    )
+    return QTPoly.q(a - i) * _t_pochhammer(1, a + b - i + 1, i) * _gaussian_binomial(a, i)
 
 
 def two_column_hl(a: int, b: int) -> HLExpansion:
     """H_(2^a 1^b)[X;q,t] expanded in the Hall-Littlewood basis."""
     as_int(a, "a", 0)
     as_int(b, "b", 0)
-    return HLExpansion(
-        {
-            (2,) * i + (1,) * (b + 2 * a - 2 * i): stem_coefficient(a, b, i)
-            for i in range(a + 1)
-        }
+    # no stem coefficient for i in 0..a is zero
+    return HLExpansion._of(
+        {(2,) * i + (1,) * (b + 2 * a - 2 * i): _stem_coefficient(a, b, i) for i in range(a + 1)}
     )
 
 
@@ -320,18 +317,18 @@ def row3_hl(a: int, b: int) -> HLExpansion:
 
     head = (one - q(2) * t(a + b + 1)) * (one - q(1) * t(a + 1))
     for i in range(a + 1):
-        put((3,) + (2,) * i + (1,) * (2 * a + b - 2 * i), stem_coefficient(a, b, i) * head)
+        put((3,) + (2,) * i + (1,) * (2 * a + b - 2 * i), _stem_coefficient(a, b, i) * head)
     put((1,) * (2 * a + b + 3), q(a + 3))
     for i in range(1, a + 3):
         ones = 2 * a + b + 3 - 2 * i
         coeff = (
-            q(1) * stem_coefficient(a + 1, b, i)
-            + (one - t(2 * a + b + 4 - 2 * i)) * q(1) * stem_coefficient(a + 1, b, i - 1)
-            + q(2) * (q(1) - one) * stem_coefficient(a, b, i) * t(i)
-            - q(2) * (q(1) - one) * stem_coefficient(a, b, i - 1) * t(2 * a + b + 2 - i) * (one + t(1))
+            q(1) * _stem_coefficient(a + 1, b, i)
+            + (one - t(2 * a + b + 4 - 2 * i)) * q(1) * _stem_coefficient(a + 1, b, i - 1)
+            + q(2) * (q(1) - one) * _stem_coefficient(a, b, i) * t(i)
+            - q(2) * (q(1) - one) * _stem_coefficient(a, b, i - 1) * t(2 * a + b + 2 - i) * (one + t(1))
             - q(2)
             * (q(1) - one)
-            * stem_coefficient(a, b, i - 2)
+            * _stem_coefficient(a, b, i - 2)
             * t(2 * a + b + 3 - i)
             * (one - t(2 * a + b + 4 - 2 * i))
         )
@@ -342,7 +339,7 @@ def row3_hl(a: int, b: int) -> HLExpansion:
                 )
             continue
         put((2,) * i + (1,) * ones, coeff)
-    return HLExpansion(terms)
+    return HLExpansion._of({nu: c for nu, c in terms.items() if c})  # a sum may cancel
 
 
 # --- Hall-Littlewood operator identities ------------------------------------

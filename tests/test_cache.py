@@ -26,7 +26,6 @@ TABLES = {
     "vertex.hall_littlewood",
     "vertex.macdonald",
     "vertex.gaussian_binomial",
-    "stats.domino_tail",
     "stats.type_sequence",
     "stats.type_weights",
     "stats.stat_counts",

@@ -33,6 +33,7 @@ from qtkostka.partitions import (
     partitions_of,
     vertical_strips,
     vertical_strips_inside,
+    weighted_size,
 )
 from qtkostka.schur import hl_vertex, hl_vertex_snake, mul_h
 from qtkostka.stats import (
@@ -164,6 +165,7 @@ ENTRY_POINTS = [
         qtkostka.parse_tableau,
     ),
     ("format_partition", NOT_PARTITION, "partition", qtkostka.format_partition),
+    ("weighted_size", NOT_PARTITION, "partition", weighted_size),
     ("dominance_leq", NOT_PARTITION, "partition", lambda x: dominance_leq(x, MU)),
     ("horizontal_strips/lam", NOT_PARTITION, "partition", lambda x: horizontal_strips(x, 1)),
     ("vertical_strips/lam", NOT_PARTITION, "partition", lambda x: vertical_strips(x, 1)),
@@ -230,6 +232,8 @@ ENTRY_POINTS = [
     ("add_row_block/m", NOT_NONNEGATIVE, "int", lambda x: add_row_block(x, RHO, TAB)),
     ("inverse_col_block/m", NOT_NONNEGATIVE, "int", lambda x: inverse_col_block(x, RHO, BUILT)),
     ("classify_pair/n", NOT_NONNEGATIVE, "int", lambda x: classify_pair(x, 2, TAB, RHO)),
+    ("pair_involution/n", NOT_NONNEGATIVE, "int", lambda x: pair_involution(x, 2, TAB, RHO)),
+    ("pair_involution/m", NOT_NONNEGATIVE, "int", lambda x: pair_involution(3, x, TAB, RHO)),
     ("add_row_block/rho", NOT_PARTITION, "partition", lambda x: add_row_block(2, x, TAB)),
     ("add_col_block/rho", NOT_PARTITION, "partition", lambda x: add_col_block(2, x, TAB)),
     ("classify_pair/rho", NOT_PARTITION, "partition", lambda x: classify_pair(3, 2, TAB, x)),
@@ -273,6 +277,8 @@ ENTRY_POINTS = [
     ("inverse_row_block/built", NOT_STANDARD, "tableau", lambda x: inverse_row_block(2, RHO, x)),
     ("add_col_block/tab", NOT_STANDARD, "tableau", lambda x: add_col_block(2, RHO, x)),
     ("classify_pair/tab", NOT_STANDARD, "tableau", lambda x: classify_pair(3, 2, x, RHO)),
+    ("pair_involution/tab", NOT_STANDARD, "tableau", lambda x: pair_involution(3, 2, x, RHO)),
+    ("inverse_col_block/built", NOT_STANDARD, "tableau", lambda x: inverse_col_block(2, RHO, x)),
     ("tableau_charge", NOT_TABLEAU, "tableau", tableau_charge),
     ("row_insert", NOT_TABLEAU, "tableau", lambda x: row_insert(x, 1)),
     ("column_insert", NOT_TABLEAU, "tableau", lambda x: column_insert(x, 1)),
@@ -401,6 +407,7 @@ GAPS = {
     "q.coefficient(-1, 0) -> 0": lambda: QTPoly.q(1).coefficient(-1, 0),
     # with max_n <= 0 the genericity guard compared no powers
     "generic_points(2, 0, -3) answered": lambda: generic_points(2, 0, -3),
+    "weighted_size((1, 2)) -> 2": lambda: weighted_size((1, 2)),
 }
 
 
@@ -458,6 +465,7 @@ def test_the_gaps_still_answer_good_input():
     assert S21.coefficient([2, 1]) == S21.coefficient(iter([2, 1])) == QTPoly.one()
     assert QTPoly.q(1).coefficient(1, 0) == 1 and QTPoly.q(1).coefficient(0, 1) == 0
     assert len(generic_points(2, 0, 1)) == 2
+    assert weighted_size((2, 1, 1)) == 3 == weighted_size([2, 1, 1]) and weighted_size(()) == 0
 
 
 def test_a_tableau_that_is_its_own_iterator_is_refused():

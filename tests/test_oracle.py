@@ -4,6 +4,7 @@ import json
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 from functools import cache
 
@@ -341,7 +342,7 @@ def test_oracle_refuses_non_partitions():
     for call in calls:
         with pytest.raises(ValueError, match="is not a partition"):
             call()
-    assert len(cache_info()) == 22
+    assert len(cache_info()) == 21
     assert macdonald_oracle([1], Q0, T0) == {(1,): 1 - T0}
 
 
@@ -520,6 +521,21 @@ def test_generic_points_match_the_double_loop():
     assert rejected  # the rejection branch was taken
 
 
+def test_exponents_past_six_reject_no_more_points():
+    # a dependent pair is r^e and r^f with the denominator of r at least 2 and
+    # those of r^e and r^f at most 97, so e, f <= 6 and (f, e) / gcd solves it;
+    # seeds 16 and 1468 draw pairs whose least solution has an exponent 4
+    for seed in [*range(8), 16, 1468]:
+        for max_n in (1, 2, 3, 12):  # every exponent up to 2, 4, 6 and 24
+            assert generic_points(40, seed, max_n) == _double_loop_points(40, seed, max_n, [])
+
+
+def test_a_huge_max_n_costs_no_more_than_max_n_3():
+    start = time.perf_counter()
+    assert generic_points(20, 5, max_n=10**6) == generic_points(20, 5, max_n=3)
+    assert time.perf_counter() - start < 1.0  # every exponent up to 2 * 10^6 took hours
+
+
 @pytest.mark.parametrize(
     "count, max_n", [(-1, 8), (True, 8), (2.0, 8), ("2", 8), (2, True), (2, 8.0), (2, None)]
 )
@@ -596,7 +612,7 @@ def test_a_wrong_stem_coefficient_fails_the_recurrences(monkeypatch):
     def fault(real):
         return lambda x, y, i: real(x, y, i) + (QTPoly.t(1) if (x, y, i) == (2, 1, 1) else 0)
 
-    assert _rational_failures(monkeypatch, "stem_coefficient", fault) == {
+    assert _rational_failures(monkeypatch, "_stem_coefficient", fault) == {
         "coefficient-recurrences"
     }
 
@@ -720,7 +736,7 @@ def test_the_gram_schmidt_oracle_reaches_no_vertex_schur_or_stats_code():
         "qtkostka.oracle._character",
         "qtkostka.oracle._power_macdonald",
         "qtkostka.oracle.schur_to_power",
-        "qtkostka.partitions.dominance_leq",
+        "qtkostka.partitions._dominance_leq",
         "qtkostka._checks.as_point",
         "qtkostka._checks.int_parts",
     ]:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -205,6 +206,25 @@ def test_involution_example():
     assert full_type((2, 2, 1), that).blocks == full_type((2, 2, 1), tab).blocks
 
 
+def test_one_involution_checks_and_builds_its_tableau_once(monkeypatch):
+    tab, rho = T("1,2,3/4/5"), (8, 3, 1)
+    built, checked = [], []
+    build, check = stats._add_row_block, stats.as_standard
+
+    def counted_build(*args):
+        built.append(args)
+        return build(*args)
+
+    def counted_check(tab, name):
+        checked.append(tab)
+        return check(tab, name)
+
+    monkeypatch.setattr(stats, "_add_row_block", counted_build)
+    monkeypatch.setattr(stats, "as_standard", counted_check)
+    assert pair_involution(5, 2, tab, rho) == (T("1,2,3,5/4"), (7, 4, 1))
+    assert built == [(2, rho, tab)] and checked == [tab]
+
+
 def test_involution_needs_unstable():
     for lam in partitions_of(3):
         for tab in standard_tableaux(lam):
@@ -369,14 +389,28 @@ def test_stat_genfun_matches_macdonald_at_size_9():
         assert stat_genfun(mu) == macdonald(mu)
 
 
-def test_domino_tail_cache_info_and_clear():
-    before = stat_genfun((2, 2, 2, 1))
-    info = cache_info()["stats.domino_tail"]
-    assert set(info) == {"hits", "misses", "size"}
-    assert info["size"] > 0 and info["misses"] > 0
+def test_domino_tails_live_only_as_long_as_the_walk(monkeypatch):
+    # each walk, and each typing of one tableau, fills a table of its own,
+    # and nothing but the spy below holds it once the call returns
+    assert "stats.domino_tail" not in cache_info()
+    assert not hasattr(stats._domino_tail, "cache_info")
+    tables = []
+    real = stats._domino_tail
+
+    def spied(tab, dominoes, seen):
+        if not any(seen is table for table in tables):
+            tables.append(seen)
+        return real(tab, dominoes, seen)
+
+    monkeypatch.setattr(stats, "_domino_tail", spied)
     clear_caches()
-    assert cache_info()["stats.domino_tail"]["size"] == 0
+    before = stat_genfun((2, 2, 2, 1))
+    walk = len(tables)
+    clear_caches()
     assert stat_genfun((2, 2, 2, 1)) == before
+    assert walk > 1 and len(tables) == 2 * walk  # the walk's own, then one per typing
+    assert len(tables[0]) > 1 and len(tables[walk]) == len(tables[0])
+    assert all(sys.getrefcount(tables[i]) == 2 for i in range(len(tables)))  # the list and the call
 
 
 def _strip_cells(outer, inner):
